@@ -19,11 +19,10 @@ from .learner import (EpisodeDivergedError, EpisodeRecord,
 from .noise import (MomentEstimate, NoiseProcess, estimate_moments,
                     population_sigma_lower, population_sigma_w,
                     population_sigma_w4, sample)
-from .policy import (NoiseHistory, PolicyParams, admissible_radii,
-                     block_spectral_norms, comparator_params, control_input,
-                     horizon_H, is_admissible, policy_class_diameter,
-                     policy_from_blocks, project, sample_admissible,
-                     zero_policy)
+from .policy import (PolicyParams, admissible_radii, block_spectral_norms,
+                     comparator_params, control_input, horizon_H,
+                     is_admissible, policy_class_diameter, policy_from_blocks,
+                     project, sample_admissible, zero_policy)
 from .rng import keyed_rng, mix_seed
 from .stability import (CertificationError, ClosedLoop, StabilityCertificate,
                         build_certificate, certify, make_closed_loop,
@@ -40,7 +39,7 @@ __all__ = [
     "CertificationError", "ClosedLoop", "ComparatorResult", "CostFunction",
     "CostSchedule", "EpisodeDivergedError", "EpisodeRecord",
     "ExperimentConfig", "LearningRateSchedule", "LinearSystem",
-    "MomentEstimate", "NoiseHistory", "NoiseProcess", "PolicyParams",
+    "MomentEstimate", "NoiseProcess", "PolicyParams",
     "RegretCurve", "ScalingReport", "StabilityCertificate",
     "SurrogateGradient", "SurrogateKernel", "SurrogatePoint", "SystemState",
     "TheoryConstants", "TransferMatrix", "admissible_radii",

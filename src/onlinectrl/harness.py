@@ -50,7 +50,7 @@ from .noise import (NoiseProcess, population_sigma_lower, population_sigma_w,
 from .policy import policy_class_diameter
 from .rng import mix_seed
 from .stability import CertificationError, StabilityCertificate, certify
-from .system import LinearSystem, system_from_json
+from .system import LinearSystem, initial_state, system_from_json
 
 _SUBGAUSSIAN_FAMILIES = ("gaussian", "scaled_bernoulli", "zero")
 
@@ -93,9 +93,18 @@ def config_hash(doc: dict) -> str:
 
 
 def _require(doc: dict, key: str, section: str) -> object:
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {section} must be a JSON object")
     if key not in doc:
         raise ValueError(f"config {section} is missing {key!r}")
     return doc[key]
+
+
+def _require_list(doc: dict, key: str) -> list:
+    value = _require(doc, key, "root")
+    if not isinstance(value, list):
+        raise ValueError(f"config {key} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _noise_from_cfg(cfg: dict, n_x: int, seed: int) -> NoiseProcess:
@@ -141,6 +150,8 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     cost_cfg = dict(_require(doc, "cost", "root"))
     family = _require(cost_cfg, "family", "cost")
     if family == "quadratic":
+        _require(cost_cfg, "Q", "cost")
+        _require(cost_cfg, "R", "cost")
         probe = _probe_schedule(cost_cfg, sys.n_x, sys.n_u)  # shape check
     elif family == "random_quadratic":
         _require(cost_cfg, "seed", "cost")
@@ -149,6 +160,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         raise ValueError(f"unknown cost family {family!r}")
 
     noise_cfg = dict(_require(doc, "noise", "root"))
+    _require(noise_cfg, "family", "noise")
     _require(noise_cfg, "seed", "noise")
     proc = _noise_from_cfg(noise_cfg, sys.n_x, seed=0)  # validates family/df
 
@@ -158,12 +170,12 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         if population_sigma_lower(proc) <= 0.0:
             raise ValueError("strongly_convex schedule needs non-degenerate noise")
 
-    horizons = sorted({int(T) for T in _require(doc, "horizons", "root")})
+    horizons = sorted({int(T) for T in _require_list(doc, "horizons")})
     if not horizons:
         raise ValueError("horizons list is empty")
     if horizons[0] < 3:
         raise ValueError("every horizon must be >= 3")
-    seeds = [int(s) for s in _require(doc, "seeds", "root")]
+    seeds = [int(s) for s in _require_list(doc, "seeds")]
     if not seeds:
         raise ValueError("seeds list is empty")
     if len(set(seeds)) != len(seeds):
@@ -178,8 +190,9 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         if sys.n_x != 1 or sys.n_u != 1:
             raise ValueError("comparator grid is only defined for scalar systems")
         g = comp["grid"]
-        lo, hi = float(g["min"]), float(g["max"])
-        count = int(g["count"])
+        lo = float(_require(g, "min", "comparator grid"))
+        hi = float(_require(g, "max", "comparator grid"))
+        count = int(_require(g, "count", "comparator grid"))
         if count < 1 or hi < lo:
             raise ValueError("comparator grid must have count >= 1 and max >= min")
         raw = [np.array([[v]]) for v in np.linspace(lo, hi, count)]
@@ -202,9 +215,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
 
     x0 = None
     if doc.get("x0") is not None:
-        x0 = np.asarray(doc["x0"], dtype=float)
-        if x0.shape != (sys.n_x,):
-            raise ValueError(f"x0 must have shape ({sys.n_x},)")
+        x0 = initial_state(sys, doc["x0"]).x
 
     delta = float(doc.get("delta", 0.1))
     if not 0.0 < delta <= 1.0:

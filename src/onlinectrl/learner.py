@@ -23,12 +23,12 @@ from typing import IO, Optional
 import numpy as np
 
 from .costs import CostSchedule
-from .noise import NoiseProcess, sample
-from .policy import (NoiseHistory, PolicyParams, control_input, horizon_H,
-                     is_admissible, policy_class_diameter, project, zero_policy)
+from .noise import NoiseProcess, sample_episode
+from .policy import (PolicyParams, control_input, horizon_H, is_admissible,
+                     policy_class_diameter, project, zero_policy)
 from .stability import StabilityCertificate, make_closed_loop
 from .surrogate import SurrogateKernel
-from .system import LinearSystem, recover_noise
+from .system import LinearSystem, initial_state, recover_noise
 
 _SCHEDULE_KINDS = ("constant_sqrtT", "strongly_convex")
 
@@ -134,7 +134,9 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     The stage cost is revealed only through cost_schedule.reveal(t, u_t),
     after the input is committed; the gradient step then uses the same
     revealed cost on the surrogate window, which ends at w_{t-1} and so
-    is fully known once w_t has been recovered for the next step.
+    is fully known once w_t has been recovered for the next step. The
+    injected disturbances are drawn before the loop, with the values
+    sample(noise_proc, t) gives.
     """
     if T < 3:
         raise ValueError(f"horizon T must be >= 3, got {T}")
@@ -161,52 +163,49 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     if not is_admissible(M, kappa, gamma, kappa_B):
         raise ValueError("M0 lies outside the admissible set")
 
-    hist = NoiseHistory(capacity=2 * H + 1, dim=sys.n_x)
-    x = np.zeros(sys.n_x) if x0 is None else np.asarray(x0, dtype=float)
-
+    x = initial_state(sys, x0).x
+    ws = sample_episode(noise_proc, T)
+    # Recovered disturbances, most recent first: row T-1-s holds w_s and the
+    # 2H+1 rows after row T-1 stay zero, so step t's surrogate window
+    # (window[m] = w_{t-1-m}) is the slice starting at row T-t.
+    buf = np.zeros((T + 2 * H + 1, sys.n_x))
     xs = np.empty((T + 1, sys.n_x))
     us = np.empty((T, sys.n_u))
-    ws = np.empty((T, sys.n_x))
-    ws_rec = np.empty((T, sys.n_x))
     costs = np.empty(T)
     etas = np.empty(T)
     grad_frobs = np.empty(T)
     m_frobs = np.empty(T)
 
     for t in range(T):
+        window = buf[T - t:T - t + 2 * H + 1]
         xs[t] = x
-        u = control_input(K, M, x, hist)
+        u = control_input(K, M, x, window)
         cost_t = cost_schedule.reveal(t, u)
         costs[t] = cost_t.value(x, u)
-        w = sample(noise_proc, t)
-        x_next = sys.A @ x + sys.B @ u + w
-        w_rec = recover_noise(sys, x_next, x, u)
+        x_next = sys.A @ x + sys.B @ u + ws[t]
+        buf[T - 1 - t] = recover_noise(sys, x_next, x, u)
 
         norm_x = float(np.linalg.norm(x_next))
         if not np.isfinite(norm_x) or norm_x > divergence_limit:
             raise EpisodeDivergedError(step=t, norm=norm_x)
 
-        window = hist.window()
         G, _, _ = kern.grad(cost_t, M.blocks, window)
 
         us[t] = u
-        ws[t] = w
-        ws_rec[t] = w_rec
         grad_frobs[t] = np.linalg.norm(G)
         m_frobs[t] = M.frob_norm()
         etas[t] = eta(lr_schedule, t, T)
 
         M = project(PolicyParams(M.blocks - etas[t] * G), kappa, gamma, kappa_B)
-        hist.push(w_rec)
         x = x_next
 
     xs[T] = x
     return EpisodeRecord(
         T=T, n_x=sys.n_x, n_u=sys.n_u, H=H, kappa=kappa, gamma=gamma,
         kappa_B=kappa_B, schedule_kind=lr_schedule.kind, xs=xs, us=us, ws=ws,
-        ws_recovered=ws_rec, costs=costs, etas=etas, grad_frobs=grad_frobs,
-        m_frobs=m_frobs, cum_cost=float(costs.sum()), M_final=M,
-        noise_hash=noise_fingerprint(ws),
+        ws_recovered=buf[T - 1::-1].copy(), costs=costs, etas=etas,
+        grad_frobs=grad_frobs, m_frobs=m_frobs, cum_cost=float(costs.sum()),
+        M_final=M, noise_hash=noise_fingerprint(ws),
     )
 
 

@@ -3,6 +3,8 @@
 sample(proc, t) is a pure function of (proc.seed, t): each step keys its
 own counter-based generator, so episodes replay bit-identically and any
 window of steps can be regenerated without generating its past.
+sample_episode(proc, T) draws w_0..w_{T-1} in one call with the same
+values, reusing one generator instead of keying one per step.
 
 Families cover the regimes the regret guarantees care about: gaussian
 (sub-Gaussian, the logarithmic-regret assumptions hold), laplace (finite
@@ -14,12 +16,12 @@ scaled_bernoulli (bounded), and zero (sanity checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Optional
 
 import numpy as np
 
-from .rng import STREAM_ESTIMATION, STREAM_NOISE, keyed_rng
+from .rng import STREAM_ESTIMATION, STREAM_NOISE, keyed_rng, keyed_steps
 
 _FAMILIES = ("gaussian", "laplace", "student_t", "scaled_bernoulli", "zero")
 
@@ -35,13 +37,14 @@ class NoiseProcess:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if self.scale < 0.0:
-            raise ValueError("scale must be nonnegative")
+        if not (isfinite(self.scale) and self.scale >= 0.0):
+            raise ValueError(f"scale must be finite and nonnegative, got {self.scale}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.family == "student_t":
-            if self.df is None or self.df <= 4.0:
-                raise ValueError("student_t requires df > 4 (finite fourth moment)")
+            if self.df is None or not (isfinite(self.df) and self.df > 4.0):
+                raise ValueError("student_t requires a finite df > 4 "
+                                 "(finite fourth moment)")
 
 
 @dataclass(frozen=True)
@@ -55,33 +58,44 @@ class MomentEstimate:
     samples: int
 
 
+def _silent(proc: NoiseProcess) -> bool:
+    return proc.family == "zero" or proc.scale == 0.0
+
+
+def _draw(proc: NoiseProcess, rng: np.random.Generator, shape) -> np.ndarray:
+    """Draws of the process's family with the given shape; the one family switch."""
+    if proc.family == "gaussian":
+        return proc.scale * rng.standard_normal(shape)
+    if proc.family == "laplace":
+        return rng.laplace(0.0, proc.scale, size=shape)
+    if proc.family == "student_t":
+        return proc.scale * rng.standard_t(proc.df, size=shape)
+    # scaled_bernoulli: +-scale equiprobably per component
+    return proc.scale * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
+
+
 def sample(proc: NoiseProcess, t: int) -> np.ndarray:
     """Disturbance w_t; the zero vector for t < 0 by convention."""
-    if t < 0 or proc.family == "zero" or proc.scale == 0.0:
+    if t < 0 or _silent(proc):
         return np.zeros(proc.dim)
-    rng = keyed_rng(proc.seed, STREAM_NOISE, t)
-    if proc.family == "gaussian":
-        return proc.scale * rng.standard_normal(proc.dim)
-    if proc.family == "laplace":
-        return rng.laplace(0.0, proc.scale, size=proc.dim)
-    if proc.family == "student_t":
-        return proc.scale * rng.standard_t(proc.df, size=proc.dim)
-    # scaled_bernoulli: +-scale equiprobably per component
-    return proc.scale * (2.0 * rng.integers(0, 2, size=proc.dim) - 1.0)
+    return _draw(proc, keyed_rng(proc.seed, STREAM_NOISE, t), proc.dim)
+
+
+def sample_episode(proc: NoiseProcess, T: int) -> np.ndarray:
+    """Disturbances w_0..w_{T-1} as a (T, dim) array; row t is bit-identical
+    to sample(proc, t), drawn through one reseated generator."""
+    ws = np.zeros((T, proc.dim))
+    if not _silent(proc):
+        for t, rng in enumerate(keyed_steps(proc.seed, STREAM_NOISE, range(T))):
+            ws[t] = _draw(proc, rng, proc.dim)
+    return ws
 
 
 def _batch(proc: NoiseProcess, n: int) -> np.ndarray:
     """n draws from one dedicated estimation stream (not the per-t stream)."""
-    rng = keyed_rng(proc.seed, STREAM_ESTIMATION, 0)
-    if proc.family == "zero" or proc.scale == 0.0:
+    if _silent(proc):
         return np.zeros((n, proc.dim))
-    if proc.family == "gaussian":
-        return proc.scale * rng.standard_normal((n, proc.dim))
-    if proc.family == "laplace":
-        return rng.laplace(0.0, proc.scale, size=(n, proc.dim))
-    if proc.family == "student_t":
-        return proc.scale * rng.standard_t(proc.df, size=(n, proc.dim))
-    return proc.scale * (2.0 * rng.integers(0, 2, size=(n, proc.dim)) - 1.0)
+    return _draw(proc, keyed_rng(proc.seed, STREAM_ESTIMATION, 0), (n, proc.dim))
 
 
 def estimate_moments(proc: NoiseProcess, n_samples: int = 100_000) -> MomentEstimate:
@@ -103,7 +117,7 @@ def estimate_moments(proc: NoiseProcess, n_samples: int = 100_000) -> MomentEsti
 def _component_moments(proc: NoiseProcess) -> tuple[float, float]:
     """(variance, fourth moment) of a single component, exact per family."""
     s = proc.scale
-    if proc.family == "zero" or s == 0.0:
+    if _silent(proc):
         return 0.0, 0.0
     if proc.family == "gaussian":
         return s ** 2, 3.0 * s ** 4

@@ -83,18 +83,24 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float,
 
     Each block's singular values are clipped at that block's radius; the
     set is a Cartesian product over blocks, so blockwise clipping is the
-    exact joint projection. Blocks already inside are passed through the
-    SVD round-trip, which is reproduction-exact for 1x1 blocks and within
-    machine roundoff otherwise.
+    exact joint projection. The spectral norm is at most the Frobenius
+    norm, so a block within its radius in Frobenius norm is already a
+    fixed point: it is returned bit-identical, and only the other blocks
+    go through the SVD. 1x1 blocks are clipped directly.
     """
     blocks = M_raw.blocks
     radii = admissible_radii(M_raw.H, kappa, gamma, kappa_B)
     if blocks.shape[1] == 1 and blocks.shape[2] == 1:
         clipped = np.clip(blocks[:, 0, 0], -radii, radii)
         return PolicyParams(clipped.reshape(-1, 1, 1))
-    U, s, Vt = np.linalg.svd(blocks, full_matrices=False)
-    s = np.minimum(s, radii[:, None])
-    return PolicyParams(np.einsum("hij,hj,hjk->hik", U, s, Vt))
+    big = np.einsum("hij,hij->h", blocks, blocks) > radii * radii
+    if not big.any():
+        return M_raw
+    U, s, Vt = np.linalg.svd(blocks[big], full_matrices=False)
+    s = np.minimum(s, radii[big, None])
+    out = blocks.copy()
+    out[big] = (U * s[:, None, :]) @ Vt
+    return PolicyParams(out)
 
 
 def sample_admissible(rng: np.random.Generator, H: int, n_u: int, n_x: int,
@@ -107,40 +113,14 @@ def sample_admissible(rng: np.random.Generator, H: int, n_u: int, n_x: int,
     return PolicyParams(blocks * scale[:, None, None])
 
 
-class NoiseHistory:
-    """Ring of recent disturbances, most recent first, zero-padded.
-
-    After t pushes, window(k)[m] = w_{t-1-m} for m < k, with zeros where
-    the index would be negative. The learner keeps one history of length
-    2H+1 (the surrogate window) and hands its first H rows to the policy.
-    """
-
-    def __init__(self, capacity: int, dim: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.dim = dim
-        self._buf = np.zeros((capacity, dim))
-
-    def push(self, w: np.ndarray) -> None:
-        self._buf[1:] = self._buf[:-1]
-        self._buf[0] = w
-
-    def window(self, k: int | None = None) -> np.ndarray:
-        if k is None:
-            k = self.capacity
-        if not 1 <= k <= self.capacity:
-            raise ValueError(f"window size {k} outside [1, {self.capacity}]")
-        return self._buf[:k]
-
-
 def control_input(K: np.ndarray, M: PolicyParams, x: np.ndarray,
-                  hist: NoiseHistory | np.ndarray) -> np.ndarray:
-    """u = -K x + sum_i M^[i-1] w_{t-i} given the recent-disturbance window."""
-    win = hist.window(M.H) if isinstance(hist, NoiseHistory) else np.asarray(hist)[:M.H]
-    if win.shape[0] < M.H:
-        raise ValueError(f"history window holds {win.shape[0]} rows, policy needs {M.H}")
-    return -K @ x + np.einsum("mux,mx->u", M.blocks, win)
+                  window: np.ndarray) -> np.ndarray:
+    """u = -K x + sum_i M^[i-1] w_{t-i}, where window[m] = w_{t-1-m}
+    (most recent first, zero before time zero) holds at least H rows."""
+    window = np.asarray(window)
+    if len(window) < M.H:
+        raise ValueError(f"history window holds {len(window)} rows, policy needs {M.H}")
+    return -K @ x + np.einsum("mux,mx->u", M.blocks, window[:M.H])
 
 
 def comparator_params(K: np.ndarray, K_star: np.ndarray, A: np.ndarray,

@@ -9,6 +9,8 @@ parallel.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -20,11 +22,31 @@ STREAM_ESTIMATION = 3
 STREAM_SEARCH = 4
 
 
+def _counter(stream: int, step: int) -> np.ndarray:
+    return np.array([0, 0, stream & _MASK64, step & _MASK64], dtype=np.uint64)
+
+
 def keyed_rng(seed: int, stream: int, step: int = 0) -> np.random.Generator:
     """Generator for (seed, stream, step), independent across all three."""
     key = np.array([seed & _MASK64, (seed >> 64) & _MASK64], dtype=np.uint64)
-    counter = np.array([0, 0, stream & _MASK64, step & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(key=key, counter=_counter(stream, step)))
+
+
+def keyed_steps(seed: int, stream: int,
+                steps: Iterable[int]) -> Iterator[np.random.Generator]:
+    """keyed_rng(seed, stream, t) for each t in steps, with identical draws.
+
+    One generator is yielded over and over: its Philox counter and buffer
+    are reset to the fresh (seed, stream, t) state before each yield, which
+    is several times cheaper than building a generator per step. Draw from
+    each item before advancing to the next.
+    """
+    rng = keyed_rng(seed, stream)
+    fresh = rng.bit_generator.state
+    for t in steps:
+        fresh["state"]["counter"] = _counter(stream, t)
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 def mix_seed(base: int, k: int) -> int:

@@ -149,8 +149,8 @@ def certify(sys: LinearSystem, K: np.ndarray, kappa: float, gamma: float,
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     K = np.asarray(K, dtype=float)
     if K.shape != (sys.n_u, sys.n_x):
         raise ValueError(f"K must have shape ({sys.n_u}, {sys.n_x}), got {K.shape}")

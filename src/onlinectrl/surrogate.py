@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .costs import CostFunction
 from .policy import PolicyParams
@@ -118,12 +117,22 @@ def state_expansion(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams]
     return cl.power(h + 1) @ x_base + np.einsum("ixy,iy->x", stack[:count], recent)
 
 
+def _hankel(W: np.ndarray, H: int) -> np.ndarray:
+    """Strided view of a C-contiguous window W (2H+1, n_x) whose row j is
+    W[1 + j : 1 + j + H].ravel(), j = 0..H: the H disturbances that feed
+    the policy at lag j. Column m * n_x + x of row j is w_{t-2-j-m}[x],
+    matching blocks flattened to (n_u, H * n_x). No data is copied."""
+    step = W.strides[0]
+    return np.ndarray((H + 1, H * W.shape[1]), W.dtype, W, step, (step, W.itemsize))
+
+
 class SurrogateKernel:
     """Precomputed pieces for repeated surrogate evaluation at fixed (K, H).
 
-    Holds the power stack A_K^0..A_K^H and the products A_K^j B so the
-    per-step cost of points and gradients is a handful of einsums over
-    the disturbance window.
+    Holds the power stack A_K^0..A_K^H and the products A_K^j B, also laid
+    side by side as (n_x, (H+1) n_x) and (n_x, (H+1) n_u) matrices, so a
+    point or a gradient is a few matrix products with the Hankel view of
+    the disturbance window and the blocks flattened to (n_u, H n_x).
     """
 
     def __init__(self, cl: ClosedLoop, B: np.ndarray, H: int):
@@ -137,23 +146,30 @@ class SurrogateKernel:
         self.PB = np.matmul(self.pows, self.B)
         self.n_x = self.B.shape[0]
         self.n_u = self.B.shape[1]
+        # row a, column j*n + b holds A_K^j[a, b] and (A_K^j B)[a, b]
+        self._pows_row = self.pows.transpose(1, 0, 2).reshape(self.n_x, -1)
+        self._PB_row = self.PB.transpose(1, 0, 2).reshape(self.n_x, -1)
 
     def _check_window(self, W: np.ndarray) -> np.ndarray:
-        W = np.asarray(W, dtype=float)
+        W = np.ascontiguousarray(W, dtype=float)
         if W.shape != (2 * self.H + 1, self.n_x):
             raise ValueError(
                 f"window must have shape ({2 * self.H + 1}, {self.n_x}), got {W.shape}")
         return W
 
+    def _point(self, flat: np.ndarray, W: np.ndarray,
+               hank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, v) from blocks flattened to (n_u, H n_x) and hank = _hankel(W)."""
+        dap = hank @ flat.T  # dap[j] = sum_m M^[m] w_{t-2-j-m}
+        y = self._pows_row @ W[:self.H + 1].ravel() + self._PB_row @ dap.ravel()
+        v = flat @ W[:self.H].ravel() - self.K @ y
+        return y, v
+
     def point(self, blocks: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, v) with the whole policy window frozen at one parameter."""
-        H = self.H
-        # win2[j, :, m] = W[1 + j + m]: disturbances feeding the policy at lag j
-        win2 = sliding_window_view(W[1:], H, axis=0)
-        dap = np.einsum("mux,jxm->ju", blocks, win2[:H + 1])
-        y = np.einsum("jab,jb->a", self.pows, W[:H + 1] + dap @ self.B.T)
-        v = -self.K @ y + np.einsum("mux,mx->u", blocks, W[:H])
-        return y, v
+        W = self._check_window(W)
+        flat = blocks.transpose(1, 0, 2).reshape(self.n_u, -1)
+        return self._point(flat, W, _hankel(W, self.H))
 
     def point_window(self, M_window: Sequence[PolicyParams],
                      W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,23 +196,24 @@ class SurrogateKernel:
         Block r collects (A_K^j B)' (g_x - K' g_u) against w_{t-2-r-j} over
         j = 0..H, plus the direct input sensitivity g_u w_{t-1-r}'.
         """
-        H = self.H
-        y, v = self.point(blocks, W)
+        H, n_x, n_u = self.H, self.n_x, self.n_u
+        W = self._check_window(W)
+        hank = _hankel(W, H)
+        flat = blocks.transpose(1, 0, 2).reshape(n_u, -1)
+        y, v = self._point(flat, W, hank)
         g_u = cost.grad_u(y, v)
         g_eff = cost.grad_x(y, v) - self.K.T @ g_u
-        Qv = np.einsum("jxu,x->ju", self.PB, g_eff)
-        # win[r, :, j] = W[1 + r + j]
-        win = sliding_window_view(W[1:], H + 1, axis=0)
-        G = np.einsum("ju,rxj->rux", Qv, win)
-        G += np.einsum("u,rx->rux", g_u, W[:H])
-        return G, y, v
+        Qv = (g_eff @ self._PB_row).reshape(H + 1, n_u)  # Qv[j] = (A_K^j B)' g_eff
+        G = Qv.T @ hank + g_u[:, None] * W[:H].ravel()
+        return G.reshape(n_u, H, n_x).transpose(1, 0, 2), y, v
 
     def jacobian(self, W: np.ndarray) -> np.ndarray:
         """Stacked Jacobian of (y, v) in the policy blocks, shape
         (n_x + n_u, H * n_u * n_x); columns follow blocks.reshape(-1)."""
         H, n_x, n_u = self.H, self.n_x, self.n_u
-        win = sliding_window_view(W[1:], H + 1, axis=0)
-        Jy = np.einsum("jxp,rqj->xrpq", self.PB, win)
+        W = self._check_window(W)
+        Jy = np.einsum("jxp,jc->xpc", self.PB, _hankel(W, H))
+        Jy = Jy.reshape(n_x, n_u, H, n_x).transpose(0, 2, 1, 3)
         direct = np.einsum("up,rq->urpq", np.eye(n_u), W[:H])
         Jv = -np.einsum("ux,xrpq->urpq", self.K, Jy) + direct
         dim = H * n_u * n_x

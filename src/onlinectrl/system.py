@@ -65,13 +65,16 @@ def system_from_json(doc: dict) -> LinearSystem:
 
 
 def initial_state(sys: LinearSystem, x0: np.ndarray | None = None) -> SystemState:
-    """State at t = 0. Default start is the origin; a nonzero start is opt-in."""
+    """State at t = 0. Default start is the origin; a nonzero start is opt-in
+    and must be a finite vector of shape (n_x,)."""
     if x0 is None:
         x = np.zeros(sys.n_x)
     else:
         x = np.asarray(x0, dtype=float)
         if x.shape != (sys.n_x,):
             raise ValueError(f"x0 must have shape ({sys.n_x},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("x0 must be finite")
     return SystemState(t=0, x=x)
 
 

@@ -348,6 +348,25 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     assert cli_main(["run", "--config", cfg, "--workers", "0"]) == 2
 
 
+@pytest.mark.parametrize("mutate,needle", [
+    (lambda d: d["comparator"]["grid"].pop("max"), "max"),
+    (lambda d: d["noise"].pop("family"), "family"),
+    (lambda d: d.update(horizons=64), "horizons"),
+    (lambda d: d["cost"].pop("Q"), "Q"),
+    (lambda d: d["noise"].update(scale=float("nan")), "scale"),
+    (lambda d: d.update(x0=[float("nan")]), "x0"),
+    (lambda d: d["gain"].update(kappa=float("nan")), "kappa"),
+], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
+        "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa"])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
+    doc = _base_doc()
+    mutate(doc)
+    rc = cli_main(["certify", "--config", _write_cfg(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid config:") and needle in err
+
+
 def test_cli_no_surviving_grid_candidates(tmp_path, capsys):
     doc = _base_doc(comparator={"grid": {"min": 0.0, "max": 0.1, "count": 2}})
     assert cli_main(["run", "--config", _write_cfg(tmp_path, doc)]) == 2

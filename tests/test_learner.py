@@ -10,9 +10,8 @@ from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
                                 noise_fingerprint, ogd_memory_regret_terms,
                                 run_episode)
 from onlinectrl.noise import NoiseProcess, sample
-from onlinectrl.policy import (NoiseHistory, PolicyParams, control_input,
-                               is_admissible, policy_class_diameter, project,
-                               zero_policy)
+from onlinectrl.policy import (PolicyParams, admissible_radii, is_admissible,
+                               policy_class_diameter, zero_policy)
 from onlinectrl.stability import build_certificate, certify, make_closed_loop
 from onlinectrl.surrogate import grad_f
 from onlinectrl.system import make_system
@@ -67,41 +66,90 @@ def test_alpha_tilde_hand_value():
     assert alpha_tilde_from(2.0, 1.0, 0.9, 1.0) == pytest.approx(0.045)
 
 
+def _naive_replay(sys_, K, cert, proc, cost, lr, T, H):
+    """The projected-OGD loop with explicit bookkeeping: per-step noise
+    draws, a window rebuilt from the list of past disturbances, and
+    projection by full-SVD clipping of every block."""
+    cl = make_closed_loop(sys_, K, i_max=H)
+    radii = admissible_radii(H, cert.kappa, cert.gamma, sys_.kappa_B)
+    M = zero_policy(H, sys_.n_u, sys_.n_x).blocks
+    past = []                      # most recent last
+    x = np.zeros(sys_.n_x)
+    steps = []
+    for t in range(T):
+        W = np.zeros((2 * H + 1, sys_.n_x))
+        for m, w in enumerate(reversed(past[-(2 * H + 1):])):
+            W[m] = w
+        u = -K @ x + sum(M[i] @ W[i] for i in range(H))
+        w = sample(proc, t)
+        g = grad_f(cost, cl, sys_.B, PolicyParams(M), W, t).blocks
+        step = eta(lr, t, T)
+        U, sv, Vt = np.linalg.svd(M - step * g, full_matrices=False)
+        steps.append({"x": x, "u": u, "w": w, "cost": cost.value(x, u),
+                      "eta": step, "grad_frob": np.linalg.norm(g),
+                      "clipped": bool(np.any(sv[:, 0] > radii))})
+        M = np.einsum("hij,hj,hjk->hik", U, np.minimum(sv, radii[:, None]), Vt)
+        past.append(w)
+        x = sys_.A @ x + sys_.B @ u + w
+    return steps, M, x
+
+
+def _assert_matches_replay(rec, steps, M, x, tol):
+    for t, step in enumerate(steps):
+        np.testing.assert_array_equal(rec.ws[t], step["w"])
+        np.testing.assert_allclose(rec.xs[t], step["x"], rtol=tol, atol=tol)
+        np.testing.assert_allclose(rec.us[t], step["u"], rtol=tol, atol=tol)
+        assert rec.costs[t] == pytest.approx(step["cost"], rel=tol, abs=tol)
+        assert rec.etas[t] == step["eta"]
+        assert rec.grad_frobs[t] == pytest.approx(step["grad_frob"], rel=tol, abs=tol)
+    np.testing.assert_allclose(rec.M_final.blocks, M, rtol=tol, atol=tol)
+    np.testing.assert_allclose(rec.xs[-1], x, rtol=tol, atol=tol)
+    assert rec.cum_cost == pytest.approx(float(rec.costs.sum()))
+
+
 def test_episode_matches_naive_replay():
     """Replays the whole projected-OGD loop with explicit bookkeeping."""
     sys_, K, cert = _scalar_setup()
     T, H = 8, 3
     proc = NoiseProcess("gaussian", 1.0, dim=1, seed=77)
-    schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), T)
-    lr = LearningRateSchedule("constant_sqrtT")
-    rec = run_episode(sys_, K, cert, schedule, proc, lr, T, H=H)
-
-    cl = make_closed_loop(sys_, K, i_max=H)
     cost = quadratic_cost(np.eye(1), np.eye(1))
-    M = zero_policy(H, 1, 1)
-    past = []                      # most recent last
-    x = np.zeros(1)
-    for t in range(T):
-        W = np.zeros((2 * H + 1, 1))
-        for m, w in enumerate(reversed(past[-(2 * H + 1):])):
-            W[m] = w
-        u = -K @ x + sum(M.blocks[i] @ W[i] for i in range(H))
-        np.testing.assert_allclose(rec.xs[t], x, atol=1e-12)
-        np.testing.assert_allclose(rec.us[t], u, atol=1e-12)
-        assert rec.costs[t] == pytest.approx(float(x @ x + u @ u), abs=1e-12)
-        w = sample(proc, t)
-        x_next = sys_.A @ x + sys_.B @ u + w
-        g = grad_f(cost, cl, sys_.B, M, W, t)
-        step = eta(lr, t, T)
-        assert rec.etas[t] == step
-        assert rec.grad_frobs[t] == pytest.approx(float(np.linalg.norm(g.blocks)), abs=1e-12)
-        M = project(PolicyParams(M.blocks - step * g.blocks), cert.kappa,
-                    cert.gamma, sys_.kappa_B)
-        past.append(w)
-        x = x_next
-    np.testing.assert_allclose(rec.M_final.blocks, M.blocks, atol=1e-12)
-    np.testing.assert_allclose(rec.xs[T], x, atol=1e-12)
-    assert rec.cum_cost == pytest.approx(float(rec.costs.sum()))
+    lr = LearningRateSchedule("constant_sqrtT")
+    rec = run_episode(sys_, K, cert, constant_schedule(cost, T), proc, lr, T, H=H)
+    steps, M, x = _naive_replay(sys_, K, cert, proc, cost, lr, T, H)
+    for step in steps:
+        assert step["cost"] == pytest.approx(
+            float(step["x"] @ step["x"] + step["u"] @ step["u"]), abs=1e-12)
+    _assert_matches_replay(rec, steps, M, x, tol=1e-12)
+
+
+def test_matrix_episode_matches_naive_replay():
+    """(n_x, n_u) = (3, 2), Student-t noise and a step size large enough
+    that projection clips blocks along the way."""
+    B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]])
+    K = np.array([[0.2, -0.1, 0.3], [0.1, 0.25, -0.2]])
+    A = np.diag([0.3, -0.2, 0.1]) + B @ K
+    sys_ = make_system(A, B)
+    cert = certify(sys_, K, 1.5, 0.5)
+    T, H = 40, 4
+    proc = NoiseProcess("student_t", 1.0, dim=3, seed=19, df=5.0)
+    cost = quadratic_cost(np.diag([1.0, 2.0, 0.5]), np.diag([0.5, 1.0]))
+    lr = LearningRateSchedule("constant_sqrtT", eta_constant=0.2)
+    rec = run_episode(sys_, K, cert, constant_schedule(cost, T), proc, lr, T, H=H)
+    steps, M, x = _naive_replay(sys_, K, cert, proc, cost, lr, T, H)
+    assert sum(step["clipped"] for step in steps) >= 5
+    _assert_matches_replay(rec, steps, M, x, tol=1e-12)
+
+
+def test_x0_validation():
+    sys_, K, cert = _scalar_setup()
+    proc = NoiseProcess("gaussian", 1.0, dim=1, seed=2)
+    schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), 12)
+    lr = LearningRateSchedule("constant_sqrtT")
+    for bad in (np.array([np.nan]), np.array([np.inf]), np.zeros(2)):
+        with pytest.raises(ValueError, match="x0"):
+            run_episode(sys_, K, cert, schedule, proc, lr, 12, x0=bad)
+    rec = run_episode(sys_, K, cert, schedule, proc, lr, 12, x0=np.array([0.5]))
+    assert rec.xs[0, 0] == 0.5
 
 
 def test_recovered_noise_and_hash():

@@ -3,7 +3,7 @@ import pytest
 
 from onlinectrl.noise import (NoiseProcess, estimate_moments,
                               population_sigma_lower, population_sigma_w,
-                              population_sigma_w4, sample)
+                              population_sigma_w4, sample, sample_episode)
 
 
 def test_sample_determinism_and_negative_time():
@@ -29,6 +29,18 @@ def test_zero_family_and_zero_scale():
     assert population_sigma_w4(z) == 0.0
 
 
+@pytest.mark.parametrize("family,scale,df", [
+    ("gaussian", 1.3, None), ("laplace", 0.6, None), ("student_t", 0.5, 5.0),
+    ("scaled_bernoulli", 0.9, None), ("zero", 1.0, None), ("gaussian", 0.0, None),
+])
+def test_sample_episode_equals_per_step_draws(family, scale, df):
+    proc = NoiseProcess(family=family, scale=scale, dim=3, seed=2024, df=df)
+    ws = sample_episode(proc, 50)
+    assert ws.shape == (50, 3)
+    per_step = np.stack([sample(proc, t) for t in range(50)])
+    assert ws.tobytes() == per_step.tobytes()
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         NoiseProcess(family="cauchy", scale=1.0, dim=1, seed=0)
@@ -36,6 +48,11 @@ def test_family_validation():
         NoiseProcess(family="student_t", scale=1.0, dim=1, seed=0, df=4.0)
     with pytest.raises(ValueError):
         NoiseProcess(family="gaussian", scale=-1.0, dim=1, seed=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale"):
+            NoiseProcess(family="gaussian", scale=bad, dim=1, seed=0)
+        with pytest.raises(ValueError, match="df"):
+            NoiseProcess(family="student_t", scale=1.0, dim=1, seed=0, df=bad)
 
 
 def test_scaled_bernoulli_support():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from onlinectrl.policy import (NoiseHistory, PolicyParams, admissible_radii,
+from onlinectrl.policy import (PolicyParams, admissible_radii,
                                block_spectral_norms, comparator_params,
                                control_input, horizon_H, is_admissible,
                                policy_class_diameter, policy_from_blocks,
@@ -84,16 +84,24 @@ def test_project_is_closest_point():
             assert np.linalg.norm(other.blocks - raw.blocks) >= d_proj - 1e-9
 
 
-def test_noise_history_window_semantics():
-    hist = NoiseHistory(capacity=5, dim=2)
-    ws = [np.array([float(t), -float(t)]) for t in range(8)]
-    np.testing.assert_allclose(hist.window(3), np.zeros((3, 2)))
-    for t, w in enumerate(ws):
-        hist.push(w)
-        win = hist.window(5)
-        for m in range(5):
-            expect = ws[t - m] if t - m >= 0 else np.zeros(2)
-            np.testing.assert_allclose(win[m], expect)
+def test_project_non_square_fixed_points_and_clipping():
+    rng = np.random.default_rng(47)
+    for n_u, n_x in ((2, 3), (3, 2), (1, 4), (4, 1)):
+        H = 6
+        radii = admissible_radii(H, KAPPA, GAMMA, KAPPA_B)
+        raw = rng.standard_normal((H, n_u, n_x))
+        fro = np.linalg.norm(raw, axis=(1, 2))
+        # even blocks sit inside their radius by Frobenius norm, odd ones far out
+        target = np.where(np.arange(H) % 2 == 0, 0.9, 3.0) * radii
+        raw *= (target / fro)[:, None, None]
+        proj = project(PolicyParams(raw), KAPPA, GAMMA, KAPPA_B)
+        inside = np.arange(H) % 2 == 0
+        assert np.array_equal(proj.blocks[inside], raw[inside])
+        U, s, Vt = np.linalg.svd(raw, full_matrices=False)
+        full = np.einsum("hij,hj,hjk->hik", U, np.minimum(s, radii[:, None]), Vt)
+        np.testing.assert_allclose(proj.blocks[~inside], full[~inside],
+                                   rtol=0, atol=1e-12)
+        assert is_admissible(proj, KAPPA, GAMMA, KAPPA_B)
 
 
 def test_control_input_matches_naive_sum():
@@ -103,11 +111,9 @@ def test_control_input_matches_naive_sum():
         K = rng.standard_normal((n_u, n_x))
         M = policy_from_blocks(rng.standard_normal((H, n_u, n_x)))
         x = rng.standard_normal(n_x)
-        hist = NoiseHistory(capacity=H, dim=n_x)
         past = [rng.standard_normal(n_x) for _ in range(H + 2)]
-        for w in past:
-            hist.push(w)
-        u = control_input(K, M, x, hist)
+        window = np.stack(past[::-1])  # window[m] = w_{t-1-m}
+        u = control_input(K, M, x, window)
         expect = -K @ x
         for i in range(1, H + 1):  # u += M^[i-1] w_{t-i}
             expect = expect + M.blocks[i - 1] @ past[-i]

@@ -23,6 +23,17 @@ def _random_instance(rng, n_max=3, H_max=4):
     return sys_, K, n, H
 
 
+def _non_square_instance(rng, H_max=4):
+    """n_u != n_x with a dense, non-identity B; A_K stays stable and diagonal."""
+    n_x = int(rng.integers(1, 4))
+    n_u = int(rng.choice([n for n in range(1, 5) if n != n_x]))
+    H = int(rng.integers(1, H_max + 1))
+    B = rng.standard_normal((n_x, n_u))
+    K = 0.2 * rng.standard_normal((n_u, n_x))
+    A = np.diag(rng.uniform(-0.45, 0.45, size=n_x)) + B @ K
+    return make_system(A, B), K, n_x, n_u, H
+
+
 def _simulate(sys_, K, M_seq, ws):
     """Closed-loop rollout under time-varying policies; returns all states."""
     T = len(ws)
@@ -84,6 +95,26 @@ def test_psi_validations():
         state_expansion(cl, sys_.B, M[:2], np.zeros((3, n)), t=3, h=1, H=H)
 
 
+def _frozen_replay(sys_, K, M, ws, t, H):
+    """Surrogate (y, v) by simulation: zero the state H+1 steps back and
+    run the frozen policy M on the recorded disturbances."""
+    x = np.zeros(sys_.n_x)
+    for k in range(t - 1 - H, t):
+        u = -K @ x
+        for i in range(1, H + 1):
+            if k - i >= 0:
+                u = u + M.blocks[i - 1] @ ws[k - i]
+        if k >= 0:
+            x = sys_.A @ x + sys_.B @ u + ws[k]
+        else:
+            x = sys_.A @ x + sys_.B @ u
+    v = -K @ x
+    for i in range(1, H + 1):
+        if t - i >= 0:
+            v = v + M.blocks[i - 1] @ ws[t - i]
+    return x, v
+
+
 def test_point_matches_frozen_policy_replay():
     rng = np.random.default_rng(202)
     for _ in range(10):
@@ -94,24 +125,24 @@ def test_point_matches_frozen_policy_replay():
         cl = make_closed_loop(sys_, K, i_max=H)
         kern = SurrogateKernel(cl, sys_.B, H)
         for t in (H + 1, T - 1, T):
-            W = _window(ws, t, 2 * H + 1)
-            y, v = kern.point(M.blocks, W)
-            # replay: zero the state H+1 steps back, run the frozen policy
-            x = np.zeros(n)
-            for k in range(t - 1 - H, t):
-                u = -K @ x
-                for i in range(1, H + 1):
-                    if k - i >= 0:
-                        u = u + M.blocks[i - 1] @ ws[k - i]
-                if k >= 0:
-                    x = sys_.A @ x + sys_.B @ u + ws[k]
-                else:
-                    x = sys_.A @ x + sys_.B @ u
-            np.testing.assert_allclose(y, x, atol=1e-10)
-            v_expect = -K @ y
-            for i in range(1, H + 1):
-                if t - i >= 0:
-                    v_expect = v_expect + M.blocks[i - 1] @ ws[t - i]
+            y, v = kern.point(M.blocks, _window(ws, t, 2 * H + 1))
+            y_expect, v_expect = _frozen_replay(sys_, K, M, ws, t, H)
+            np.testing.assert_allclose(y, y_expect, atol=1e-10)
+            np.testing.assert_allclose(v, v_expect, atol=1e-10)
+
+
+def test_point_matches_frozen_policy_replay_non_square():
+    rng = np.random.default_rng(212)
+    for _ in range(12):
+        sys_, K, n_x, n_u, H = _non_square_instance(rng)
+        T = 2 * H + 6
+        M = sample_admissible(rng, H, n_u, n_x, KAPPA, GAMMA, KAPPA_B)
+        ws = [rng.standard_normal(n_x) for _ in range(T)]
+        kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
+        for t in (1, H + 1, T - 1, T):
+            y, v = kern.point(M.blocks, _window(ws, t, 2 * H + 1))
+            y_expect, v_expect = _frozen_replay(sys_, K, M, ws, t, H)
+            np.testing.assert_allclose(y, y_expect, atol=1e-10)
             np.testing.assert_allclose(v, v_expect, atol=1e-10)
 
 
@@ -158,30 +189,47 @@ def test_truncation_error_bounded_by_decay():
     assert err <= bound + 1e-12
 
 
+def _grad_fd_error(kern, cost, blocks, W, eps=1e-6):
+    """Relative error of kern.grad against central finite differences."""
+    G, y, v = kern.grad(cost, blocks, W)
+    assert G.shape == blocks.shape
+    assert np.isfinite(cost.value(y, v))
+    fd = np.zeros_like(G)
+    for idx in np.ndindex(G.shape):
+        up, dn = blocks.copy(), blocks.copy()
+        up[idx] += eps
+        dn[idx] -= eps
+        fd[idx] = (kern.value(cost, up, W) - kern.value(cost, dn, W)) / (2 * eps)
+    return np.linalg.norm(G - fd) / max(np.linalg.norm(fd), 1e-12)
+
+
+def _random_cost(rng, n_x, n_u):
+    Qh = rng.standard_normal((n_x, n_x))
+    Rh = rng.standard_normal((n_u, n_u))
+    return quadratic_cost(Qh @ Qh.T + 0.2 * np.eye(n_x),
+                          Rh @ Rh.T + 0.2 * np.eye(n_u))
+
+
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(505)
     for _ in range(12):
         sys_, K, n, H = _random_instance(rng)
-        Qh = rng.standard_normal((n, n))
-        Rh = rng.standard_normal((n, n))
-        cost = quadratic_cost(Qh @ Qh.T + 0.2 * np.eye(n),
-                              Rh @ Rh.T + 0.2 * np.eye(n))
-        cl = make_closed_loop(sys_, K, i_max=H)
-        kern = SurrogateKernel(cl, sys_.B, H)
+        cost = _random_cost(rng, n, n)
+        kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
         W = rng.standard_normal((2 * H + 1, n))
         M = sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
-        G, y, v = kern.grad(cost, M.blocks, W)
-        assert np.isfinite(cost.value(y, v))
-        eps = 1e-6
-        fd = np.zeros_like(G)
-        for idx in np.ndindex(G.shape):
-            up, dn = M.blocks.copy(), M.blocks.copy()
-            up[idx] += eps
-            dn[idx] -= eps
-            fd[idx] = (kern.value(cost, up, W) - kern.value(cost, dn, W)) \
-                / (2 * eps)
-        denom = max(np.linalg.norm(fd), 1e-12)
-        assert np.linalg.norm(G - fd) / denom <= 1e-6
+        assert _grad_fd_error(kern, cost, M.blocks, W) <= 1e-6
+
+
+def test_grad_matches_finite_differences_non_square():
+    rng = np.random.default_rng(515)
+    for _ in range(12):
+        sys_, K, n_x, n_u, H = _non_square_instance(rng)
+        cost = _random_cost(rng, n_x, n_u)
+        kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
+        W = rng.standard_normal((2 * H + 1, n_x))
+        M = sample_admissible(rng, H, n_u, n_x, KAPPA, GAMMA, KAPPA_B)
+        assert _grad_fd_error(kern, cost, M.blocks, W) <= 1e-6
 
 
 def test_jacobian_matches_finite_differences():

@@ -66,6 +66,9 @@ def test_initial_state_default_and_validation():
     assert np.all(initial_state(sys_).x == 0.0)
     with pytest.raises(ValueError):
         initial_state(sys_, x0=np.zeros(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            initial_state(sys_, x0=np.array([bad]))
 
 
 def test_system_from_json_round_trip_and_rejections():
