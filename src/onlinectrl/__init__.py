@@ -8,7 +8,7 @@ regret-scaling experiments.
 
 from .comparator import (ComparatorResult, RegretCurve, best_fixed_K,
                          best_fixed_M, mstar_rollout, regret)
-from .costs import (CostFunction, CostSchedule, adversarial_convex_schedule,
+from .costs import (CostSchedule, QuadraticCost, adversarial_convex_schedule,
                     constant_schedule, materialize, quadratic_cost)
 from .harness import (ExperimentConfig, ScalingReport, TheoryConstants,
                       build_experiment, compute_theory_constants, config_hash,
@@ -36,10 +36,10 @@ from .system import (LinearSystem, SystemState, initial_state, make_system,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificationError", "ClosedLoop", "ComparatorResult", "CostFunction",
+    "CertificationError", "ClosedLoop", "ComparatorResult",
     "CostSchedule", "EpisodeDivergedError", "EpisodeRecord",
     "ExperimentConfig", "LearningRateSchedule", "LinearSystem",
-    "MomentEstimate", "NoiseProcess", "PolicyParams",
+    "MomentEstimate", "NoiseProcess", "PolicyParams", "QuadraticCost",
     "RegretCurve", "ScalingReport", "StabilityCertificate",
     "SurrogateGradient", "SurrogateKernel", "SurrogatePoint", "SystemState",
     "TheoryConstants", "TransferMatrix", "admissible_radii",

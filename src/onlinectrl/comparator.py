@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costs import CostSchedule
+from .costs import CostSchedule, QuadraticCost
 from .learner import EpisodeRecord, noise_fingerprint
 from .policy import (PolicyParams, comparator_params, project, zero_policy)
 from .rng import STREAM_SEARCH, keyed_rng
@@ -33,13 +33,6 @@ class ComparatorResult:
     search_meta: dict
     noise_hash: str
     surrogate_cost: Optional[float] = None
-
-
-def _stage_values(cost, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Stage cost for a batch of (state, input) pairs, one per row."""
-    if cost.value_batch is not None:
-        return cost.value_batch(X, U)
-    return np.array([cost.value(X[c], U[c]) for c in range(X.shape[0])])
 
 
 def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
@@ -61,13 +54,13 @@ def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
         raise ValueError(f"candidate gains must be ({sys.n_u}, {sys.n_x})")
     A_Ks = sys.A[None, :, :] - np.matmul(sys.B, Ks)
 
-    C = Ks.shape[0]
-    X = np.zeros((C, sys.n_x))
-    costs = np.empty((C, T))
+    X = np.empty((T, Ks.shape[0], sys.n_x))  # X[t, c]: state of candidate c
+    x = np.zeros(X.shape[1:])
     for t in range(T):
-        U = -np.einsum("cux,cx->cu", Ks, X)
-        costs[:, t] = _stage_values(cost_schedule.generator(t), X, U)
-        X = np.einsum("cxy,cy->cx", A_Ks, X) + ws[t]
+        X[t] = x
+        x = np.einsum("cxy,cy->cx", A_Ks, x) + ws[t]
+    U = -np.einsum("cux,tcx->tcu", Ks, X)
+    costs = np.ascontiguousarray(cost_schedule.stage_values(X, U).T)
 
     totals = costs.sum(axis=1)
     best = int(np.argmin(totals))
@@ -86,17 +79,16 @@ def _rollout_dap(sys: LinearSystem, K: np.ndarray, M: PolicyParams,
     """Stage costs of a fixed disturbance-action policy on given noise."""
     T = ws.shape[0]
     H = M.H
-    x = np.zeros(sys.n_x)
+    xs = np.zeros((T + 1, sys.n_x))
+    us = np.empty((T, sys.n_u))
     win = np.zeros((H, sys.n_x))  # win[m] = w_{t-1-m}
-    costs = np.empty(T)
     for t in range(T):
-        u = -K @ x + np.einsum("mux,mx->u", M.blocks, win)
-        costs[t] = cost_schedule.generator(t).value(x, u)
-        x = sys.A @ x + sys.B @ u + ws[t]
+        us[t] = -K @ xs[t] + np.einsum("mux,mx->u", M.blocks, win)
+        xs[t + 1] = sys.A @ xs[t] + sys.B @ us[t] + ws[t]
         if H > 0:
             win[1:] = win[:-1]
             win[0] = ws[t]
-    return costs
+    return cost_schedule.stage_values(xs[:T], us)
 
 
 def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
@@ -153,7 +145,7 @@ def best_fixed_M(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     cl = make_closed_loop(sys, K, i_max=H)
     kern = SurrogateKernel(cl, sys.B, H)
     Wmat = _window_matrix(ws, H)
-    stage = [cost_schedule.generator(t) for t in range(T)]
+    stage = [QuadraticCost(Q, R) for Q, R in zip(cost_schedule.Q[:T], cost_schedule.R[:T])]
 
     def objective(blocks: np.ndarray) -> float:
         return sum(kern.value(stage[t], blocks, Wmat[t]) for t in range(T))

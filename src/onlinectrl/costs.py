@@ -1,106 +1,155 @@
 """Convex stage costs and cost schedules.
 
+Every stage cost is a quadratic c_t(x, u) = x'Q_t x + u'R_t u with
+symmetric PSD Q_t and R_t, so a schedule holds its costs as data: the
+stacks Q of shape (T, n_x, n_x) and R of shape (T, n_u, n_u), validated
+once when the schedule is built.
+
 Costs are revealed online: the learner commits u_t first and only then
 receives c_t. That ordering is enforced structurally by CostSchedule:
 the only learner-facing accessor is reveal(t, u), which takes the
-committed input.
+committed input. Comparators replay the stacks offline.
 
-Every cost carries the constants the theory consumes: a gradient-growth
-bound G_c >= 1 with ||grad_x c|| <= G_c ||x|| and ||grad_u c|| <= G_c ||u||,
-and curvature bounds alpha I <= hess c <= beta I when available.
+Every schedule carries the constants the theory consumes: a
+gradient-growth bound G_c >= 1 with ||grad_x c|| <= G_c ||x|| and
+||grad_u c|| <= G_c ||u||, and curvature bounds alpha I <= hess c <= beta I
+when available.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .rng import STREAM_COST, keyed_rng
+from .rng import STREAM_COST, keyed_steps
 
 _PSD_TOL = -1e-10
 _SYM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CostFunction:
-    value: Callable[[np.ndarray, np.ndarray], float]
-    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    G_c: float
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    value_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+def _check_psd_stack(stack: np.ndarray, name: str) -> None:
+    """Reject a (T, n, n) stack unless every matrix is finite, symmetric
+    and PSD; a stack that repeats one matrix with stride 0 is checked once."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"{name} must be a stack of square matrices, got shape {stack.shape}")
+    if stack.size == 0:
+        return
+    if stack.shape[0] > 1 and stack.strides[0] == 0:
+        stack = stack[:1]
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{name} must be finite")
+    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    if (asym > _SYM_TOL).any():
+        raise ValueError(f"{name} must be symmetric (step {int(np.argmax(asym))})")
+    low = np.linalg.eigvalsh(stack)[:, 0]
+    if (low < _PSD_TOL).any():
+        raise ValueError(f"{name} must be positive semidefinite (step {int(np.argmin(low))})")
 
 
-def _check_psd(mat: np.ndarray, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    if np.abs(mat - mat.T).max(initial=0.0) > _SYM_TOL:
-        raise ValueError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat).min() < _PSD_TOL:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return mat
+@dataclass(eq=False, slots=True)  # slots, not frozen: reveal builds one per step
+class QuadraticCost:
+    """c(x, u) = x'Qx + u'Ru; build validated instances with quadratic_cost.
 
-
-def quadratic_cost(Qmat: np.ndarray, Rmat: np.ndarray) -> CostFunction:
-    """c(x, u) = x'Qx + u'Ru for symmetric PSD Q, R.
-
-    G_c = max(2||Q||, 2||R||, 1); curvature bounds come from the extreme
-    eigenvalues of blockdiag(Q, R), with alpha reported only when strictly
-    positive.
+    G_c = max(2||Q||, 2||R||, 1); the curvature bounds come from the
+    extreme eigenvalues of blockdiag(Q, R), with alpha reported only when
+    strictly positive.
     """
-    Q = _check_psd(Qmat, "Q")
-    R = _check_psd(Rmat, "R")
-    eigs = np.concatenate([np.linalg.eigvalsh(Q), np.linalg.eigvalsh(R)])
-    lo, hi = 2.0 * eigs.min(), 2.0 * eigs.max()
-    hess_const = 2.0 * np.block([
-        [Q, np.zeros((Q.shape[0], R.shape[0]))],
-        [np.zeros((R.shape[0], Q.shape[0])), R],
-    ])
-    return CostFunction(
-        value=lambda x, u: float(x @ Q @ x + u @ R @ u),
-        grad_x=lambda x, u: 2.0 * (Q @ x),
-        grad_u=lambda x, u: 2.0 * (R @ u),
-        G_c=max(2.0 * float(np.linalg.norm(Q, 2)), 2.0 * float(np.linalg.norm(R, 2)), 1.0),
-        alpha=lo if lo > 0.0 else None,
-        beta=hi if hi > 0.0 else None,
-        hessian=lambda x, u: hess_const,
-        value_batch=lambda X, U: np.einsum("ci,ij,cj->c", X, Q, X)
-        + np.einsum("ci,ij,cj->c", U, R, U),
-    )
+
+    Q: np.ndarray
+    R: np.ndarray
+
+    def value(self, x: np.ndarray, u: np.ndarray) -> float:
+        return float(x @ self.Q @ x + u @ self.R @ u)
+
+    def grad_x(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.Q @ x)
+
+    def grad_u(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.R @ u)
+
+    def hessian(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        n_x, n_u = self.Q.shape[0], self.R.shape[0]
+        return 2.0 * np.block([[self.Q, np.zeros((n_x, n_u))],
+                               [np.zeros((n_u, n_x)), self.R]])
+
+    @property
+    def G_c(self) -> float:
+        return max(2.0 * float(np.linalg.norm(self.Q, 2)),
+                   2.0 * float(np.linalg.norm(self.R, 2)), 1.0)
+
+    def _curvature(self) -> np.ndarray:
+        return 2.0 * np.concatenate([np.linalg.eigvalsh(self.Q),
+                                     np.linalg.eigvalsh(self.R)])
+
+    @property
+    def alpha(self) -> Optional[float]:
+        lo = float(self._curvature().min())
+        return lo if lo > 0.0 else None
+
+    @property
+    def beta(self) -> Optional[float]:
+        hi = float(self._curvature().max())
+        return hi if hi > 0.0 else None
 
 
-@dataclass
+def quadratic_cost(Qmat: np.ndarray, Rmat: np.ndarray) -> QuadraticCost:
+    """Validated c(x, u) = x'Qx + u'Ru for symmetric PSD Q, R."""
+    Q = np.asarray(Qmat, dtype=float)
+    R = np.asarray(Rmat, dtype=float)
+    for mat, name in ((Q, "Q"), (R, "R")):
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {mat.shape}")
+        _check_psd_stack(mat[None], name)
+    return QuadraticCost(Q, R)
+
+
+@dataclass(frozen=True, eq=False)
 class CostSchedule:
-    """Sequence of per-step costs over a fixed horizon.
+    """Stage costs x'Q_t x + u'R_t u over a fixed horizon, as stacked arrays.
 
-    generator(t) is the offline accessor (comparators may replay it
-    freely); the learner goes through reveal(t, u), which requires the
-    committed input. Subclasses may record reveal calls to audit the
-    protocol ordering.
+    The learner goes through reveal(t, u), which requires the committed
+    input; comparators read Q and R (or stage_values) freely. The stacks
+    are validated on construction.
     """
 
-    generator: Callable[[int], CostFunction]
-    horizon: int
+    Q: np.ndarray  # (T, n_x, n_x)
+    R: np.ndarray  # (T, n_u, n_u)
     g_c: float
     alpha: Optional[float] = None
     beta: Optional[float] = None
     family: str = "custom"
-    meta: dict = field(default_factory=dict)
 
-    def reveal(self, t: int, u: np.ndarray) -> CostFunction:
+    def __post_init__(self):
+        _check_psd_stack(self.Q, "Q")
+        _check_psd_stack(self.R, "R")
+        if self.Q.shape[0] != self.R.shape[0]:
+            raise ValueError(f"Q covers {self.Q.shape[0]} steps but R covers {self.R.shape[0]}")
+
+    @property
+    def horizon(self) -> int:
+        return self.Q.shape[0]
+
+    def reveal(self, t: int, u: np.ndarray) -> QuadraticCost:
         if not 0 <= t < self.horizon:
             raise ValueError(f"step {t} outside horizon [0, {self.horizon})")
-        return self.generator(t)
+        return QuadraticCost(self.Q[t], self.R[t])
+
+    def stage_values(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """c_t(X[t, ...], U[t, ...]) for rollouts X (T, ..., n_x) and
+        U (T, ..., n_u) over the schedule's first T steps, in one pass."""
+        T = X.shape[0]
+        return (np.einsum("t...i,tij,t...j->t...", X, self.Q[:T], X)
+                + np.einsum("t...i,tij,t...j->t...", U, self.R[:T], U))
 
 
-def constant_schedule(cost: CostFunction, T: int) -> CostSchedule:
-    return CostSchedule(generator=lambda t: cost, horizon=T, g_c=cost.G_c,
-                        alpha=cost.alpha, beta=cost.beta, family="quadratic")
+def constant_schedule(cost: QuadraticCost, T: int) -> CostSchedule:
+    """The same cost at every step; Q and R are stride-0 views of its matrices."""
+    return CostSchedule(Q=np.broadcast_to(cost.Q, (T,) + cost.Q.shape),
+                        R=np.broadcast_to(cost.R, (T,) + cost.R.shape),
+                        g_c=cost.G_c, alpha=cost.alpha, beta=cost.beta,
+                        family="quadratic")
 
 
 def _random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -116,29 +165,28 @@ def _random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
 def adversarial_convex_schedule(seed: int, T: int, n_x: int, n_u: int) -> CostSchedule:
     """Per-step random quadratics c_t(x,u) = x'Q_t x + u'R_t u.
 
-    Q_t and R_t are PSD with spectral norm in [0.1, 1], drawn
-    deterministically per (seed, t), so any step can be regenerated
-    independently of the others. Family-level constants: G_c = 2 from the
-    norm cap; beta = 2; alpha = 0.2 in the scalar case (where the norm
-    floor is also an eigenvalue floor) and unreported otherwise.
+    Q_t and R_t are PSD with spectral norm in [0.1, 1], drawn from the
+    generator keyed by (seed, STREAM_COST, t), so any step can be
+    regenerated independently of the others; all T steps are drawn in one
+    pass. Family-level constants: G_c = 2 from the norm cap; beta = 2;
+    alpha = 0.2 in the scalar case (where the norm floor is also an
+    eigenvalue floor) and unreported otherwise.
     """
-
-    def gen(t: int) -> CostFunction:
-        rng = keyed_rng(seed, STREAM_COST, t)
-        return quadratic_cost(_random_psd(rng, n_x), _random_psd(rng, n_u))
-
+    Q = np.empty((T, n_x, n_x))
+    R = np.empty((T, n_u, n_u))
+    # zip asks range(T) first, so T = 0 keys no generator
+    for t, rng in zip(range(T), keyed_steps(seed, STREAM_COST, range(T))):
+        Q[t] = _random_psd(rng, n_x)
+        R[t] = _random_psd(rng, n_u)
     alpha = 0.2 if (n_x == 1 and n_u == 1) else None
-    return CostSchedule(generator=gen, horizon=T, g_c=2.0, alpha=alpha, beta=2.0,
-                        family="random_quadratic", meta={"seed": seed})
+    return CostSchedule(Q=Q, R=R, g_c=2.0, alpha=alpha, beta=2.0,
+                        family="random_quadratic")
 
 
 def materialize(schedule: CostSchedule) -> CostSchedule:
-    """Pre-instantiate every step's cost; semantics unchanged, lookups O(1).
+    """The schedule itself: its costs are already stored as arrays.
 
-    Worth doing before batch runs where comparator rollouts revisit each
-    step many times.
+    Kept only for callers written against the per-step cost closures
+    (perfbench imports it and passes the result to run_episode).
     """
-    costs = [schedule.generator(t) for t in range(schedule.horizon)]
-    return CostSchedule(generator=costs.__getitem__, horizon=schedule.horizon,
-                        g_c=schedule.g_c, alpha=schedule.alpha, beta=schedule.beta,
-                        family=schedule.family, meta=dict(schedule.meta))
+    return schedule

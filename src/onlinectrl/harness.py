@@ -25,6 +25,11 @@ episode seed, so a batch is reproducible job by job and its outputs are
 byte-identical across invocations. Theory constants are pure functions
 of the config; they are astronomically conservative (growing as
 kappa^18) and are reported for the shape of the bound, not tightness.
+
+Memory length: run_episode uses H = horizon_H(T, gamma) = ceil(2 ln T / gamma)
+under both step-size schedules. The logarithmic-regret analysis states its
+constants with H_sc = ceil(2 ln T / gamma) + 2; TheoryConstants.H_sc reports
+that value next to the bound but no episode runs with it.
 """
 
 from __future__ import annotations
@@ -35,14 +40,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import ceil, log, sqrt
+from math import ceil, isfinite, log, sqrt
 from typing import Optional
 
 import numpy as np
 
 from .comparator import best_fixed_K, regret
 from .costs import (CostSchedule, adversarial_convex_schedule,
-                    constant_schedule, materialize, quadratic_cost)
+                    constant_schedule, quadratic_cost)
 from .learner import (EpisodeDivergedError, LearningRateSchedule,
                       alpha_tilde_from, run_episode)
 from .noise import (NoiseProcess, population_sigma_lower, population_sigma_w,
@@ -100,27 +105,81 @@ def _require(doc: dict, key: str, section: str) -> object:
     return doc[key]
 
 
-def _require_list(doc: dict, key: str) -> list:
-    value = _require(doc, key, "root")
+def _require_list(doc: dict, key: str, section: str = "root") -> list:
+    value = _require(doc, key, section)
     if not isinstance(value, list):
         raise ValueError(f"config {key} must be a list, got {type(value).__name__}")
     return value
 
 
+def _section(doc: dict, key: str) -> dict:
+    value = _require(doc, key, "root")
+    if not isinstance(value, dict):
+        raise ValueError(f"config {key} must be a JSON object")
+    return value
+
+
+def _as_int(value, what: str) -> int:
+    """A JSON integer; integral floats such as 8.0 are accepted."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config {what} must be an integer, got {value!r}")
+    return value
+
+
+def _as_float(value, what: str) -> float:
+    """A finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config {what} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"config {what} is out of range") from None
+    if not isfinite(value):
+        raise ValueError(f"config {what} must be finite, got {value}")
+    return value
+
+
+def _as_array(value, what: str) -> np.ndarray:
+    """A finite numeric array from nested JSON lists."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config {what} must be a numeric array: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"config {what} must be finite")
+    return arr
+
+
 def _noise_from_cfg(cfg: dict, n_x: int, seed: int) -> NoiseProcess:
+    df = cfg.get("df")
     return NoiseProcess(
-        family=cfg["family"], scale=float(cfg.get("scale", 1.0)), dim=n_x,
-        seed=seed, df=cfg.get("df"),
+        family=cfg["family"], scale=_as_float(cfg.get("scale", 1.0), "noise scale"),
+        dim=n_x, seed=seed, df=None if df is None else _as_float(df, "noise df"),
     )
 
 
-def _probe_schedule(cost_cfg: dict, n_x: int, n_u: int) -> CostSchedule:
-    """Three-step instance of the configured cost family, for metadata."""
-    if cost_cfg["family"] == "quadratic":
-        Q = np.asarray(cost_cfg["Q"], dtype=float)
-        R = np.asarray(cost_cfg["R"], dtype=float)
-        return constant_schedule(quadratic_cost(Q, R), 3)
-    return adversarial_convex_schedule(int(cost_cfg["seed"]), 3, n_x, n_u)
+def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int, T: int = 0,
+                   seed: Optional[int] = None) -> CostSchedule:
+    """The configured cost family over T steps of episode seed `seed`; the
+    one place that builds schedules. With the defaults nothing is drawn:
+    the result validates the config (a fixed (Q, R) included) and carries
+    the family constants g_c, alpha and beta."""
+    family = _require(cost_cfg, "family", "cost")
+    if family == "quadratic":
+        Q = _as_array(_require(cost_cfg, "Q", "cost"), "cost Q")
+        R = _as_array(_require(cost_cfg, "R", "cost"), "cost R")
+        if Q.shape != (n_x, n_x) or R.shape != (n_u, n_u):
+            raise ValueError(f"cost Q must be ({n_x}, {n_x}) and R ({n_u}, {n_u}), "
+                             f"got {Q.shape} and {R.shape}")
+        return constant_schedule(quadratic_cost(Q, R), T)
+    if family == "random_quadratic":
+        base = _as_int(_require(cost_cfg, "seed", "cost"), "cost seed")
+        if seed is not None:
+            base = mix_seed(base, seed)
+        return adversarial_convex_schedule(base, T, n_x, n_u)
+    raise ValueError(f"unknown cost family {family!r}")
 
 
 def build_experiment(doc: dict) -> ExperimentConfig:
@@ -131,15 +190,15 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     and of every comparator candidate. Grid-generated candidates that
     fail certification are dropped; explicitly listed ones must certify.
     """
-    sys = system_from_json(_require(doc, "system", "root"))
-    gain = _require(doc, "gain", "root")
-    K = np.asarray(_require(gain, "K", "gain"), dtype=float)
+    sys = system_from_json(_section(doc, "system"))
+    gain = _section(doc, "gain")
+    K = _as_array(_require(gain, "K", "gain"), "gain K")
     if K.shape != (sys.n_u, sys.n_x):
         raise ValueError(f"gain K must be ({sys.n_u}, {sys.n_x}), got {K.shape}")
-    kappa = float(_require(gain, "kappa", "gain"))
-    gamma = float(_require(gain, "gamma", "gain"))
+    kappa = _as_float(_require(gain, "kappa", "gain"), "gain kappa")
+    gamma = _as_float(_require(gain, "gamma", "gain"), "gain gamma")
 
-    sched = _require(doc, "schedule", "root")
+    sched = _section(doc, "schedule")
     kind = _require(sched, "kind", "schedule")
     if kind not in ("constant_sqrtT", "strongly_convex"):
         raise ValueError(f"unknown schedule kind {kind!r}")
@@ -147,52 +206,35 @@ def build_experiment(doc: dict) -> ExperimentConfig:
                    require_diagonal=(kind == "strongly_convex")
                    or bool(gain.get("require_diagonal", False)))
 
-    cost_cfg = dict(_require(doc, "cost", "root"))
-    family = _require(cost_cfg, "family", "cost")
-    if family == "quadratic":
-        _require(cost_cfg, "Q", "cost")
-        _require(cost_cfg, "R", "cost")
-        probe = _probe_schedule(cost_cfg, sys.n_x, sys.n_u)  # shape check
-    elif family == "random_quadratic":
-        _require(cost_cfg, "seed", "cost")
-        probe = _probe_schedule(cost_cfg, sys.n_x, sys.n_u)
-    else:
-        raise ValueError(f"unknown cost family {family!r}")
-
-    noise_cfg = dict(_require(doc, "noise", "root"))
+    noise_cfg = dict(_section(doc, "noise"))
     _require(noise_cfg, "family", "noise")
-    _require(noise_cfg, "seed", "noise")
+    _as_int(_require(noise_cfg, "seed", "noise"), "noise seed")
     proc = _noise_from_cfg(noise_cfg, sys.n_x, seed=0)  # validates family/df
 
-    if kind == "strongly_convex":
-        if probe.alpha is None:
-            raise ValueError("strongly_convex schedule needs strongly convex costs")
-        if population_sigma_lower(proc) <= 0.0:
-            raise ValueError("strongly_convex schedule needs non-degenerate noise")
-
-    horizons = sorted({int(T) for T in _require_list(doc, "horizons")})
+    horizons = sorted({_as_int(T, "horizon") for T in _require_list(doc, "horizons")})
     if not horizons:
         raise ValueError("horizons list is empty")
     if horizons[0] < 3:
         raise ValueError("every horizon must be >= 3")
-    seeds = [int(s) for s in _require_list(doc, "seeds")]
+    seeds = [_as_int(s, "seed") for s in _require_list(doc, "seeds")]
     if not seeds:
         raise ValueError("seeds list is empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds list has duplicates")
 
-    comp = _require(doc, "comparator", "root")
+    comp = _section(doc, "comparator")
     raw: list = []
     from_grid = False
     if "candidates" in comp:
-        raw = [np.asarray(c, dtype=float) for c in comp["candidates"]]
+        raw = [_as_array(c, "comparator candidate")
+               for c in _require_list(comp, "candidates", "comparator")]
     elif "grid" in comp:
         if sys.n_x != 1 or sys.n_u != 1:
             raise ValueError("comparator grid is only defined for scalar systems")
         g = comp["grid"]
-        lo = float(_require(g, "min", "comparator grid"))
-        hi = float(_require(g, "max", "comparator grid"))
-        count = int(_require(g, "count", "comparator grid"))
+        lo = _as_float(_require(g, "min", "comparator grid"), "comparator grid min")
+        hi = _as_float(_require(g, "max", "comparator grid"), "comparator grid max")
+        count = _as_int(_require(g, "count", "comparator grid"), "comparator grid count")
         if count < 1 or hi < lo:
             raise ValueError("comparator grid must have count >= 1 and max >= min")
         raw = [np.array([[v]]) for v in np.linspace(lo, hi, count)]
@@ -213,11 +255,20 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     if not candidates:
         raise ValueError("no comparator candidate certifies at (kappa, gamma)")
 
+    cost_cfg = dict(_section(doc, "cost"))
+    probe = _cost_schedule(cost_cfg, sys.n_x, sys.n_u)
+
+    if kind == "strongly_convex":
+        if probe.alpha is None:
+            raise ValueError("strongly_convex schedule needs strongly convex costs")
+        if population_sigma_lower(proc) <= 0.0:
+            raise ValueError("strongly_convex schedule needs non-degenerate noise")
+
     x0 = None
     if doc.get("x0") is not None:
-        x0 = initial_state(sys, doc["x0"]).x
+        x0 = initial_state(sys, _as_array(doc["x0"], "x0")).x
 
-    delta = float(doc.get("delta", 0.1))
+    delta = _as_float(doc.get("delta", 0.1), "delta")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
@@ -286,7 +337,7 @@ def compute_theory_constants(exp: ExperimentConfig,
     sys = exp.system
     kappa, gamma, kappa_B = exp.kappa, exp.gamma, sys.kappa_B
     n = max(sys.n_x, sys.n_u)
-    probe = _probe_schedule(exp.cost_cfg, sys.n_x, sys.n_u)
+    probe = _cost_schedule(exp.cost_cfg, sys.n_x, sys.n_u)
     G_c, alpha, beta = probe.g_c, probe.alpha, probe.beta
 
     proc = _noise_from_cfg(exp.noise_cfg, sys.n_x, seed=0)
@@ -376,13 +427,7 @@ def _episode_job(doc: dict, T: int, seed: int,
     sys = exp.system
     proc = _noise_from_cfg(exp.noise_cfg, sys.n_x,
                            seed=mix_seed(int(exp.noise_cfg["seed"]), seed))
-    if exp.cost_cfg["family"] == "quadratic":
-        Q = np.asarray(exp.cost_cfg["Q"], dtype=float)
-        R = np.asarray(exp.cost_cfg["R"], dtype=float)
-        schedule = constant_schedule(quadratic_cost(Q, R), T)
-    else:
-        schedule = materialize(adversarial_convex_schedule(
-            mix_seed(int(exp.cost_cfg["seed"]), seed), T, sys.n_x, sys.n_u))
+    schedule = _cost_schedule(exp.cost_cfg, sys.n_x, sys.n_u, T, seed)
 
     if exp.schedule_kind == "strongly_convex":
         at = alpha_tilde_from(schedule.alpha, population_sigma_lower(proc),

@@ -142,6 +142,9 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         raise ValueError(f"horizon T must be >= 3, got {T}")
     if cost_schedule.horizon < T:
         raise ValueError(f"cost schedule covers {cost_schedule.horizon} steps, need {T}")
+    if (cost_schedule.Q.shape[1:], cost_schedule.R.shape[1:]) != \
+            ((sys.n_x, sys.n_x), (sys.n_u, sys.n_u)):
+        raise ValueError("cost schedule dimensions must match the system")
     if noise_proc.dim != sys.n_x:
         raise ValueError("noise dimension must match the state dimension")
     if lr_schedule.kind == "strongly_convex":

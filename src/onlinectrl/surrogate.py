@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import CostFunction
+from .costs import QuadraticCost
 from .policy import PolicyParams
 from .stability import ClosedLoop
 
@@ -185,11 +185,11 @@ class SurrogateKernel:
         v = -self.K @ y + np.einsum("mux,mx->u", M_window[H + 1].blocks, W[:H])
         return y, v
 
-    def value(self, cost: CostFunction, blocks: np.ndarray, W: np.ndarray) -> float:
+    def value(self, cost: QuadraticCost, blocks: np.ndarray, W: np.ndarray) -> float:
         y, v = self.point(blocks, W)
         return cost.value(y, v)
 
-    def grad(self, cost: CostFunction, blocks: np.ndarray,
+    def grad(self, cost: QuadraticCost, blocks: np.ndarray,
              W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gradient blocks, y, v): adjoint accumulation of the chain rule.
 
@@ -201,8 +201,8 @@ class SurrogateKernel:
         hank = _hankel(W, H)
         flat = blocks.transpose(1, 0, 2).reshape(n_u, -1)
         y, v = self._point(flat, W, hank)
-        g_u = cost.grad_u(y, v)
-        g_eff = cost.grad_x(y, v) - self.K.T @ g_u
+        g_u = 2.0 * (cost.R @ v)  # the stage-cost gradients at (y, v)
+        g_eff = 2.0 * (cost.Q @ y) - self.K.T @ g_u
         Qv = (g_eff @ self._PB_row).reshape(H + 1, n_u)  # Qv[j] = (A_K^j B)' g_eff
         G = Qv.T @ hank + g_u[:, None] * W[:H].ravel()
         return G.reshape(n_u, H, n_x).transpose(1, 0, 2), y, v
@@ -231,14 +231,14 @@ def surrogate_point(cl: ClosedLoop, B: np.ndarray, M_window: Sequence[PolicyPara
     return SurrogatePoint(y=y, v=v, t=t)
 
 
-def surrogate_cost_f(cost: CostFunction, cl: ClosedLoop, B: np.ndarray,
+def surrogate_cost_f(cost: QuadraticCost, cl: ClosedLoop, B: np.ndarray,
                      M: PolicyParams, noise_window: np.ndarray, t: int) -> float:
     """f_t(M): the stage cost at the surrogate point with the window frozen at M."""
     kern = SurrogateKernel(cl, B, M.H)
     return kern.value(cost, M.blocks, kern._check_window(noise_window))
 
 
-def grad_f(cost: CostFunction, cl: ClosedLoop, B: np.ndarray, M: PolicyParams,
+def grad_f(cost: QuadraticCost, cl: ClosedLoop, B: np.ndarray, M: PolicyParams,
            noise_window: np.ndarray, t: int) -> SurrogateGradient:
     """Exact gradient of f_t at M (linear surrogate maps, chain rule)."""
     kern = SurrogateKernel(cl, B, M.H)
@@ -246,15 +246,11 @@ def grad_f(cost: CostFunction, cl: ClosedLoop, B: np.ndarray, M: PolicyParams,
     return SurrogateGradient(blocks=G, y=y, v=v)
 
 
-def hessian_frob_bound(cost: CostFunction, cl: ClosedLoop, B: np.ndarray,
+def hessian_frob_bound(cost: QuadraticCost, cl: ClosedLoop, B: np.ndarray,
                        M: PolicyParams, noise_window: np.ndarray, t: int) -> float:
     """Frobenius norm of the exact Hessian of f_t, via the factorization
     J' (hess c) J with J the (M-independent) surrogate Jacobian.
-
-    Requires second-order information on the cost.
     """
-    if cost.hessian is None:
-        raise NotImplementedError("cost provides no Hessian")
     kern = SurrogateKernel(cl, B, M.H)
     W = kern._check_window(noise_window)
     y, v = kern.point(M.blocks, W)

@@ -15,7 +15,9 @@ import numpy as np
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
+    """Largest singular value; the value np.linalg.norm(mat, 2) gives,
+    without its axis bookkeeping."""
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ def make_system(A: Any, B: Any) -> LinearSystem:
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise ValueError(f"B must be {A.shape[0]} x n_u, got shape {B.shape}")
+    if B.ndim != 2 or B.shape[0] != A.shape[0] or B.shape[1] == 0:
+        raise ValueError(f"B must be {A.shape[0]} x n_u with n_u >= 1, got shape {B.shape}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("A and B must be finite")
     return LinearSystem(A=A, B=B, n_x=A.shape[0], n_u=B.shape[1],

@@ -1,0 +1,127 @@
+"""The onlinectrl surface that the benchmark in perfbench/ runs against.
+
+perfbench/bench.py and perfbench/tracing.py are not part of the tier-1
+suite, so a cleanup of the package could break them unnoticed. These
+tests resolve every onlinectrl name they import or read off an imported
+module, every attribute the tracer wraps, and run the cost-schedule path
+of the benchmark's direct episodes.
+"""
+
+import ast
+import importlib
+import importlib.util
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from onlinectrl import harness, learner
+from onlinectrl.costs import (CostSchedule, adversarial_convex_schedule,
+                              constant_schedule, materialize, quadratic_cost)
+from onlinectrl.noise import NoiseProcess, population_sigma_lower
+from onlinectrl.rng import mix_seed
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CLIENTS = ("bench.py", "tracing.py")
+
+
+def _resolve(module: str, name: str):
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name)
+
+
+def _used_names(path: Path) -> list:
+    """(module, name) for each `from onlinectrl... import name`, and for
+    each attribute read off a name bound to an onlinectrl module."""
+    tree = ast.parse(path.read_text())
+    used, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("onlinectrl"):
+            for alias in node.names:
+                used.append((node.module, alias.name))
+                if isinstance(_resolve(node.module, alias.name), types.ModuleType):
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("onlinectrl"):
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            used.append((modules[node.value.id], node.attr))
+    return used
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+def test_benchmark_imports_resolve(client):
+    used = _used_names(PERFBENCH / client)
+    assert used, f"{client} uses no onlinectrl name"
+    missing = []
+    for module, name in used:
+        try:
+            _resolve(module, name)
+        except AttributeError:
+            missing.append(f"{module}.{name}")
+    assert not missing, f"{client} needs {missing}"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracing_targets_resolve():
+    for module, attr, _ in _tracing().TARGETS:
+        mod = importlib.import_module(f"onlinectrl.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            # the tracer replaces methods found in the class's own __dict__
+            assert callable(getattr(mod, cls_name).__dict__[meth]), attr
+        else:
+            assert callable(getattr(mod, attr)), f"{module}.{attr}"
+    assert "reveal" in CostSchedule.__dict__
+
+
+def _scalar_doc(cost):
+    return {
+        "system": {"A": [[0.5]], "B": [[1.0]]},
+        "gain": {"K": [[0.5]], "kappa": 1.0, "gamma": 0.9},
+        "cost": cost,
+        "noise": {"family": "gaussian", "scale": 1.0, "seed": 1234},
+        "schedule": {"kind": "strongly_convex"},
+        "horizons": [64],
+        "seeds": [0],
+        "comparator": {"grid": {"min": 0.4, "max": 0.6, "count": 3}},
+    }
+
+
+@pytest.mark.parametrize("cost", [
+    {"family": "random_quadratic", "seed": 7},
+    {"family": "quadratic", "Q": [[1.0]], "R": [[1.0]]},
+], ids=["random", "fixed"])
+def test_direct_episode_on_the_benchmark_path(cost):
+    """The schedule construction of perfbench's episode_inputs, then
+    run_episode, as its direct episodes call it."""
+    exp = harness.build_experiment(_scalar_doc(cost))
+    T, ccfg, ncfg = 64, exp.cost_cfg, exp.noise_cfg
+    if ccfg["family"] == "quadratic":
+        schedule = constant_schedule(quadratic_cost(
+            np.asarray(ccfg["Q"], dtype=float), np.asarray(ccfg["R"], dtype=float)), T)
+    else:
+        schedule = materialize(adversarial_convex_schedule(
+            mix_seed(int(ccfg["seed"]), 0), T, 1, 1))
+    proc = NoiseProcess(family=ncfg["family"], scale=float(ncfg.get("scale", 1.0)),
+                        dim=1, seed=mix_seed(int(ncfg["seed"]), 0), df=ncfg.get("df"))
+    lr = learner.LearningRateSchedule("strongly_convex", alpha_tilde=learner.alpha_tilde_from(
+        schedule.alpha, population_sigma_lower(proc), exp.gamma, exp.kappa))
+    rec = learner.run_episode(exp.system, exp.K, exp.cert, schedule, proc, lr, T,
+                              x0=exp.x0)
+    assert rec.costs.shape == (T,) and np.isfinite(rec.cum_cost)
+    assert rec.cum_cost == pytest.approx(float(np.sum(
+        [schedule.reveal(t, rec.us[t]).value(rec.xs[t], rec.us[t]) for t in range(T)])))

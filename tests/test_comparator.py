@@ -5,7 +5,8 @@ import pytest
 
 from onlinectrl.comparator import (ComparatorResult, best_fixed_K,
                                    best_fixed_M, mstar_rollout, regret)
-from onlinectrl.costs import constant_schedule, quadratic_cost
+from onlinectrl.costs import (QuadraticCost, adversarial_convex_schedule,
+                              constant_schedule, quadratic_cost)
 from onlinectrl.learner import LearningRateSchedule, run_episode
 from onlinectrl.noise import NoiseProcess, sample
 from onlinectrl.policy import sample_admissible
@@ -25,12 +26,12 @@ def _noise_matrix(proc, T):
     return np.stack([sample(proc, t) for t in range(T)])
 
 
-def _naive_gain_cost(sys_, K, cost, ws):
+def _naive_gain_cost(sys_, K, cost_schedule, ws):
     x = np.zeros(sys_.n_x)
     total, per = 0.0, []
     for t in range(len(ws)):
         u = -K @ x
-        c = cost.value(x, u)
+        c = cost_schedule.reveal(t, u).value(x, u)
         per.append(c)
         total += c
         x = sys_.A @ x + sys_.B @ u + ws[t]
@@ -47,7 +48,7 @@ def _naive_dap_costs(sys_, K, blocks, cost_schedule, ws):
         u = -K @ x
         for m in range(min(H, len(past))):
             u = u + blocks[m] @ past[len(past) - 1 - m]
-        per.append(cost_schedule.generator(t).value(x, u))
+        per.append(cost_schedule.reveal(t, u).value(x, u))
         x = sys_.A @ x + sys_.B @ u + ws[t]
         past.append(ws[t])
     return np.array(per)
@@ -60,15 +61,31 @@ def test_best_fixed_k_exhaustive_oracle():
     ws = RNG(31).standard_normal((60, 1))
     cands = [np.array([[k]]) for k in (0.1, 0.3, 0.5, 0.7)]
     res = best_fixed_K(sys_, cands, schedule, ws)
-    naive = [_naive_gain_cost(sys_, K, cost, ws)[0] for K in cands]
+    naive = [_naive_gain_cost(sys_, K, schedule, ws)[0] for K in cands]
     np.testing.assert_allclose(res.search_meta["candidate_costs"], naive,
                                rtol=1e-12)
     assert res.descriptor["index"] == int(np.argmin(naive))
     assert res.cumulative_cost == pytest.approx(min(naive))
     np.testing.assert_allclose(
         res.per_step_costs,
-        _naive_gain_cost(sys_, cands[res.descriptor["index"]], cost, ws)[1],
+        _naive_gain_cost(sys_, cands[res.descriptor["index"]], schedule, ws)[1],
         rtol=1e-12)
+
+
+def test_best_fixed_k_random_costs_match_naive_loop():
+    A = np.array([[0.6, 0.2], [0.0, 0.5]])
+    B = np.array([[1.0], [0.3]])
+    sys_ = make_system(A, B)
+    T = 200
+    schedule = adversarial_convex_schedule(19, T, 2, 1)
+    ws = RNG(41).standard_normal((T, 2))
+    cands = [np.array([[k, 0.1]]) for k in (0.2, 0.35, 0.5)]
+    res = best_fixed_K(sys_, cands, schedule, ws)
+    naive = [_naive_gain_cost(sys_, K, schedule, ws) for K in cands]
+    np.testing.assert_allclose(res.search_meta["candidate_costs"],
+                               [total for total, _ in naive], rtol=1e-12)
+    np.testing.assert_allclose(res.per_step_costs,
+                               naive[res.descriptor["index"]][1], rtol=1e-12)
 
 
 def test_best_fixed_k_tie_goes_to_first_index():
@@ -137,7 +154,8 @@ def test_best_fixed_m_beats_sampled_admissible_points():
     windows = [Z[t:t + 2 * H + 1][::-1] for t in range(T)]
 
     def surrogate_total(blocks):
-        return sum(kern.value(schedule.generator(t), blocks, windows[t])
+        return sum(kern.value(QuadraticCost(schedule.Q[t], schedule.R[t]),
+                              blocks, windows[t])
                    for t in range(T))
 
     rng = RNG(77)

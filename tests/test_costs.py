@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from onlinectrl.costs import (adversarial_convex_schedule, constant_schedule,
+from onlinectrl.costs import (CostSchedule, _random_psd,
+                              adversarial_convex_schedule, constant_schedule,
                               materialize, quadratic_cost)
+from onlinectrl.rng import STREAM_COST, keyed_rng
 
 
 def _fd_grad(f, z, eps=1e-6):
@@ -53,14 +55,21 @@ def test_quadratic_rejects_non_psd():
         quadratic_cost(np.array([[-0.5]]), np.eye(1))
 
 
-def test_value_batch_matches_loop():
+def test_stage_values_match_loop():
     rng = np.random.default_rng(8)
-    cost = quadratic_cost(np.diag([1.0, 2.0]), np.array([[0.5]]))
+    sched = adversarial_convex_schedule(8, 9, 2, 1)
     X = rng.standard_normal((9, 2))
     U = rng.standard_normal((9, 1))
-    batch = cost.value_batch(X, U)
-    for c in range(9):
-        assert np.isclose(batch[c], cost.value(X[c], U[c]))
+    values = sched.stage_values(X, U)
+    for t in range(9):
+        assert np.isclose(values[t], sched.reveal(t, U[t]).value(X[t], U[t]))
+    # a leading batch axis per step: X[t, c] is candidate c's state
+    Xc, Uc = rng.standard_normal((9, 4, 2)), rng.standard_normal((9, 4, 1))
+    batch = sched.stage_values(Xc, Uc)
+    assert batch.shape == (9, 4)
+    for t in range(9):
+        for c in range(4):
+            assert np.isclose(batch[t, c], sched.reveal(t, Uc[t, c]).value(Xc[t, c], Uc[t, c]))
 
 
 def test_reveal_bounds_and_constant_schedule():
@@ -69,31 +78,37 @@ def test_reveal_bounds_and_constant_schedule():
     assert sched.horizon == 5
     assert sched.family == "quadratic"
     u = np.zeros(1)
-    assert sched.reveal(0, u) is cost
-    assert sched.reveal(4, u) is cost
+    for t in (0, 4):
+        step = sched.reveal(t, u)
+        np.testing.assert_array_equal(step.Q, cost.Q)
+        np.testing.assert_array_equal(step.R, cost.R)
     with pytest.raises(ValueError):
         sched.reveal(5, u)
     with pytest.raises(ValueError):
         sched.reveal(-1, u)
 
 
+def test_constant_schedule_stores_zero_copy_view():
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    cost = quadratic_cost(Q, np.eye(1))
+    sched = constant_schedule(cost, 4096)
+    assert sched.Q.shape == (4096, 2, 2) and sched.R.shape == (4096, 1, 1)
+    assert sched.Q.strides[0] == 0 and sched.R.strides[0] == 0
+    assert np.shares_memory(sched.Q, cost.Q) and np.shares_memory(sched.R, cost.R)
+    assert (sched.g_c, sched.alpha, sched.beta) == (cost.G_c, cost.alpha, cost.beta)
+
+
 def test_adversarial_schedule_determinism_and_bounds():
     a = adversarial_convex_schedule(123, 12, 2, 1)
     b = adversarial_convex_schedule(123, 12, 2, 1)
     other = adversarial_convex_schedule(124, 12, 2, 1)
-    rng = np.random.default_rng(0)
-    x, u = rng.standard_normal(2), rng.standard_normal(1)
-    vals_a = [a.generator(t).value(x, u) for t in range(12)]
-    vals_b = [b.generator(t).value(x, u) for t in range(12)]
-    vals_o = [other.generator(t).value(x, u) for t in range(12)]
-    np.testing.assert_array_equal(vals_a, vals_b)
-    assert not np.allclose(vals_a, vals_o)
+    np.testing.assert_array_equal(a.Q, b.Q)
+    np.testing.assert_array_equal(a.R, b.R)
+    assert not np.allclose(a.Q, other.Q)
     # every stage cost keeps its curvature inside the advertised envelope
     assert a.g_c == 2.0
-    for t in range(12):
-        cost = a.generator(t)
-        hess = cost.hessian(x, u)
-        eigs = np.linalg.eigvalsh(hess)
+    for stack in (a.Q, a.R):
+        eigs = np.linalg.eigvalsh(2.0 * stack)
         assert eigs.max() <= 2.0 + 1e-9
         assert eigs.min() >= -1e-12
 
@@ -101,17 +116,37 @@ def test_adversarial_schedule_determinism_and_bounds():
 def test_adversarial_scalar_strong_convexity_floor():
     sched = adversarial_convex_schedule(7, 40, 1, 1)
     assert sched.alpha == 0.2
-    for t in range(40):
-        hess = sched.generator(t).hessian(np.zeros(1), np.zeros(1))
-        assert np.linalg.eigvalsh(hess).min() >= 0.2 - 1e-12
+    assert (2.0 * sched.Q).min() >= 0.2 - 1e-12
+    assert (2.0 * sched.R).min() >= 0.2 - 1e-12
+
+
+@pytest.mark.parametrize("n_x,n_u", [(1, 1), (2, 1), (3, 2)])
+def test_random_stack_equals_per_step_draws(n_x, n_u):
+    T = 50
+    sched = adversarial_convex_schedule(31, T, n_x, n_u)
+    for t in range(T):
+        rng = keyed_rng(31, STREAM_COST, t)
+        Q_t, R_t = _random_psd(rng, n_x), _random_psd(rng, n_u)
+        assert sched.Q[t].tobytes() == Q_t.tobytes()
+        assert sched.R[t].tobytes() == R_t.tobytes()
+
+
+def test_schedule_rejects_one_bad_step():
+    sched = adversarial_convex_schedule(5, 20, 2, 2)
+    indefinite = sched.Q.copy()
+    indefinite[13] = np.diag([1.0, -0.5])
+    with pytest.raises(ValueError, match="positive semidefinite.*step 13"):
+        CostSchedule(Q=indefinite, R=sched.R, g_c=2.0)
+    asymmetric = sched.R.copy()
+    asymmetric[7, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="symmetric.*step 7"):
+        CostSchedule(Q=sched.Q, R=asymmetric, g_c=2.0)
+    with pytest.raises(ValueError, match="steps"):
+        CostSchedule(Q=sched.Q, R=sched.R[:19], g_c=2.0)
 
 
 def test_materialize_pointwise_equal():
     sched = adversarial_convex_schedule(55, 10, 2, 2)
     mat = materialize(sched)
-    rng = np.random.default_rng(1)
-    x, u = rng.standard_normal(2), rng.standard_normal(2)
-    for t in range(10):
-        assert mat.generator(t).value(x, u) == sched.generator(t).value(x, u)
-    assert (mat.horizon, mat.g_c, mat.alpha, mat.beta) == \
-        (sched.horizon, sched.g_c, sched.alpha, sched.beta)
+    assert mat is sched
+    assert (mat.horizon, mat.g_c, mat.alpha, mat.beta) == (10, 2.0, None, 2.0)

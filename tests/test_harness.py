@@ -1,10 +1,15 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onlinectrl.harness as hz
 from onlinectrl.cli import main as cli_main
@@ -356,15 +361,86 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     (lambda d: d["noise"].update(scale=float("nan")), "scale"),
     (lambda d: d.update(x0=[float("nan")]), "x0"),
     (lambda d: d["gain"].update(kappa=float("nan")), "kappa"),
+    (lambda d: d.update(comparator=5), "comparator"),
+    (lambda d: d.update(horizons=[[8]]), "horizon"),
+    (lambda d: d.update(seeds=[[1]]), "seed"),
+    (lambda d: d.update(cost={"family": "random_quadratic", "seed": [1]}), "cost seed"),
+    (lambda d: d.update(noise={"family": "student_t", "scale": 1.0, "df": "5",
+                               "seed": 42}), "df"),
+    (lambda d: d["noise"].update(seed="abc"), "noise seed"),
+    (lambda d: d["cost"].update(Q=[[1.0, 0.0], [0.0, 1.0]]), "cost Q"),
 ], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
-        "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa"])
+        "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa",
+        "comparator-not-an-object", "nested-horizon", "nested-seed",
+        "list-cost-seed", "string-df", "string-noise-seed", "cost-Q-wrong-shape"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
     doc = _base_doc()
     mutate(doc)
-    rc = cli_main(["certify", "--config", _write_cfg(tmp_path, doc)])
+    with pytest.raises(ValueError, match=needle):
+        build_experiment(doc)
+    rc = cli_main(["run", "--config", _write_cfg(tmp_path, doc),
+                   "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("invalid config:") and needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def _paths(node, prefix=()):
+    """Every (key or index) path to a field below the root."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_MUTATION_BASES = (
+    _base_doc(horizons=[8], seeds=[0, 1], x0=[0.0], m0="zero"),
+    _base_doc(cost={"family": "random_quadratic", "seed": 7},
+              noise={"family": "student_t", "scale": 0.5, "df": 5.0, "seed": 3},
+              schedule={"kind": "strongly_convex"}, horizons=[8], seeds=[0],
+              comparator={"candidates": [[[0.45]], [[0.55]]]}),
+)
+# one value of each JSON type, plus the numbers the boundary must refuse
+_MUTATION_VALUES = ("abc", [], {}, None, True, 5, -1, 0.5, float("nan"),
+                    float("inf"))
+
+
+@st.composite
+def _mutated_doc(draw):
+    """A valid config with one field dropped, wrapped in a list or replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(_MUTATION_BASES)))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(("missing", "nested", "replaced")))
+    if kind == "missing":
+        del parent[path[-1]]
+    elif kind == "nested":
+        parent[path[-1]] = [parent[path[-1]]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(_MUTATION_VALUES))
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=_mutated_doc())
+def test_single_field_mutations_build_or_exit_2(doc):
+    try:
+        build_experiment(doc)
+        built = True
+    except ValueError:
+        built = False
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fp:
+            json.dump(doc, fp)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli_main(["run", "--config", cfg, "--out", os.path.join(tmp, "out")])
+    assert rc in ((0, 3) if built else (2,))
 
 
 def test_cli_no_surviving_grid_candidates(tmp_path, capsys):

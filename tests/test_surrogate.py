@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from onlinectrl.costs import quadratic_cost
-from onlinectrl.policy import sample_admissible, zero_policy
+from onlinectrl.policy import sample_admissible
 from onlinectrl.stability import make_closed_loop
 from onlinectrl.surrogate import (SurrogateKernel, grad_f, hessian_frob_bound,
                                   psi, state_expansion, surrogate_cost_f,
@@ -276,19 +276,6 @@ def test_hessian_bound_matches_quadratic_hessian():
         gd, _, _ = kern.grad(cost, dn.reshape(H, n, n), W)
         hess[:, col] = (gu - gd).reshape(-1) / (2 * eps)
     assert np.isclose(got, np.linalg.norm(hess), rtol=1e-5)
-
-
-def test_hessian_bound_requires_cost_hessian():
-    from onlinectrl.costs import CostFunction
-    rng = np.random.default_rng(3)
-    sys_, K, n, H = _random_instance(rng)
-    cl = make_closed_loop(sys_, K, i_max=H)
-    bare = CostFunction(value=lambda x, u: float(x @ x + u @ u),
-                        grad_x=lambda x, u: 2 * x,
-                        grad_u=lambda x, u: 2 * u, G_c=2.0)
-    M = zero_policy(H, n, n)
-    with pytest.raises(NotImplementedError):
-        hessian_frob_bound(bare, cl, sys_.B, M, np.zeros((2 * H + 1, n)), t=2 * H + 2)
 
 
 def test_module_wrappers_consistent_with_kernel():
