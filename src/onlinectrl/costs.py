@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import STREAM_COST, keyed_steps
+from .system import spectral_norm
 
 _PSD_TOL = -1e-10
 _SYM_TOL = 1e-10
@@ -63,21 +64,9 @@ class QuadraticCost:
     def value(self, x: np.ndarray, u: np.ndarray) -> float:
         return float(x @ self.Q @ x + u @ self.R @ u)
 
-    def grad_x(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.Q @ x)
-
-    def grad_u(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.R @ u)
-
-    def hessian(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        n_x, n_u = self.Q.shape[0], self.R.shape[0]
-        return 2.0 * np.block([[self.Q, np.zeros((n_x, n_u))],
-                               [np.zeros((n_u, n_x)), self.R]])
-
     @property
     def G_c(self) -> float:
-        return max(2.0 * float(np.linalg.norm(self.Q, 2)),
-                   2.0 * float(np.linalg.norm(self.R, 2)), 1.0)
+        return max(2.0 * spectral_norm(self.Q), 2.0 * spectral_norm(self.R), 1.0)
 
     def _curvature(self) -> np.ndarray:
         return 2.0 * np.concatenate([np.linalg.eigvalsh(self.Q),
@@ -159,7 +148,7 @@ def _random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
         return np.array([[target]])
     X = rng.standard_normal((n, n))
     G = X @ X.T
-    return G * (target / np.linalg.norm(G, 2))
+    return G * (target / spectral_norm(G))
 
 
 def adversarial_convex_schedule(seed: int, T: int, n_x: int, n_u: int) -> CostSchedule:

@@ -48,8 +48,8 @@ import numpy as np
 from .comparator import best_fixed_K, regret
 from .costs import (CostSchedule, adversarial_convex_schedule,
                     constant_schedule, quadratic_cost)
-from .learner import (EpisodeDivergedError, LearningRateSchedule,
-                      alpha_tilde_from, run_episode)
+from .learner import (_SCHEDULE_KINDS, EpisodeDivergedError,
+                      LearningRateSchedule, alpha_tilde_from, run_episode)
 from .noise import (NoiseProcess, population_sigma_lower, population_sigma_w,
                     population_sigma_w4)
 from .policy import policy_class_diameter
@@ -200,11 +200,9 @@ def build_experiment(doc: dict) -> ExperimentConfig:
 
     sched = _section(doc, "schedule")
     kind = _require(sched, "kind", "schedule")
-    if kind not in ("constant_sqrtT", "strongly_convex"):
+    if kind not in _SCHEDULE_KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    cert = certify(sys, K, kappa, gamma,
-                   require_diagonal=(kind == "strongly_convex")
-                   or bool(gain.get("require_diagonal", False)))
+    cert = certify(sys, K, kappa, gamma)
 
     noise_cfg = dict(_section(doc, "noise"))
     _require(noise_cfg, "family", "noise")
@@ -266,7 +264,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
 
     x0 = None
     if doc.get("x0") is not None:
-        x0 = initial_state(sys, _as_array(doc["x0"], "x0")).x
+        x0 = initial_state(sys, _as_array(doc["x0"], "x0"))
 
     delta = _as_float(doc.get("delta", 0.1), "delta")
     if not 0.0 < delta <= 1.0:
@@ -420,10 +418,9 @@ class ScalingReport:
         }
 
 
-def _episode_job(doc: dict, T: int, seed: int,
+def _episode_job(exp: ExperimentConfig, T: int, seed: int,
                  trace_path: Optional[str]) -> dict:
     """One (T, seed) cell: learn, replay the comparator, measure regret."""
-    exp = build_experiment(doc)
     sys = exp.system
     proc = _noise_from_cfg(exp.noise_cfg, sys.n_x,
                            seed=mix_seed(int(exp.noise_cfg["seed"]), seed))
@@ -485,7 +482,7 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
             path = None
             if trace_dir is not None:
                 path = os.path.join(trace_dir, f"T{T}_seed{seed}.jsonl")
-            jobs.append((exp.doc, T, seed, path))
+            jobs.append((exp, T, seed, path))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from math import log, sqrt
+from math import inf, log, sqrt
 from typing import IO, Optional
 
 import numpy as np
@@ -51,8 +51,12 @@ class LearningRateSchedule:
     def __post_init__(self):
         if self.kind not in _SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.eta_constant is not None and self.eta_constant <= 0.0:
-            raise ValueError("eta_constant must be positive")
+        # chained comparisons are False for NaN, so these reject it too
+        if self.kind == "strongly_convex" and not (
+                self.alpha_tilde is not None and 0.0 < self.alpha_tilde < inf):
+            raise ValueError("strongly_convex schedule needs a finite alpha_tilde > 0")
+        if self.eta_constant is not None and not 0.0 < self.eta_constant < inf:
+            raise ValueError("eta_constant must be finite and positive")
 
 
 def alpha_tilde_from(alpha: float, sigma_lower: float, gamma: float,
@@ -71,8 +75,6 @@ def eta(sched: LearningRateSchedule, t: int, T: int) -> float:
         if sched.eta_constant is not None:
             return sched.eta_constant
         return 1.0 / (sqrt(T) * log(T) ** 3)
-    if sched.alpha_tilde is None or sched.alpha_tilde <= 0.0:
-        raise ValueError("strongly_convex schedule needs alpha_tilde > 0")
     return 3.0 / (sched.alpha_tilde * (t + 1))
 
 
@@ -147,11 +149,8 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         raise ValueError("cost schedule dimensions must match the system")
     if noise_proc.dim != sys.n_x:
         raise ValueError("noise dimension must match the state dimension")
-    if lr_schedule.kind == "strongly_convex":
-        if not cert.diagonal:
-            raise ValueError("strongly_convex schedule requires a diagonal certificate")
-        if lr_schedule.alpha_tilde is None or lr_schedule.alpha_tilde <= 0.0:
-            raise ValueError("strongly_convex schedule needs alpha_tilde > 0")
+    if lr_schedule.kind == "strongly_convex" and not cert.diagonal:
+        raise ValueError("strongly_convex schedule requires a diagonal certificate")
 
     kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys.kappa_B
     if H is None:
@@ -166,7 +165,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     if not is_admissible(M, kappa, gamma, kappa_B):
         raise ValueError("M0 lies outside the admissible set")
 
-    x = initial_state(sys, x0).x
+    x = initial_state(sys, x0)
     ws = sample_episode(noise_proc, T)
     # Recovered disturbances, most recent first: row T-1-s holds w_s and the
     # 2H+1 rows after row T-1 stay zero, so step t's surrogate window

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log, sqrt
-from typing import Sequence
 
 import numpy as np
+
+from .system import spectral_norm
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,6 @@ class PolicyParams:
 
 def zero_policy(H: int, n_u: int, n_x: int) -> PolicyParams:
     return PolicyParams(np.zeros((H, n_u, n_x)))
-
-
-def policy_from_blocks(blocks: Sequence[np.ndarray]) -> PolicyParams:
-    return PolicyParams(np.array([np.asarray(b, dtype=float) for b in blocks]))
 
 
 def horizon_H(T: int, gamma: float) -> int:
@@ -135,7 +132,8 @@ def comparator_params(K: np.ndarray, K_star: np.ndarray, A: np.ndarray,
     """
     K = np.asarray(K, dtype=float)
     K_star = np.asarray(K_star, dtype=float)
-    A_star = np.asarray(A, dtype=float) - np.asarray(B, dtype=float) @ K_star
+    B = np.asarray(B, dtype=float)
+    A_star = np.asarray(A, dtype=float) - B @ K_star
     diff = K - K_star
     blocks = np.empty((H, K.shape[0], K.shape[1]))
     P = np.eye(A_star.shape[0])
@@ -143,7 +141,7 @@ def comparator_params(K: np.ndarray, K_star: np.ndarray, A: np.ndarray,
         blocks[i] = diff @ P
         P = P @ A_star
     M = PolicyParams(blocks)
-    kappa_B = max(float(np.linalg.norm(B, 2)), 1.0)
+    kappa_B = max(spectral_norm(B), 1.0)
     if not is_admissible(M, kappa, gamma, kappa_B):
         raise RuntimeError("comparator construction left the admissible set; "
                            "gains are not certified for a shared (kappa, gamma)")

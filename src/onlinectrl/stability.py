@@ -137,15 +137,16 @@ def build_certificate(kappa: float, gamma: float, P: np.ndarray, Q: np.ndarray,
     return cert
 
 
-def certify(sys: LinearSystem, K: np.ndarray, kappa: float, gamma: float,
-            require_diagonal: bool = False) -> StabilityCertificate:
+def certify(sys: LinearSystem, K: np.ndarray, kappa: float,
+            gamma: float) -> StabilityCertificate:
     """Issue a certificate for K at the requested (kappa, gamma), or fail.
 
     The eigensolver output is made deterministic by sorting eigenvalues by
     decreasing modulus (ties by real part, then imaginary part) and scaling
     every eigenvector column to unit norm; the unit scaling doubles as the
-    balance heuristic for ||Q|| vs ||Q^{-1}||. Requested values are taken
-    as given: no search over (kappa, gamma) is performed.
+    balance heuristic for ||Q|| vs ||Q^{-1}||. P is the matrix of
+    eigenvalues, so every issued certificate is diagonal. Requested values
+    are taken as given: no search over (kappa, gamma) is performed.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -176,8 +177,6 @@ def certify(sys: LinearSystem, K: np.ndarray, kappa: float, gamma: float,
     violations = validate_certificate(cert, A_K, K)
     if violations:
         raise CertificationError("bounds", violations)
-    if require_diagonal and not cert.diagonal:
-        raise CertificationError("bounds", ["P diagonal"])
     return cert
 
 

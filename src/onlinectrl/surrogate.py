@@ -35,25 +35,6 @@ class TransferMatrix:
     h: int
 
 
-@dataclass(frozen=True)
-class SurrogatePoint:
-    y: np.ndarray
-    v: np.ndarray
-    t: int
-
-
-@dataclass(frozen=True)
-class SurrogateGradient:
-    """Gradient of f_t with respect to the stacked policy blocks."""
-
-    blocks: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-
-    def frob_norm(self) -> float:
-        return float(np.linalg.norm(self.blocks))
-
-
 def _transfer_stack(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams],
                     h: int, H: int) -> np.ndarray:
     """Every transfer matrix psi_{t,i,h} of `psi`, for i = 0..H+h, stacked
@@ -129,7 +110,7 @@ def _hankel(W: np.ndarray, H: int) -> np.ndarray:
 class SurrogateKernel:
     """Precomputed pieces for repeated surrogate evaluation at fixed (K, H).
 
-    Holds the power stack A_K^0..A_K^H and the products A_K^j B, also laid
+    Holds the power stack A_K^0..A_K^H and the products A_K^j B, laid
     side by side as (n_x, (H+1) n_x) and (n_x, (H+1) n_u) matrices, so a
     point or a gradient is a few matrix products with the Hankel view of
     the disturbance window and the blocks flattened to (n_u, H n_x).
@@ -138,17 +119,14 @@ class SurrogateKernel:
     def __init__(self, cl: ClosedLoop, B: np.ndarray, H: int):
         if H < 1:
             raise ValueError("memory H must be >= 1")
-        self.cl = cl
-        self.B = np.asarray(B, dtype=float)
+        B = np.asarray(B, dtype=float)
         self.H = H
         self.K = cl.K
-        self.pows = cl.power_stack(H + 1)
-        self.PB = np.matmul(self.pows, self.B)
-        self.n_x = self.B.shape[0]
-        self.n_u = self.B.shape[1]
+        self.n_x, self.n_u = B.shape
+        pows = cl.power_stack(H + 1)
         # row a, column j*n + b holds A_K^j[a, b] and (A_K^j B)[a, b]
-        self._pows_row = self.pows.transpose(1, 0, 2).reshape(self.n_x, -1)
-        self._PB_row = self.PB.transpose(1, 0, 2).reshape(self.n_x, -1)
+        self._pows_row = pows.transpose(1, 0, 2).reshape(self.n_x, -1)
+        self._PB_row = np.matmul(pows, B).transpose(1, 0, 2).reshape(self.n_x, -1)
 
     def _check_window(self, W: np.ndarray) -> np.ndarray:
         W = np.ascontiguousarray(W, dtype=float)
@@ -171,20 +149,6 @@ class SurrogateKernel:
         flat = blocks.transpose(1, 0, 2).reshape(self.n_u, -1)
         return self._point(flat, W, _hankel(W, self.H))
 
-    def point_window(self, M_window: Sequence[PolicyParams],
-                     W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y, v) under a varying window (M_{t-1-H}, ..., M_t), length H+2."""
-        H = self.H
-        if len(M_window) != H + 2:
-            raise ValueError(f"M_window must hold H+2={H + 2} policies, got {len(M_window)}")
-        y = np.zeros(self.n_x)
-        for j in range(H + 1):
-            blocks = M_window[H - j].blocks  # policy M_{t-1-j}
-            dap = np.einsum("mux,mx->u", blocks, W[j + 1:j + 1 + H])
-            y = y + self.pows[j] @ (W[j] + self.B @ dap)
-        v = -self.K @ y + np.einsum("mux,mx->u", M_window[H + 1].blocks, W[:H])
-        return y, v
-
     def value(self, cost: QuadraticCost, blocks: np.ndarray, W: np.ndarray) -> float:
         y, v = self.point(blocks, W)
         return cost.value(y, v)
@@ -206,57 +170,3 @@ class SurrogateKernel:
         Qv = (g_eff @ self._PB_row).reshape(H + 1, n_u)  # Qv[j] = (A_K^j B)' g_eff
         G = Qv.T @ hank + g_u[:, None] * W[:H].ravel()
         return G.reshape(n_u, H, n_x).transpose(1, 0, 2), y, v
-
-    def jacobian(self, W: np.ndarray) -> np.ndarray:
-        """Stacked Jacobian of (y, v) in the policy blocks, shape
-        (n_x + n_u, H * n_u * n_x); columns follow blocks.reshape(-1)."""
-        H, n_x, n_u = self.H, self.n_x, self.n_u
-        W = self._check_window(W)
-        Jy = np.einsum("jxp,jc->xpc", self.PB, _hankel(W, H))
-        Jy = Jy.reshape(n_x, n_u, H, n_x).transpose(0, 2, 1, 3)
-        direct = np.einsum("up,rq->urpq", np.eye(n_u), W[:H])
-        Jv = -np.einsum("ux,xrpq->urpq", self.K, Jy) + direct
-        dim = H * n_u * n_x
-        return np.concatenate([Jy.reshape(n_x, dim), Jv.reshape(n_u, dim)], axis=0)
-
-
-def surrogate_point(cl: ClosedLoop, B: np.ndarray, M_window: Sequence[PolicyParams],
-                    noise_window: np.ndarray, t: int) -> SurrogatePoint:
-    """Surrogate state/input at step t under the policy window
-    (M_{t-1-H}, ..., M_t); noise_window[m] = w_{t-1-m} for m = 0..2H."""
-    H = len(M_window) - 2
-    kern = SurrogateKernel(cl, B, H)
-    W = kern._check_window(noise_window)
-    y, v = kern.point_window(M_window, W)
-    return SurrogatePoint(y=y, v=v, t=t)
-
-
-def surrogate_cost_f(cost: QuadraticCost, cl: ClosedLoop, B: np.ndarray,
-                     M: PolicyParams, noise_window: np.ndarray, t: int) -> float:
-    """f_t(M): the stage cost at the surrogate point with the window frozen at M."""
-    kern = SurrogateKernel(cl, B, M.H)
-    return kern.value(cost, M.blocks, kern._check_window(noise_window))
-
-
-def grad_f(cost: QuadraticCost, cl: ClosedLoop, B: np.ndarray, M: PolicyParams,
-           noise_window: np.ndarray, t: int) -> SurrogateGradient:
-    """Exact gradient of f_t at M (linear surrogate maps, chain rule)."""
-    kern = SurrogateKernel(cl, B, M.H)
-    G, y, v = kern.grad(cost, M.blocks, kern._check_window(noise_window))
-    return SurrogateGradient(blocks=G, y=y, v=v)
-
-
-def hessian_frob_bound(cost: QuadraticCost, cl: ClosedLoop, B: np.ndarray,
-                       M: PolicyParams, noise_window: np.ndarray, t: int) -> float:
-    """Frobenius norm of the exact Hessian of f_t, via the factorization
-    J' (hess c) J with J the (M-independent) surrogate Jacobian.
-    """
-    kern = SurrogateKernel(cl, B, M.H)
-    W = kern._check_window(noise_window)
-    y, v = kern.point(M.blocks, W)
-    Hc = np.asarray(cost.hessian(y, v), dtype=float)
-    dim = kern.n_x + kern.n_u
-    if Hc.shape != (dim, dim):
-        raise ValueError(f"cost Hessian must be ({dim}, {dim}), got {Hc.shape}")
-    J = kern.jacobian(W)
-    return float(np.linalg.norm(J.T @ Hc @ J, "fro"))

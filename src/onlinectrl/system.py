@@ -31,12 +31,6 @@ class LinearSystem:
     kappa_B: float
 
 
-@dataclass
-class SystemState:
-    t: int
-    x: np.ndarray
-
-
 def make_system(A: Any, B: Any) -> LinearSystem:
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -66,29 +60,17 @@ def system_from_json(doc: dict) -> LinearSystem:
     return make_system(A, B)
 
 
-def initial_state(sys: LinearSystem, x0: np.ndarray | None = None) -> SystemState:
-    """State at t = 0. Default start is the origin; a nonzero start is opt-in
+def initial_state(sys: LinearSystem, x0: np.ndarray | None = None) -> np.ndarray:
+    """State x_0. Default start is the origin; a nonzero start is opt-in
     and must be a finite vector of shape (n_x,)."""
     if x0 is None:
-        x = np.zeros(sys.n_x)
-    else:
-        x = np.asarray(x0, dtype=float)
-        if x.shape != (sys.n_x,):
-            raise ValueError(f"x0 must have shape ({sys.n_x},), got {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("x0 must be finite")
-    return SystemState(t=0, x=x)
-
-
-def step(sys: LinearSystem, state: SystemState, u: np.ndarray, w: np.ndarray) -> SystemState:
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape != (sys.n_u,):
-        raise ValueError(f"u must have shape ({sys.n_u},), got {u.shape}")
-    if w.shape != (sys.n_x,):
-        raise ValueError(f"w must have shape ({sys.n_x},), got {w.shape}")
-    x_next = sys.A @ state.x + sys.B @ u + w
-    return SystemState(t=state.t + 1, x=x_next)
+        return np.zeros(sys.n_x)
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (sys.n_x,):
+        raise ValueError(f"x0 must have shape ({sys.n_x},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
+    return x
 
 
 def recover_noise(sys: LinearSystem, x_next: np.ndarray, x: np.ndarray,

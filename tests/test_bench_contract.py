@@ -1,10 +1,11 @@
-"""The onlinectrl surface that the benchmark in perfbench/ runs against.
+"""The onlinectrl surface that the benchmark in perfbench/ and the demos
+run against.
 
-perfbench/bench.py and perfbench/tracing.py are not part of the tier-1
-suite, so a cleanup of the package could break them unnoticed. These
-tests resolve every onlinectrl name they import or read off an imported
-module, every attribute the tracer wraps, and run the cost-schedule path
-of the benchmark's direct episodes.
+perfbench/bench.py, perfbench/tracing.py and demos/*.py are not part of
+the tier-1 suite, so a cleanup of the package could break them unnoticed.
+These tests resolve every onlinectrl name they import or read off an
+imported module, every attribute the tracer wraps, and run the
+cost-schedule path of the benchmark's direct episodes.
 """
 
 import ast
@@ -22,8 +23,10 @@ from onlinectrl.costs import (CostSchedule, adversarial_convex_schedule,
 from onlinectrl.noise import NoiseProcess, population_sigma_lower
 from onlinectrl.rng import mix_seed
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-CLIENTS = ("bench.py", "tracing.py")
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+CLIENTS = (PERFBENCH / "bench.py", PERFBENCH / "tracing.py",
+           *sorted((ROOT / "demos").glob("*.py")))
 
 
 def _resolve(module: str, name: str):
@@ -55,17 +58,17 @@ def _used_names(path: Path) -> list:
     return used
 
 
-@pytest.mark.parametrize("client", CLIENTS)
+@pytest.mark.parametrize("client", CLIENTS, ids=lambda path: path.name)
 def test_benchmark_imports_resolve(client):
-    used = _used_names(PERFBENCH / client)
-    assert used, f"{client} uses no onlinectrl name"
+    used = _used_names(client)
+    assert used, f"{client.name} uses no onlinectrl name"
     missing = []
     for module, name in used:
         try:
             _resolve(module, name)
         except AttributeError:
             missing.append(f"{module}.{name}")
-    assert not missing, f"{client} needs {missing}"
+    assert not missing, f"{client.name} needs {missing}"
 
 
 def _tracing():

@@ -7,40 +7,11 @@ from onlinectrl.costs import (CostSchedule, _random_psd,
 from onlinectrl.rng import STREAM_COST, keyed_rng
 
 
-def _fd_grad(f, z, eps=1e-6):
-    g = np.zeros_like(z)
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += eps
-        zm[i] -= eps
-        g[i] = (f(zp) - f(zm)) / (2 * eps)
-    return g
-
-
-def test_quadratic_value_and_grads_against_fd():
-    rng = np.random.default_rng(2)
-    for _ in range(15):
-        n_x, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        Qh = rng.standard_normal((n_x, n_x))
-        Rh = rng.standard_normal((n_u, n_u))
-        cost = quadratic_cost(Qh @ Qh.T + 0.1 * np.eye(n_x),
-                              Rh @ Rh.T + 0.1 * np.eye(n_u))
-        x, u = rng.standard_normal(n_x), rng.standard_normal(n_u)
-        np.testing.assert_allclose(
-            cost.grad_x(x, u), _fd_grad(lambda z: cost.value(z, u), x),
-            rtol=1e-5, atol=1e-7)
-        np.testing.assert_allclose(
-            cost.grad_u(x, u), _fd_grad(lambda z: cost.value(x, z), u),
-            rtol=1e-5, atol=1e-7)
-
-
 def test_quadratic_metadata():
     cost = quadratic_cost(np.eye(2), np.eye(1))
     assert cost.G_c == 2.0
     assert np.isclose(cost.alpha, 2.0)
     assert np.isclose(cost.beta, 2.0)
-    hess = cost.hessian(np.zeros(2), np.zeros(1))
-    np.testing.assert_allclose(hess, 2.0 * np.eye(3))
 
     # singular Q: convex but not strongly convex
     flat = quadratic_cost(np.diag([1.0, 0.0]), np.eye(1))

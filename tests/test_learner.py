@@ -13,7 +13,7 @@ from onlinectrl.noise import NoiseProcess, sample
 from onlinectrl.policy import (PolicyParams, admissible_radii, is_admissible,
                                policy_class_diameter, zero_policy)
 from onlinectrl.stability import build_certificate, certify, make_closed_loop
-from onlinectrl.surrogate import grad_f
+from onlinectrl.surrogate import SurrogateKernel
 from onlinectrl.system import make_system
 
 
@@ -58,6 +58,12 @@ def test_schedule_validation():
         eta(sched, 10, 10)
     with pytest.raises(ValueError):
         eta(LearningRateSchedule("strongly_convex"), 0, 10)
+    for bad in (None, 0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha_tilde"):
+            LearningRateSchedule("strongly_convex", alpha_tilde=bad)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta_constant"):
+            LearningRateSchedule("constant_sqrtT", eta_constant=bad)
 
 
 def test_alpha_tilde_hand_value():
@@ -70,7 +76,7 @@ def _naive_replay(sys_, K, cert, proc, cost, lr, T, H):
     """The projected-OGD loop with explicit bookkeeping: per-step noise
     draws, a window rebuilt from the list of past disturbances, and
     projection by full-SVD clipping of every block."""
-    cl = make_closed_loop(sys_, K, i_max=H)
+    kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
     radii = admissible_radii(H, cert.kappa, cert.gamma, sys_.kappa_B)
     M = zero_policy(H, sys_.n_u, sys_.n_x).blocks
     past = []                      # most recent last
@@ -82,7 +88,7 @@ def _naive_replay(sys_, K, cert, proc, cost, lr, T, H):
             W[m] = w
         u = -K @ x + sum(M[i] @ W[i] for i in range(H))
         w = sample(proc, t)
-        g = grad_f(cost, cl, sys_.B, PolicyParams(M), W, t).blocks
+        g = kern.grad(cost, M, W)[0]
         step = eta(lr, t, T)
         U, sv, Vt = np.linalg.svd(M - step * g, full_matrices=False)
         steps.append({"x": x, "u": u, "w": w, "cost": cost.value(x, u),

@@ -4,8 +4,8 @@ import pytest
 from onlinectrl.policy import (PolicyParams, admissible_radii,
                                block_spectral_norms, comparator_params,
                                control_input, horizon_H, is_admissible,
-                               policy_class_diameter, policy_from_blocks,
-                               project, sample_admissible, zero_policy)
+                               policy_class_diameter, project,
+                               sample_admissible, zero_policy)
 
 KAPPA, GAMMA, KAPPA_B = 1.0, 0.5, 1.0
 
@@ -38,7 +38,7 @@ def test_block_norms_and_admissibility():
     for _ in range(20):
         H, n_u, n_x = (int(rng.integers(1, 5)) for _ in range(3))
         blocks = rng.standard_normal((H, n_u, n_x))
-        M = policy_from_blocks(blocks)
+        M = PolicyParams(blocks)
         norms = block_spectral_norms(M)
         for i in range(H):
             assert np.isclose(norms[i], np.linalg.norm(blocks[i], 2))
@@ -109,7 +109,7 @@ def test_control_input_matches_naive_sum():
     for _ in range(15):
         H, n_u, n_x = (int(rng.integers(1, 4)) for _ in range(3))
         K = rng.standard_normal((n_u, n_x))
-        M = policy_from_blocks(rng.standard_normal((H, n_u, n_x)))
+        M = PolicyParams(rng.standard_normal((H, n_u, n_x)))
         x = rng.standard_normal(n_x)
         past = [rng.standard_normal(n_x) for _ in range(H + 2)]
         window = np.stack(past[::-1])  # window[m] = w_{t-1-m}

@@ -4,9 +4,7 @@ import pytest
 from onlinectrl.costs import quadratic_cost
 from onlinectrl.policy import sample_admissible
 from onlinectrl.stability import make_closed_loop
-from onlinectrl.surrogate import (SurrogateKernel, grad_f, hessian_frob_bound,
-                                  psi, state_expansion, surrogate_cost_f,
-                                  surrogate_point)
+from onlinectrl.surrogate import SurrogateKernel, psi, state_expansion
 from onlinectrl.system import make_system
 
 KAPPA, GAMMA, KAPPA_B = 1.0, 0.5, 1.0
@@ -146,33 +144,6 @@ def test_point_matches_frozen_policy_replay_non_square():
             np.testing.assert_allclose(v, v_expect, atol=1e-10)
 
 
-def test_point_window_matches_varying_policy_replay():
-    rng = np.random.default_rng(303)
-    for _ in range(8):
-        sys_, K, n, H = _random_instance(rng)
-        t = 2 * H + 5
-        ws = [rng.standard_normal(n) for _ in range(t)]
-        window = [sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
-                  for _ in range(H + 2)]  # M_{t-1-H}, ..., M_t
-        cl = make_closed_loop(sys_, K, i_max=H)
-        kern = SurrogateKernel(cl, sys_.B, H)
-        W = _window(ws, t, 2 * H + 1)
-        y, v = kern.point_window(window, W)
-        x = np.zeros(n)
-        for k in range(t - 1 - H, t):
-            M_k = window[k - (t - 1 - H)].blocks
-            u = -K @ x
-            for i in range(1, H + 1):
-                if k - i >= 0:
-                    u = u + M_k[i - 1] @ ws[k - i]
-            x = sys_.A @ x + sys_.B @ u + ws[k]
-        np.testing.assert_allclose(y, x, atol=1e-10)
-        v_expect = -K @ y
-        for i in range(1, H + 1):
-            v_expect = v_expect + window[H + 1].blocks[i - 1] @ ws[t - i]
-        np.testing.assert_allclose(v, v_expect, atol=1e-10)
-
-
 def test_truncation_error_bounded_by_decay():
     # zeroing the state H+1 steps back costs at most kappa^2 (1-gamma)^{H+1} ||x||
     rng = np.random.default_rng(404)
@@ -230,69 +201,3 @@ def test_grad_matches_finite_differences_non_square():
         W = rng.standard_normal((2 * H + 1, n_x))
         M = sample_admissible(rng, H, n_u, n_x, KAPPA, GAMMA, KAPPA_B)
         assert _grad_fd_error(kern, cost, M.blocks, W) <= 1e-6
-
-
-def test_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(606)
-    sys_, K, n, H = _random_instance(rng)
-    cl = make_closed_loop(sys_, K, i_max=H)
-    kern = SurrogateKernel(cl, sys_.B, H)
-    W = rng.standard_normal((2 * H + 1, n))
-    M = sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
-    J = kern.jacobian(W)
-    p = H * n * n
-    assert J.shape == (2 * n, p)
-    eps = 1e-6
-    flat = M.blocks.reshape(-1)
-    for col in range(p):
-        up, dn = flat.copy(), flat.copy()
-        up[col] += eps
-        dn[col] -= eps
-        yu, vu = kern.point(up.reshape(H, n, n), W)
-        yd, vd = kern.point(dn.reshape(H, n, n), W)
-        fd = (np.concatenate([yu, vu]) - np.concatenate([yd, vd])) / (2 * eps)
-        np.testing.assert_allclose(J[:, col], fd, atol=1e-7)
-
-
-def test_hessian_bound_matches_quadratic_hessian():
-    rng = np.random.default_rng(707)
-    sys_, K, n, H = _random_instance(rng)
-    cost = quadratic_cost(np.eye(n), 0.5 * np.eye(n))
-    cl = make_closed_loop(sys_, K, i_max=H)
-    kern = SurrogateKernel(cl, sys_.B, H)
-    W = rng.standard_normal((2 * H + 1, n))
-    M = sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
-    got = hessian_frob_bound(cost, cl, sys_.B, M, W, t=2 * H + 2)
-    # the surrogate is quadratic in M, so differentiate the gradient exactly
-    p = H * n * n
-    hess = np.zeros((p, p))
-    eps = 1e-5
-    for col in range(p):
-        up = M.blocks.reshape(-1).copy()
-        dn = up.copy()
-        up[col] += eps
-        dn[col] -= eps
-        gu, _, _ = kern.grad(cost, up.reshape(H, n, n), W)
-        gd, _, _ = kern.grad(cost, dn.reshape(H, n, n), W)
-        hess[:, col] = (gu - gd).reshape(-1) / (2 * eps)
-    assert np.isclose(got, np.linalg.norm(hess), rtol=1e-5)
-
-
-def test_module_wrappers_consistent_with_kernel():
-    rng = np.random.default_rng(808)
-    sys_, K, n, H = _random_instance(rng)
-    cl = make_closed_loop(sys_, K, i_max=H)
-    kern = SurrogateKernel(cl, sys_.B, H)
-    cost = quadratic_cost(np.eye(n), np.eye(n))
-    W = rng.standard_normal((2 * H + 1, n))
-    M = sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
-    window = [M] * (H + 2)
-    pt = surrogate_point(cl, sys_.B, window, W, t=2 * H + 2)
-    y, v = kern.point(M.blocks, W)
-    np.testing.assert_allclose(pt.y, y, atol=1e-12)
-    np.testing.assert_allclose(pt.v, v, atol=1e-12)
-    assert surrogate_cost_f(cost, cl, sys_.B, M, W, t=2 * H + 2) == \
-        pytest.approx(kern.value(cost, M.blocks, W))
-    g = grad_f(cost, cl, sys_.B, M, W, t=2 * H + 2)
-    G, _, _ = kern.grad(cost, M.blocks, W)
-    np.testing.assert_allclose(g.blocks, G, atol=1e-12)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from onlinectrl.system import (LinearSystem, initial_state, make_system,
-                               recover_noise, spectral_norm, step,
-                               system_from_json)
+                               recover_noise, spectral_norm, system_from_json)
 
 
 def test_make_system_shapes_and_kappa_B():
@@ -32,21 +31,6 @@ def test_spectral_norm_matches_svd():
         assert np.isclose(spectral_norm(mat), np.linalg.svd(mat, compute_uv=False)[0])
 
 
-def test_step_matches_direct_dynamics():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n_x, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        sys_ = make_system(rng.standard_normal((n_x, n_x)),
-                           rng.standard_normal((n_x, n_u)))
-        state = initial_state(sys_, x0=rng.standard_normal(n_x))
-        u = rng.standard_normal(n_u)
-        w = rng.standard_normal(n_x)
-        out = step(sys_, state, u, w)
-        np.testing.assert_allclose(out.x, sys_.A @ state.x + sys_.B @ u + w,
-                                   rtol=1e-13)
-        assert out.t == state.t + 1
-
-
 def test_recover_noise_inverts_step():
     rng = np.random.default_rng(13)
     for _ in range(25):
@@ -63,7 +47,8 @@ def test_recover_noise_inverts_step():
 
 def test_initial_state_default_and_validation():
     sys_ = make_system(np.array([[0.5]]), np.array([[1.0]]))
-    assert np.all(initial_state(sys_).x == 0.0)
+    np.testing.assert_array_equal(initial_state(sys_), np.zeros(1))
+    np.testing.assert_array_equal(initial_state(sys_, x0=[0.5]), [0.5])
     with pytest.raises(ValueError):
         initial_state(sys_, x0=np.zeros(2))
     for bad in (np.nan, np.inf):
