@@ -174,7 +174,9 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     xs = np.empty((T + 1, sys.n_x))
     us = np.empty((T, sys.n_u))
     costs = np.empty(T)
-    etas = np.empty(T)
+    # eta(lr_schedule, t, T) for every t, by the same IEEE operations
+    etas = (3.0 / (lr_schedule.alpha_tilde * np.arange(1.0, T + 1.0))
+            if lr_schedule.kind == "strongly_convex" else np.full(T, eta(lr_schedule, 0, T)))
     grad_frobs = np.empty(T)
     m_frobs = np.empty(T)
 
@@ -187,16 +189,15 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         x_next = sys.A @ x + sys.B @ u + ws[t]
         buf[T - 1 - t] = recover_noise(sys, x_next, x, u)
 
-        norm_x = float(np.linalg.norm(x_next))
-        if not np.isfinite(norm_x) or norm_x > divergence_limit:
+        norm_x = sqrt(x_next @ x_next)  # np.linalg.norm's sum, as below
+        if not norm_x <= divergence_limit:  # also trips on NaN
             raise EpisodeDivergedError(step=t, norm=norm_x)
 
         G, _, _ = kern.grad(cost_t, M.blocks, window)
 
         us[t] = u
-        grad_frobs[t] = np.linalg.norm(G)
-        m_frobs[t] = M.frob_norm()
-        etas[t] = eta(lr_schedule, t, T)
+        grad_frobs[t] = sqrt(G.ravel("K") @ G.ravel("K"))
+        m_frobs[t] = sqrt(M.blocks.ravel("K") @ M.blocks.ravel("K"))
 
         M = project(PolicyParams(M.blocks - etas[t] * G), kappa, gamma, kappa_B)
         x = x_next
@@ -225,12 +226,10 @@ def ogd_memory_regret_terms(record: EpisodeRecord, L_c: float = 1.0) -> dict:
     e = record.etas
     H, T = record.H, record.T
     a = e * g
-    drift = 0.0
-    for t in range(T):
-        m = min(H + 1, t)
-        for k in range(1, m + 1):
-            drift += (m - k + 1) * a[t - k]
-    drift *= L_c
+    # steps t <= L weigh a[s] by s + 1; later ones convolve a with H+1, ..., 1
+    L = min(H, T - 1)
+    drift = L_c * float(np.arange(1, L + 1) @ (np.arange(L, 0, -1) * a[:L])
+                        + np.convolve(a, np.arange(H + 1, 0, -1.0))[H:T - 1].sum())
 
     n = max(record.n_x, record.n_u)
     D = policy_class_diameter(n, record.kappa, record.gamma, record.kappa_B)

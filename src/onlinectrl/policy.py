@@ -14,6 +14,7 @@ the Frobenius metric on the stacked blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -74,29 +75,44 @@ def is_admissible(M: PolicyParams, kappa: float, gamma: float, kappa_B: float,
     return bool(np.all(block_spectral_norms(M) <= radii + tol))
 
 
+@lru_cache(maxsize=None, typed=True)
+def _radii(H: int, kappa: float, gamma: float, kappa_B: float) -> np.ndarray:
+    radii = admissible_radii(H, kappa, gamma, kappa_B)
+    table = np.stack([radii, radii ** 4])  # r and r^4, shared by every call: read-only
+    table.flags.writeable = False
+    return table
+
+
 def project(M_raw: PolicyParams, kappa: float, gamma: float,
             kappa_B: float) -> PolicyParams:
     """Frobenius projection onto the admissible set.
 
-    Each block's singular values are clipped at that block's radius; the
-    set is a Cartesian product over blocks, so blockwise clipping is the
-    exact joint projection. The spectral norm is at most the Frobenius
-    norm, so a block within its radius in Frobenius norm is already a
-    fixed point: it is returned bit-identical, and only the other blocks
-    go through the SVD. 1x1 blocks are clipped directly.
+    The set is a product of per-block spectral-norm balls, so clipping
+    each block's singular values at its radius r is the exact projection.
+    On the Gram matrix G of the shorter side (M M', or M' M if tall),
+    ||G||_F = (sum s_i^4)^(1/2) >= s_1^2: a block with ||G||_F <= r^2 is
+    returned bit-identical, the others become M + V diag(min(1, r /
+    sqrt(lam)) - 1) V' M with eigh(G) = V diag(lam) V'. As lam is exact to
+    about eps s_1^2, singular values below sqrt(eps) s_1 clip only to
+    within their own size. 1x1 blocks are clipped directly.
     """
     blocks = M_raw.blocks
-    radii = admissible_radii(M_raw.H, kappa, gamma, kappa_B)
+    radii, r4 = _radii(M_raw.H, kappa, gamma, kappa_B)
     if blocks.shape[1] == 1 and blocks.shape[2] == 1:
         clipped = np.clip(blocks[:, 0, 0], -radii, radii)
         return PolicyParams(clipped.reshape(-1, 1, 1))
-    big = np.einsum("hij,hij->h", blocks, blocks) > radii * radii
+    wide = blocks if blocks.shape[1] <= blocks.shape[2] else blocks.transpose(0, 2, 1)
+    gram = wide @ wide.transpose(0, 2, 1).copy()  # matmul is slower on a strided operand
+    big = np.einsum("hij,hij->h", gram, gram) > r4
     if not big.any():
         return M_raw
-    U, s, Vt = np.linalg.svd(blocks[big], full_matrices=False)
-    s = np.minimum(s, radii[big, None])
+    lam, V = np.linalg.eigh(gram[big])
+    root = np.maximum(np.sqrt(np.maximum(lam, 0.0)), 1e-300)
+    shrink = np.minimum(1.0, radii[big][:, None] / root) - 1.0
+    Mb = wide[big]
+    clipped = Mb + (V * shrink[:, None, :]) @ (V.transpose(0, 2, 1) @ Mb)
     out = blocks.copy()
-    out[big] = (U * s[:, None, :]) @ Vt
+    out[big] = clipped if wide is blocks else clipped.transpose(0, 2, 1)
     return PolicyParams(out)
 
 

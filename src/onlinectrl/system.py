@@ -76,4 +76,4 @@ def initial_state(sys: LinearSystem, x0: np.ndarray | None = None) -> np.ndarray
 def recover_noise(sys: LinearSystem, x_next: np.ndarray, x: np.ndarray,
                   u: np.ndarray) -> np.ndarray:
     """Realized disturbance w_t = x_{t+1} - A x_t - B u_t."""
-    return np.asarray(x_next, dtype=float) - sys.A @ x - sys.B @ u
+    return x_next - sys.A @ x - sys.B @ u

@@ -22,6 +22,8 @@ from onlinectrl.costs import (CostSchedule, adversarial_convex_schedule,
                               constant_schedule, materialize, quadratic_cost)
 from onlinectrl.noise import NoiseProcess, population_sigma_lower
 from onlinectrl.rng import mix_seed
+from onlinectrl.stability import certify
+from onlinectrl.system import make_system
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -128,3 +130,26 @@ def test_direct_episode_on_the_benchmark_path(cost):
     assert rec.costs.shape == (T,) and np.isfinite(rec.cum_cost)
     assert rec.cum_cost == pytest.approx(float(np.sum(
         [schedule.reveal(t, rec.us[t]).value(rec.xs[t], rec.us[t]) for t in range(T)])))
+
+
+def test_every_step_layer_is_traced_once_per_step():
+    """The tracer wraps the per-step layers of run_episode by their
+    module-level names and reads project's (PolicyParams, kappa, gamma,
+    kappa_B) arguments; each must still be called once per step."""
+    tracing = _tracing()
+    B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]])
+    K = np.array([[0.2, -0.1, 0.3], [0.1, 0.25, -0.2]])
+    sys_ = make_system(np.diag([0.3, -0.2, 0.1]) + B @ K, B)
+    cert = certify(sys_, K, 1.5, 0.5)
+    T = 16
+    schedule = constant_schedule(quadratic_cost(np.eye(3), np.eye(2)), T)
+    proc = NoiseProcess("student_t", 1.0, dim=3, seed=5, df=5.0)
+    lr = learner.LearningRateSchedule("constant_sqrtT", eta_constant=0.2)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        rec = learner.run_episode(sys_, K, cert, schedule, proc, lr, T)
+    for name in ("policy.control_input", "costs.reveal", "system.recover_noise",
+                 "surrogate.grad", "policy.project"):
+        assert tracer.totals(name)[0] == T, name
+    assert tracer.counts["policy.project.blocks"] == T * rec.H
+    assert tracer.counts["policy.project.clipped_blocks"] > 0
+    assert tracing.leftover_wrappers() == []

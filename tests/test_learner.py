@@ -48,6 +48,20 @@ def test_eta_constant_override():
         LearningRateSchedule("constant_sqrtT", eta_constant=-1.0)
 
 
+@pytest.mark.parametrize("lr", [
+    LearningRateSchedule("strongly_convex", alpha_tilde=0.37),
+    LearningRateSchedule("constant_sqrtT"),
+    LearningRateSchedule("constant_sqrtT", eta_constant=0.013),
+], ids=["strongly_convex", "constant_sqrtT", "eta_constant"])
+def test_episode_step_sizes_equal_eta(lr):
+    sys_, K, cert = _scalar_setup()
+    T = 50
+    schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), T)
+    rec = run_episode(sys_, K, cert, schedule, NoiseProcess("gaussian", 1.0, dim=1, seed=4),
+                      lr, T)
+    assert all(rec.etas[t] == eta(lr, t, T) for t in range(T))
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         LearningRateSchedule("adagrad")
@@ -283,3 +297,22 @@ def test_regret_terms_scale_with_lipschitz_constant():
     t3 = ogd_memory_regret_terms(rec, L_c=3.0)
     assert t3["lipschitz_term"] == pytest.approx(3 * t1["lipschitz_term"])
     assert t3["diameter_term"] == t1["diameter_term"]
+
+
+def _naive_drift(a, H, T):
+    drift = 0.0
+    for t in range(T):
+        m = min(H + 1, t)
+        for k in range(1, m + 1):
+            drift += (m - k + 1) * a[t - k]
+    return drift
+
+
+@pytest.mark.parametrize("T,H", [(200, 7), (64, 19), (5, 4), (6, 9), (3, 3)])
+def test_regret_drift_term_matches_naive_loop(T, H):
+    rng = np.random.default_rng(T + 100 * H)
+    grads = rng.uniform(0.0, 3.0, T)
+    for etas in (np.full(T, 0.07), 3.0 / (0.4 * np.arange(1, T + 1))):
+        rec = _stub_record(T, H, etas, grads)
+        drift = ogd_memory_regret_terms(rec, L_c=1.5)["lipschitz_term"]
+        assert drift == pytest.approx(1.5 * _naive_drift(etas * grads, H, T), rel=1e-12)

@@ -104,6 +104,67 @@ def test_project_non_square_fixed_points_and_clipping():
         assert is_admissible(proj, KAPPA, GAMMA, KAPPA_B)
 
 
+def _svd_clip(blocks, radii):
+    U, s, Vt = np.linalg.svd(blocks, full_matrices=False)
+    return np.einsum("hij,hj,hjk->hik", U, np.minimum(s, radii[:, None]), Vt)
+
+
+def _block_with_spectrum(rng, n_u, n_x, s):
+    """U diag(s) V' with random orthonormal U (n_u, k) and V (n_x, k)."""
+    k = min(n_u, n_x)
+    U = np.linalg.qr(rng.standard_normal((n_u, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n_x, k)))[0]
+    return (U * s[:k]) @ V.T
+
+
+# singular values in units of the block's radius, padded with zeros
+SPECTRA = {
+    "rank1_inside": [0.5],
+    "rank1_on": [1.0],
+    "rank1_out": [3.0],
+    "rank1_far": [1e3],
+    "rank_deficient": [2.0, 1.5],
+    "repeated_on": [1.0, 1.0, 1.0, 1.0],
+    "repeated_out": [2.0, 2.0, 2.0, 2.0],
+    "repeated_straddle": [1.0 + 1e-9, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 - 1e-9],
+    "pair_straddle": [1.5, 1.5, 0.5, 0.5],
+    "one_out_rest_on": [10.0, 1.0, 1.0, 0.0],
+    "all_inside": [0.9, 0.5, 0.1, 0.05],
+}
+
+
+@pytest.mark.parametrize("n_u,n_x", [(2, 4), (4, 2), (3, 3), (1, 3), (3, 1)],
+                         ids=["wide", "tall", "square", "row", "column"])
+def test_project_matches_full_svd_clipping(n_u, n_x):
+    """Radii 10, 1, ..., 1e-10 (mimo4-heavytail's run from 19 to 7e-10);
+    each spectrum is placed on every block in units of its radius."""
+    rng = np.random.default_rng(59 + 7 * n_u + n_x)
+    H, kappa, gamma, kappa_B = 12, 1.0, 0.9, 5.0
+    radii = admissible_radii(H, kappa, gamma, kappa_B)
+    np.testing.assert_allclose(radii[[0, -1]], [10.0, 1e-10])
+    tol = 1e-12 * np.maximum(1.0, radii)[:, None, None]
+    n_fixed = 0
+    for name, units in SPECTRA.items():
+        s = np.zeros(min(n_u, n_x))
+        s[:min(len(units), len(s))] = units[:len(s)]
+        raw = np.stack([_block_with_spectrum(rng, n_u, n_x, r * s) for r in radii])
+        proj = project(PolicyParams(raw), kappa, gamma, kappa_B).blocks
+        assert np.all(np.abs(proj - _svd_clip(raw, radii)) <= tol), name
+        # ||G||_F < r^2 for the Gram G on the smaller side: returned as is
+        gram = raw @ raw.transpose(0, 2, 1) if n_u <= n_x else raw.transpose(0, 2, 1) @ raw
+        fixed = np.linalg.norm(gram, axis=(1, 2)) < (1.0 - 1e-9) * radii ** 2
+        assert np.array_equal(proj[fixed], raw[fixed]), name
+        n_fixed += fixed.sum()
+        again = project(PolicyParams(proj), kappa, gamma, kappa_B).blocks
+        assert np.all(np.abs(again - proj) <= tol), name
+    assert n_fixed >= 2 * H  # rank1_inside and all_inside at least
+    # generic blocks far outside, and a mix of inside and outside
+    raw = 3.0 * radii[:, None, None] * rng.standard_normal((H, n_u, n_x))
+    raw[::2] *= 0.05
+    proj = project(PolicyParams(raw), kappa, gamma, kappa_B).blocks
+    assert np.all(np.abs(proj - _svd_clip(raw, radii)) <= tol)
+
+
 def test_control_input_matches_naive_sum():
     rng = np.random.default_rng(53)
     for _ in range(15):
