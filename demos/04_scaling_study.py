@@ -9,7 +9,7 @@ counter-based RNG streams, so reruns are byte-identical.
 
 The same study is available from the shell:
 
-    python -m onlinectrl run config.json --out results/
+    onlinectrl run --config config.json --out results/
 """
 import json
 import tempfile

@@ -15,12 +15,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costs import CostSchedule, QuadraticCost
+from .costs import CostSchedule
 from .learner import EpisodeRecord, noise_fingerprint
 from .policy import (PolicyParams, comparator_params, project, zero_policy)
-from .rng import STREAM_SEARCH, keyed_rng
 from .stability import StabilityCertificate, make_closed_loop
-from .surrogate import SurrogateKernel
+from .surrogate import SurrogateKernel, _windows
 from .system import LinearSystem
 
 
@@ -78,16 +77,13 @@ def _rollout_dap(sys: LinearSystem, K: np.ndarray, M: PolicyParams,
                  cost_schedule: CostSchedule, ws: np.ndarray) -> np.ndarray:
     """Stage costs of a fixed disturbance-action policy on given noise."""
     T = ws.shape[0]
-    H = M.H
+    # dap[t] = sum_m M^[m] w_{t-1-m}; it does not depend on the state
+    dap = np.einsum("mux,tmx->tu", M.blocks, _windows(ws, M.H))
     xs = np.zeros((T + 1, sys.n_x))
     us = np.empty((T, sys.n_u))
-    win = np.zeros((H, sys.n_x))  # win[m] = w_{t-1-m}
     for t in range(T):
-        us[t] = -K @ xs[t] + np.einsum("mux,mx->u", M.blocks, win)
+        us[t] = -K @ xs[t] + dap[t]
         xs[t + 1] = sys.A @ xs[t] + sys.B @ us[t] + ws[t]
-        if H > 0:
-            win[1:] = win[:-1]
-            win[0] = ws[t]
     return cost_schedule.stage_values(xs[:T], us)
 
 
@@ -116,76 +112,37 @@ def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
     )
 
 
-def _window_matrix(ws: np.ndarray, H: int) -> np.ndarray:
-    """Wmat[t, m] = w_{t-1-m} for m in [0, 2H], zero before the start."""
-    T, n_x = ws.shape
-    Z = np.vstack([np.zeros((2 * H + 1, n_x)), ws])
-    Wmat = np.empty((T, 2 * H + 1, n_x))
-    for t in range(T):
-        Wmat[t] = Z[t:t + 2 * H + 1][::-1]
-    return Wmat
-
-
 def best_fixed_M(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
                  cost_schedule: CostSchedule, realized_noise: np.ndarray,
                  H: int, optimizer_budget: int = 500,
                  starts: Sequence[PolicyParams] | None = None) -> ComparatorResult:
     """Best fixed admissible parameters in hindsight, by offline PGD.
 
-    The search objective is the summed surrogate cost, which is convex in
-    the parameters; the reported cumulative cost is an exact closed-loop
-    rollout of the winner. Extra starting points supplement the default
-    zero start. The step size is 1/L with L estimated by power iteration
-    on gradient differences.
+    The search objective is the summed surrogate cost, the convex quadratic
+    m'Pm + 2q'm + c of `SurrogateKernel.quadratic_form`; the reported
+    cumulative cost is an exact closed-loop rollout of the winner. Extra
+    starting points supplement the default zero start. The step size is 1/L
+    with L = 2 lambda_max(P), the exact Lipschitz constant of the gradient.
     """
     ws = np.asarray(realized_noise, dtype=float)
-    T = ws.shape[0]
     K = np.asarray(K, dtype=float)
     kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys.kappa_B
-    cl = make_closed_loop(sys, K, i_max=H)
-    kern = SurrogateKernel(cl, sys.B, H)
-    Wmat = _window_matrix(ws, H)
-    stage = [QuadraticCost(Q, R) for Q, R in zip(cost_schedule.Q[:T], cost_schedule.R[:T])]
+    kern = SurrogateKernel(make_closed_loop(sys, K, i_max=H), sys.B, H)
+    P, q, c = kern.quadratic_form(cost_schedule.Q[:len(ws)], cost_schedule.R[:len(ws)], ws)
+    L = 2.0 * float(np.linalg.eigvalsh(P)[-1])
+    step = 1.0 / max(L, 1e-12)
 
-    def objective(blocks: np.ndarray) -> float:
-        return sum(kern.value(stage[t], blocks, Wmat[t]) for t in range(T))
-
-    def gradient(blocks: np.ndarray) -> np.ndarray:
-        G = np.zeros_like(blocks)
-        for t in range(T):
-            g, _, _ = kern.grad(stage[t], blocks, Wmat[t])
-            G += g
-        return G
-
-    M_zero = zero_policy(H, sys.n_u, sys.n_x)
-    g0 = gradient(M_zero.blocks)
-    rng = keyed_rng(0, STREAM_SEARCH, step=T)
-    v = rng.standard_normal(M_zero.blocks.shape)
-    v /= max(np.linalg.norm(v), 1e-300)
-    L_hat = 1.0
-    eps = 1e-4
-    for _ in range(12):
-        Hv = (gradient(M_zero.blocks + eps * v) - g0) / eps
-        L_new = float(np.linalg.norm(Hv))
-        if L_new < 1e-12:
-            break
-        v = Hv / L_new
-        if abs(L_new - L_hat) <= 1e-6 * L_hat:
-            L_hat = L_new
-            break
-        L_hat = L_new
-    step = 1.0 / max(L_hat, 1e-12)
-
-    points = [M_zero] + (list(starts) if starts else [])
-    finals = []
-    objectives = []
+    points = [zero_policy(H, sys.n_u, sys.n_x)] + (list(starts) if starts else [])
+    finals, objectives = [], []
     for start in points:
         M = project(start, kappa, gamma, kappa_B)
         for _ in range(optimizer_budget):
-            G = gradient(M.blocks)
-            M = project(PolicyParams(M.blocks - step * G), kappa, gamma, kappa_B)
+            G = 2.0 * (P @ M.blocks.ravel() + q)
+            M = project(PolicyParams(M.blocks - step * G.reshape(M.blocks.shape)),
+                        kappa, gamma, kappa_B)
+        m = M.blocks.ravel()
         finals.append(M)
-        objectives.append(objective(M.blocks))
+        objectives.append(m @ P @ m + 2.0 * q @ m + c)
     best = int(np.argmin(objectives))
     M_best = finals[best]
 
@@ -197,7 +154,7 @@ def best_fixed_M(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         descriptor={"H": H, "M_frob": float(M_best.frob_norm()),
                     "blocks": M_best.blocks.tolist()},
         search_meta={"objectives": [float(o) for o in objectives],
-                     "lipschitz_estimate": float(L_hat),
+                     "lipschitz_estimate": L,
                      "iterations": optimizer_budget,
                      "start_count": len(points)},
         noise_hash=noise_fingerprint(ws),

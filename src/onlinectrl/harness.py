@@ -39,8 +39,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from math import ceil, isfinite, log, sqrt
+from dataclasses import dataclass
+from math import isfinite, log, sqrt
 from typing import Optional
 
 import numpy as np
@@ -52,12 +52,14 @@ from .learner import (_SCHEDULE_KINDS, EpisodeDivergedError,
                       LearningRateSchedule, alpha_tilde_from, run_episode)
 from .noise import (NoiseProcess, population_sigma_lower, population_sigma_w,
                     population_sigma_w4)
-from .policy import policy_class_diameter
+from .policy import horizon_H, policy_class_diameter
 from .rng import mix_seed
 from .stability import CertificationError, StabilityCertificate, certify
 from .system import LinearSystem, initial_state, system_from_json
 
 _SUBGAUSSIAN_FAMILIES = ("gaussian", "scaled_bernoulli", "zero")
+_ROOT_KEYS = ("system", "gain", "cost", "noise", "schedule", "horizons", "seeds",
+              "comparator", "delta", "x0", "m0")
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,17 @@ def _require_list(doc: dict, key: str, section: str = "root") -> list:
     return value
 
 
-def _section(doc: dict, key: str) -> dict:
+def _no_unknown(doc: dict, keys: tuple, section: str) -> None:
+    unknown = sorted(set(doc) - set(keys), key=str)
+    if unknown:
+        raise ValueError(f"config {section} has unknown key {', '.join(map(repr, unknown))}")
+
+
+def _section(doc: dict, key: str, keys: tuple) -> dict:
     value = _require(doc, key, "root")
     if not isinstance(value, dict):
         raise ValueError(f"config {key} must be a JSON object")
+    _no_unknown(value, keys, key)
     return value
 
 
@@ -168,6 +177,7 @@ def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int, T: int = 0,
     the family constants g_c, alpha and beta."""
     family = _require(cost_cfg, "family", "cost")
     if family == "quadratic":
+        _no_unknown(cost_cfg, ("family", "Q", "R"), "cost")
         Q = _as_array(_require(cost_cfg, "Q", "cost"), "cost Q")
         R = _as_array(_require(cost_cfg, "R", "cost"), "cost R")
         if Q.shape != (n_x, n_x) or R.shape != (n_u, n_u):
@@ -175,6 +185,7 @@ def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int, T: int = 0,
                              f"got {Q.shape} and {R.shape}")
         return constant_schedule(quadratic_cost(Q, R), T)
     if family == "random_quadratic":
+        _no_unknown(cost_cfg, ("family", "seed"), "cost")
         base = _as_int(_require(cost_cfg, "seed", "cost"), "cost seed")
         if seed is not None:
             base = mix_seed(base, seed)
@@ -187,24 +198,25 @@ def build_experiment(doc: dict) -> ExperimentConfig:
 
     Everything that can be rejected statically is rejected here, before
     any episode runs: shapes, family names, certification of the gain
-    and of every comparator candidate. Grid-generated candidates that
-    fail certification are dropped; explicitly listed ones must certify.
+    and of every comparator candidate, and unknown keys. Grid-generated
+    candidates that fail certification are dropped; listed ones must certify.
     """
-    sys = system_from_json(_section(doc, "system"))
-    gain = _section(doc, "gain")
+    sys = system_from_json(_section(doc, "system", ("A", "B")))
+    _no_unknown(doc, _ROOT_KEYS, "root")
+    gain = _section(doc, "gain", ("K", "kappa", "gamma"))
     K = _as_array(_require(gain, "K", "gain"), "gain K")
     if K.shape != (sys.n_u, sys.n_x):
         raise ValueError(f"gain K must be ({sys.n_u}, {sys.n_x}), got {K.shape}")
     kappa = _as_float(_require(gain, "kappa", "gain"), "gain kappa")
     gamma = _as_float(_require(gain, "gamma", "gain"), "gain gamma")
 
-    sched = _section(doc, "schedule")
+    sched = _section(doc, "schedule", ("kind",))
     kind = _require(sched, "kind", "schedule")
     if kind not in _SCHEDULE_KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}")
     cert = certify(sys, K, kappa, gamma)
 
-    noise_cfg = dict(_section(doc, "noise"))
+    noise_cfg = dict(_section(doc, "noise", ("family", "scale", "seed", "df")))
     _require(noise_cfg, "family", "noise")
     _as_int(_require(noise_cfg, "seed", "noise"), "noise seed")
     proc = _noise_from_cfg(noise_cfg, sys.n_x, seed=0)  # validates family/df
@@ -220,7 +232,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds list has duplicates")
 
-    comp = _section(doc, "comparator")
+    comp = _section(doc, "comparator", ("candidates", "grid"))
     raw: list = []
     from_grid = False
     if "candidates" in comp:
@@ -229,7 +241,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     elif "grid" in comp:
         if sys.n_x != 1 or sys.n_u != 1:
             raise ValueError("comparator grid is only defined for scalar systems")
-        g = comp["grid"]
+        g = _section(comp, "grid", ("min", "max", "count"))
         lo = _as_float(_require(g, "min", "comparator grid"), "comparator grid min")
         hi = _as_float(_require(g, "max", "comparator grid"), "comparator grid max")
         count = _as_int(_require(g, "count", "comparator grid"), "comparator grid count")
@@ -253,7 +265,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     if not candidates:
         raise ValueError("no comparator candidate certifies at (kappa, gamma)")
 
-    cost_cfg = dict(_section(doc, "cost"))
+    cost_cfg = dict(_section(doc, "cost", ("family", "Q", "R", "seed")))
     probe = _cost_schedule(cost_cfg, sys.n_x, sys.n_u)
 
     if kind == "strongly_convex":
@@ -360,12 +372,12 @@ def compute_theory_constants(exp: ExperimentConfig,
     H, bound, H_sc, L_bar, beta_bar = {}, {}, {}, {}, {}
     for T in exp.horizons:
         lT = log(T)
-        H[T] = ceil(2.0 * lT / gamma)
+        H[T] = horizon_H(T, gamma)
         bound[T] = ((2.0 * sqrt(3.0) * G_c * C ** 3 / sqrt(gamma) + D ** 2 / 2.0)
                     * sqrt(T) * lT ** 3
                     + (C / 2.0) * sqrt(T) * lT
                     + 6.0 * G_c * C ** 2 * lT ** 2)
-        H_sc[T] = ceil(2.0 * lT / gamma) + 2
+        H_sc[T] = H[T] + 2
         L_bar[T] = 4.0 * G_c * C_sc ** 2 * lT ** 2.5 / sqrt(gamma)
         if beta is not None:
             beta_bar[T] = (6.0 * kappa_B * kappa ** 3 * beta * n ** 2 * C_sc

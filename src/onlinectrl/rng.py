@@ -19,7 +19,6 @@ _MASK64 = (1 << 64) - 1
 STREAM_NOISE = 1
 STREAM_COST = 2
 STREAM_ESTIMATION = 3
-STREAM_SEARCH = 4
 
 
 def _counter(stream: int, step: int) -> np.ndarray:

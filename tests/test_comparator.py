@@ -121,14 +121,26 @@ def test_mstar_with_kstar_equal_k_is_the_plain_gain():
     assert res.search_meta["M_star_frob"] == 0.0
 
 
-def test_mstar_matches_naive_dap_simulation():
-    sys_ = _scalar()
-    K = np.array([[0.5]])
-    K_star = np.array([[0.42]])
-    schedule = constant_schedule(quadratic_cost(np.eye(1), 2 * np.eye(1)), 80)
-    ws = RNG(13).standard_normal((80, 1))
+def _plant_3x2():
+    """Non-square plant whose K_star loop is diag(0.3, -0.2, 0.4)."""
+    rng = RNG(17)
+    B = rng.standard_normal((3, 2))
+    K_star = 0.15 * rng.standard_normal((2, 3))
+    sys_ = make_system(np.diag([0.3, -0.2, 0.4]) + B @ K_star, B)
+    return sys_, K_star + 0.05 * rng.standard_normal((2, 3)), K_star, 0.5
+
+
+@pytest.mark.parametrize("plant", [
+    lambda: (_scalar(), np.array([[0.5]]), np.array([[0.42]]), 0.9),
+    _plant_3x2,
+], ids=["scalar", "3x2"])
+def test_mstar_matches_naive_dap_simulation(plant):
+    sys_, K, K_star, gamma = plant()
+    schedule = constant_schedule(
+        quadratic_cost(np.eye(sys_.n_x), 2 * np.eye(sys_.n_u)), 80)
+    ws = RNG(13).standard_normal((80, sys_.n_x))
     res = mstar_rollout(sys_, K, K_star, schedule, ws, H=5, kappa=1.0,
-                        gamma=0.9)
+                        gamma=gamma)
     # reconstruct the induced blocks independently
     blocks = np.stack([(K - K_star) @ np.linalg.matrix_power(
         sys_.A - sys_.B @ K_star, i) for i in range(5)])

@@ -369,10 +369,18 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
                                "seed": 42}), "df"),
     (lambda d: d["noise"].update(seed="abc"), "noise seed"),
     (lambda d: d["cost"].update(Q=[[1.0, 0.0], [0.0, 1.0]]), "cost Q"),
+    (lambda d: d["gain"].update(require_diagonal=True), "gain has unknown key 'require_diagonal'"),
+    (lambda d: d["schedule"].update(eta_constant=0.5), "schedule has unknown key 'eta_constant'"),
+    (lambda d: d.update(horizon=[8]), "root has unknown key 'horizon'"),
+    (lambda d: d["comparator"]["grid"].update(step=0.05), "grid has unknown key 'step'"),
+    (lambda d: d["noise"].update(sigma=2.0), "noise has unknown key 'sigma'"),
+    (lambda d: d["cost"].update(seed=7), "cost has unknown key 'seed'"),
 ], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
         "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa",
         "comparator-not-an-object", "nested-horizon", "nested-seed",
-        "list-cost-seed", "string-df", "string-noise-seed", "cost-Q-wrong-shape"])
+        "list-cost-seed", "string-df", "string-noise-seed", "cost-Q-wrong-shape",
+        "unknown-gain-key", "unknown-schedule-key", "unknown-root-key",
+        "unknown-grid-key", "unknown-noise-key", "stale-quadratic-seed"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
     doc = _base_doc()
     mutate(doc)
