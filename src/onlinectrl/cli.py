@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constants",
                              help="print regret-bound constants as JSON")
     p_const.add_argument("--config", required=True)
-    p_const.add_argument("--delta", type=float, default=None,
-                         help="failure probability (default: config value)")
 
     p_cert = sub.add_parser("certify",
                             help="check strong stability of the configured "
@@ -50,10 +48,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "run" and args.workers < 1:
+        print("invalid arguments: --workers must be >= 1", file=sys.stderr)
+        return EXIT_INVALID
 
     try:
         doc = load_config(args.config)
         exp = build_experiment(doc)
+        if args.command == "constants":
+            constants = compute_theory_constants(exp)
+        elif args.command == "run":  # rejects overflowing constants before any episode
+            report = run_batch(exp, out_dir=args.out, trace=args.trace,
+                               workers=args.workers)
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         for v in exc.violations:
@@ -64,11 +70,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
 
     if args.command == "constants":
-        try:
-            constants = compute_theory_constants(exp, delta=args.delta)
-        except ValueError as exc:
-            print(f"invalid arguments: {exc}", file=sys.stderr)
-            return EXIT_INVALID
         print(json.dumps(constants.to_json_dict(), sort_keys=True, indent=2))
         return EXIT_OK
 
@@ -81,11 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(out, sort_keys=True, indent=2))
         return EXIT_OK
 
-    if args.workers < 1:
-        print("invalid arguments: --workers must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
-    report = run_batch(exp, out_dir=args.out, trace=args.trace,
-                       workers=args.workers)
     for row in report.rows:
         print(f"T={row['T']:>6d}  median_regret={_num(row['regret_median'])}"
               f"  q90={_num(row['regret_q90'])}  seeds={row['seed_count']}")

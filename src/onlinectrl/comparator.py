@@ -46,8 +46,7 @@ def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
         raise ValueError("candidate set is empty")
     ws = np.asarray(realized_noise, dtype=float)
     T = ws.shape[0]
-    if cost_schedule.horizon < T:
-        raise ValueError("cost schedule shorter than the noise sequence")
+    cost_schedule.require_horizon(T)
     Ks = np.stack([np.asarray(K, dtype=float) for K in candidates])
     if Ks.shape[1:] != (sys.n_u, sys.n_x):
         raise ValueError(f"candidate gains must be ({sys.n_u}, {sys.n_x})")
@@ -98,6 +97,7 @@ def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
     express.
     """
     ws = np.asarray(realized_noise, dtype=float)
+    cost_schedule.require_horizon(ws.shape[0])
     K = np.asarray(K, dtype=float)
     K_star = np.asarray(K_star, dtype=float)
     M_star = comparator_params(K, K_star, sys.A, sys.B, H, kappa, gamma)
@@ -123,8 +123,10 @@ def best_fixed_M(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     cumulative cost is an exact closed-loop rollout of the winner. Extra
     starting points supplement the default zero start. The step size is 1/L
     with L = 2 lambda_max(P), the exact Lipschitz constant of the gradient.
+    The budget is fixed; search_meta["last_step_frobs"] shows how far each start last moved.
     """
     ws = np.asarray(realized_noise, dtype=float)
+    cost_schedule.require_horizon(ws.shape[0])
     K = np.asarray(K, dtype=float)
     kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys.kappa_B
     kern = SurrogateKernel(make_closed_loop(sys, K, i_max=H), sys.B, H)
@@ -133,16 +135,17 @@ def best_fixed_M(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     step = 1.0 / max(L, 1e-12)
 
     points = [zero_policy(H, sys.n_u, sys.n_x)] + (list(starts) if starts else [])
-    finals, objectives = [], []
+    finals, objectives, last_steps = [], [], []
     for start in points:
-        M = project(start, kappa, gamma, kappa_B)
+        M = prev = project(start, kappa, gamma, kappa_B)
         for _ in range(optimizer_budget):
             G = 2.0 * (P @ M.blocks.ravel() + q)
-            M = project(PolicyParams(M.blocks - step * G.reshape(M.blocks.shape)),
-                        kappa, gamma, kappa_B)
+            prev, M = M, project(PolicyParams(M.blocks - step * G.reshape(M.blocks.shape)),
+                                 kappa, gamma, kappa_B)
         m = M.blocks.ravel()
         finals.append(M)
         objectives.append(m @ P @ m + 2.0 * q @ m + c)
+        last_steps.append(float(np.linalg.norm(M.blocks - prev.blocks)))
     best = int(np.argmin(objectives))
     M_best = finals[best]
 
@@ -156,7 +159,8 @@ def best_fixed_M(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         search_meta={"objectives": [float(o) for o in objectives],
                      "lipschitz_estimate": L,
                      "iterations": optimizer_budget,
-                     "start_count": len(points)},
+                     "start_count": len(points),
+                     "last_step_frobs": last_steps},
         noise_hash=noise_fingerprint(ws),
         surrogate_cost=float(objectives[best]),
     )

@@ -120,6 +120,11 @@ class CostSchedule:
     def horizon(self) -> int:
         return self.Q.shape[0]
 
+    def require_horizon(self, T: int) -> None:
+        """The one coverage check for a consumer of T steps."""
+        if self.horizon < T:
+            raise ValueError(f"cost schedule covers {self.horizon} steps, need {T}")
+
     def reveal(self, t: int, u: np.ndarray) -> QuadraticCost:
         if not 0 <= t < self.horizon:
             raise ValueError(f"step {t} outside horizon [0, {self.horizon})")

@@ -48,8 +48,8 @@ import numpy as np
 from .comparator import best_fixed_K, regret
 from .costs import (CostSchedule, adversarial_convex_schedule,
                     constant_schedule, quadratic_cost)
-from .learner import (_SCHEDULE_KINDS, EpisodeDivergedError,
-                      LearningRateSchedule, alpha_tilde_from, run_episode)
+from .learner import (EpisodeDivergedError, LearningRateSchedule,
+                      alpha_tilde_from, run_episode)
 from .noise import (NoiseProcess, population_sigma_lower, population_sigma_w,
                     population_sigma_w4)
 from .policy import horizon_H, policy_class_diameter
@@ -72,12 +72,16 @@ class ExperimentConfig:
     cert: StabilityCertificate
     cost_cfg: dict
     noise_cfg: dict
-    schedule_kind: str
+    lr_schedule: LearningRateSchedule
     horizons: tuple
     seeds: tuple
     candidates: tuple
     delta: float
     x0: Optional[np.ndarray] = None
+
+    @property
+    def schedule_kind(self) -> str:
+        return self.lr_schedule.kind
 
 
 def load_config(path: str) -> dict:
@@ -193,6 +197,17 @@ def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int, T: int = 0,
     raise ValueError(f"unknown cost family {family!r}")
 
 
+def _finite(name: str, f) -> float:
+    """f() as a finite float, or a ValueError naming the constant."""
+    try:
+        value = f()
+    except (OverflowError, ZeroDivisionError):  # x ** k too large, or x / 0.0
+        value = math.inf
+    if not isfinite(value):
+        raise ValueError(f"theory constant {name} overflows the float range")
+    return value
+
+
 def build_experiment(doc: dict) -> ExperimentConfig:
     """Validate a parsed config document end to end.
 
@@ -210,10 +225,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     kappa = _as_float(_require(gain, "kappa", "gain"), "gain kappa")
     gamma = _as_float(_require(gain, "gamma", "gain"), "gain gamma")
 
-    sched = _section(doc, "schedule", ("kind",))
-    kind = _require(sched, "kind", "schedule")
-    if kind not in _SCHEDULE_KINDS:
-        raise ValueError(f"unknown schedule kind {kind!r}")
+    kind = _require(_section(doc, "schedule", ("kind",)), "kind", "schedule")
     cert = certify(sys, K, kappa, gamma)
 
     noise_cfg = dict(_section(doc, "noise", ("family", "scale", "seed", "df")))
@@ -268,11 +280,16 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     cost_cfg = dict(_section(doc, "cost", ("family", "Q", "R", "seed")))
     probe = _cost_schedule(cost_cfg, sys.n_x, sys.n_u)
 
+    alpha_tilde = None  # from seed-free inputs, so one schedule serves every cell
     if kind == "strongly_convex":
         if probe.alpha is None:
             raise ValueError("strongly_convex schedule needs strongly convex costs")
-        if population_sigma_lower(proc) <= 0.0:
+        sigma_lower = _finite("sigma_lower", lambda: population_sigma_lower(proc))
+        if sigma_lower <= 0.0:
             raise ValueError("strongly_convex schedule needs non-degenerate noise")
+        alpha_tilde = _finite("alpha_tilde", lambda: alpha_tilde_from(
+            probe.alpha, sigma_lower, gamma, kappa))
+    lr = LearningRateSchedule(kind, alpha_tilde)  # also rejects an unknown kind
 
     x0 = None
     if doc.get("x0") is not None:
@@ -289,7 +306,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         doc=doc, system=sys, K=K, kappa=kappa, gamma=gamma, cert=cert,
-        cost_cfg=cost_cfg, noise_cfg=noise_cfg, schedule_kind=kind,
+        cost_cfg=cost_cfg, noise_cfg=noise_cfg, lr_schedule=lr,
         horizons=tuple(horizons), seeds=tuple(seeds),
         candidates=tuple(candidates), delta=delta, x0=x0,
     )
@@ -337,13 +354,10 @@ class TheoryConstants:
         return out
 
 
-def compute_theory_constants(exp: ExperimentConfig,
-                             delta: Optional[float] = None) -> TheoryConstants:
-    """Evaluate both regret bounds' constants for the config's horizons."""
-    if delta is None:
-        delta = exp.delta
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+def compute_theory_constants(exp: ExperimentConfig) -> TheoryConstants:
+    """Evaluate both regret bounds' constants for the config's horizons,
+    at the config's delta. A constant that overflows raises ValueError."""
+    delta = exp.delta
     sys = exp.system
     kappa, gamma, kappa_B = exp.kappa, exp.gamma, sys.kappa_B
     n = max(sys.n_x, sys.n_u)
@@ -351,37 +365,38 @@ def compute_theory_constants(exp: ExperimentConfig,
     G_c, alpha, beta = probe.g_c, probe.alpha, probe.beta
 
     proc = _noise_from_cfg(exp.noise_cfg, sys.n_x, seed=0)
-    sw = max(population_sigma_w(proc), population_sigma_w4(proc))
+    sw = _finite("sigma_w", lambda: max(population_sigma_w(proc), population_sigma_w4(proc)))
     sw_sub = population_sigma_w(proc)
     sigma_lower = population_sigma_lower(proc)
     subgaussian = exp.noise_cfg["family"] in _SUBGAUSSIAN_FAMILIES
 
-    D = policy_class_diameter(n, kappa, gamma, kappa_B)
-    s14 = max(sw, sw ** 4)
-    C = 65724.0 * s14 * n ** 2 * G_c ** 2 * kappa_B ** 6 * kappa ** 18 \
-        / (delta * gamma ** 8 * (1.0 - gamma) ** 4)
+    D = _finite("D", lambda: policy_class_diameter(n, kappa, gamma, kappa_B))
+    C = _finite("C_delta", lambda: 65724.0 * max(sw, sw ** 4) * n ** 2 * G_c ** 2
+                * kappa_B ** 6 * kappa ** 18 / (delta * gamma ** 8 * (1.0 - gamma) ** 4))
 
     alpha_tilde = None
     if alpha is not None and sigma_lower > 0.0:
-        alpha_tilde = alpha_tilde_from(alpha, sigma_lower, gamma, kappa)
+        alpha_tilde = _finite("alpha_tilde", lambda: alpha_tilde_from(
+            alpha, sigma_lower, gamma, kappa))
 
-    C_sc = (2.0 / delta) * (
+    C_sc = _finite("C_delta_sc", lambda: (2.0 / delta) * (
         201.0 * sw_sub * kappa_B ** 2 * kappa ** 8 / (gamma ** 2 * (1.0 - gamma))
-        + 2.0 * sw_sub * sqrt(2.0 * sys.n_x * (1.0 + log(sys.n_x))))
+        + 2.0 * sw_sub * sqrt(2.0 * sys.n_x * (1.0 + log(sys.n_x)))))
 
     H, bound, H_sc, L_bar, beta_bar = {}, {}, {}, {}, {}
     for T in exp.horizons:
         lT = log(T)
         H[T] = horizon_H(T, gamma)
-        bound[T] = ((2.0 * sqrt(3.0) * G_c * C ** 3 / sqrt(gamma) + D ** 2 / 2.0)
-                    * sqrt(T) * lT ** 3
-                    + (C / 2.0) * sqrt(T) * lT
-                    + 6.0 * G_c * C ** 2 * lT ** 2)
+        bound[T] = _finite("bound_curve", lambda: (
+            (2.0 * sqrt(3.0) * G_c * C ** 3 / sqrt(gamma) + D ** 2 / 2.0) * sqrt(T) * lT ** 3
+            + (C / 2.0) * sqrt(T) * lT
+            + 6.0 * G_c * C ** 2 * lT ** 2))
         H_sc[T] = H[T] + 2
-        L_bar[T] = 4.0 * G_c * C_sc ** 2 * lT ** 2.5 / sqrt(gamma)
+        L_bar[T] = _finite("L_bar", lambda: 4.0 * G_c * C_sc ** 2 * lT ** 2.5 / sqrt(gamma))
         if beta is not None:
-            beta_bar[T] = (6.0 * kappa_B * kappa ** 3 * beta * n ** 2 * C_sc
-                           * lT ** 1.5 / (gamma ** 2 * (1.0 - gamma)))
+            beta_bar[T] = _finite("beta_bar", lambda: (
+                6.0 * kappa_B * kappa ** 3 * beta * n ** 2 * C_sc
+                * lT ** 1.5 / (gamma ** 2 * (1.0 - gamma))))
 
     return TheoryConstants(
         delta=delta, n=n, G_c=G_c, kappa=kappa, gamma=gamma, kappa_B=kappa_B,
@@ -437,20 +452,12 @@ def _episode_job(exp: ExperimentConfig, T: int, seed: int,
     proc = _noise_from_cfg(exp.noise_cfg, sys.n_x,
                            seed=mix_seed(int(exp.noise_cfg["seed"]), seed))
     schedule = _cost_schedule(exp.cost_cfg, sys.n_x, sys.n_u, T, seed)
-
-    if exp.schedule_kind == "strongly_convex":
-        at = alpha_tilde_from(schedule.alpha, population_sigma_lower(proc),
-                              exp.gamma, exp.kappa)
-        lr = LearningRateSchedule("strongly_convex", alpha_tilde=at)
-    else:
-        lr = LearningRateSchedule("constant_sqrtT")
-
     out = {"T": T, "seed": seed, "diverged": False, "step": None,
            "regret": None, "learner_cost": None, "comparator_cost": None,
            "comparator_index": None}
     try:
-        record = run_episode(sys, exp.K, exp.cert, schedule, proc, lr, T,
-                             x0=exp.x0)
+        record = run_episode(sys, exp.K, exp.cert, schedule, proc, exp.lr_schedule,
+                             T, x0=exp.x0)
     except EpisodeDivergedError as exc:
         out["diverged"] = True
         out["step"] = exc.step
@@ -479,8 +486,10 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
     pool. Results are re-sorted by (T, seed) before aggregation, so the
     report does not depend on scheduling. Diverged episodes are dropped
     from the quantiles; once more than 20% of cells diverge the whole
-    batch is marked failed.
+    batch is marked failed. The theory constants come first, so overflowing
+    ones reject the config before any episode runs or output is written.
     """
+    constants = compute_theory_constants(exp)
     trace_dir = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -503,7 +512,6 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
         results = [_episode_job(*job) for job in jobs]
     results.sort(key=lambda r: (r["T"], r["seed"]))
 
-    constants = compute_theory_constants(exp)
     rows = []
     divergences = []
     for T in exp.horizons:

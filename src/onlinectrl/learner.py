@@ -10,6 +10,8 @@ cost f_t. Two learning-rate schedules are provided:
                     costs, diagonally strongly stable K
 
 with alpha_tilde = alpha sigma_lower^2 gamma^2 / (36 kappa^10).
+LearningRateSchedule.etas(T) is the one place these formulas are
+evaluated; run_episode reads its step sizes from it.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from .stability import StabilityCertificate, make_closed_loop
 from .surrogate import SurrogateKernel
 from .system import LinearSystem, initial_state, recover_noise
 
-_SCHEDULE_KINDS = ("constant_sqrtT", "strongly_convex")
-
-
 class EpisodeDivergedError(RuntimeError):
     """State norm blew past the divergence guard."""
 
@@ -46,36 +45,28 @@ class EpisodeDivergedError(RuntimeError):
 class LearningRateSchedule:
     kind: str
     alpha_tilde: Optional[float] = None
-    eta_constant: Optional[float] = None  # constant_sqrtT override; None = 1/(sqrt(T) ln^3 T)
 
     def __post_init__(self):
-        if self.kind not in _SCHEDULE_KINDS:
+        if self.kind not in ("constant_sqrtT", "strongly_convex"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        # chained comparisons are False for NaN, so these reject it too
+        # the chained comparison is False for NaN, so this rejects it too
         if self.kind == "strongly_convex" and not (
                 self.alpha_tilde is not None and 0.0 < self.alpha_tilde < inf):
             raise ValueError("strongly_convex schedule needs a finite alpha_tilde > 0")
-        if self.eta_constant is not None and not 0.0 < self.eta_constant < inf:
-            raise ValueError("eta_constant must be finite and positive")
+
+    def etas(self, T: int) -> np.ndarray:
+        """Step sizes eta_0, ..., eta_{T-1} of a T-step episode."""
+        if T < 3:
+            raise ValueError(f"horizon T must be >= 3, got {T}")
+        if self.kind == "strongly_convex":
+            return 3.0 / (self.alpha_tilde * np.arange(1.0, T + 1.0))
+        return np.full(T, 1.0 / (sqrt(T) * log(T) ** 3))
 
 
 def alpha_tilde_from(alpha: float, sigma_lower: float, gamma: float,
                      kappa: float) -> float:
     """Strong-convexity modulus of the surrogate costs."""
     return alpha * sigma_lower ** 2 * gamma ** 2 / (36.0 * kappa ** 10)
-
-
-def eta(sched: LearningRateSchedule, t: int, T: int) -> float:
-    """Step size at step t of a T-step episode."""
-    if T < 3:
-        raise ValueError(f"horizon T must be >= 3, got {T}")
-    if not 0 <= t < T:
-        raise ValueError(f"step {t} outside [0, {T})")
-    if sched.kind == "constant_sqrtT":
-        if sched.eta_constant is not None:
-            return sched.eta_constant
-        return 1.0 / (sqrt(T) * log(T) ** 3)
-    return 3.0 / (sched.alpha_tilde * (t + 1))
 
 
 def noise_fingerprint(ws: np.ndarray) -> str:
@@ -140,10 +131,8 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     injected disturbances are drawn before the loop, with the values
     sample(noise_proc, t) gives.
     """
-    if T < 3:
-        raise ValueError(f"horizon T must be >= 3, got {T}")
-    if cost_schedule.horizon < T:
-        raise ValueError(f"cost schedule covers {cost_schedule.horizon} steps, need {T}")
+    etas = lr_schedule.etas(T)  # also rejects T < 3
+    cost_schedule.require_horizon(T)
     if (cost_schedule.Q.shape[1:], cost_schedule.R.shape[1:]) != \
             ((sys.n_x, sys.n_x), (sys.n_u, sys.n_u)):
         raise ValueError("cost schedule dimensions must match the system")
@@ -174,9 +163,6 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     xs = np.empty((T + 1, sys.n_x))
     us = np.empty((T, sys.n_u))
     costs = np.empty(T)
-    # eta(lr_schedule, t, T) for every t, by the same IEEE operations
-    etas = (3.0 / (lr_schedule.alpha_tilde * np.arange(1.0, T + 1.0))
-            if lr_schedule.kind == "strongly_convex" else np.full(T, eta(lr_schedule, 0, T)))
     grad_frobs = np.empty(T)
     m_frobs = np.empty(T)
 

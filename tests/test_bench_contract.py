@@ -144,7 +144,7 @@ def test_every_step_layer_is_traced_once_per_step():
     T = 16
     schedule = constant_schedule(quadratic_cost(np.eye(3), np.eye(2)), T)
     proc = NoiseProcess("student_t", 1.0, dim=3, seed=5, df=5.0)
-    lr = learner.LearningRateSchedule("constant_sqrtT", eta_constant=0.2)
+    lr = learner.LearningRateSchedule("strongly_convex", alpha_tilde=1.0)
     with tracing.installed(tracing.Tracer()) as tracer:
         rec = learner.run_episode(sys_, K, cert, schedule, proc, lr, T)
     for name in ("policy.control_input", "costs.reveal", "system.recover_noise",

@@ -243,3 +243,56 @@ def test_regret_against_own_costs_is_zero():
     curve = regret(rec, self_comp)
     assert curve.regret_final == 0.0
     assert all(v == 0.0 for v in curve.checkpoints.values())
+
+
+def _plant_3x2_certified():
+    """The (3, 2) plant of the learner's matrix replay test, certified."""
+    B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]])
+    K = np.array([[0.2, -0.1, 0.3], [0.1, 0.25, -0.2]])
+    sys_ = make_system(np.diag([0.3, -0.2, 0.1]) + B @ K, B)
+    return sys_, K, certify(sys_, K, 1.5, 0.5)
+
+
+def test_best_fixed_m_reports_its_last_step():
+    sys_, K, cert = _plant_3x2_certified()
+    T, H = 60, 4
+    schedule = adversarial_convex_schedule(5, T, 3, 2)
+    ws = np.stack([sample(NoiseProcess("student_t", 1.0, dim=3, seed=8, df=5.0), t)
+                   for t in range(T)])
+    extra = [sample_admissible(RNG(3), H, 2, 3, 1.5, 0.5, sys_.kappa_B)]
+    short, long_ = (best_fixed_M(sys_, K, cert, schedule, ws, H, optimizer_budget=b,
+                                 starts=extra) for b in (200, 3000))
+    for res in (short, long_):
+        assert set(res.search_meta) == {"objectives", "lipschitz_estimate", "iterations",
+                                        "start_count", "last_step_frobs"}
+        assert len(res.search_meta["last_step_frobs"]) == res.search_meta["start_count"] == 2
+    assert all(s > l for s, l in zip(short.search_meta["last_step_frobs"],
+                                     long_.search_meta["last_step_frobs"]))
+    zero = best_fixed_M(sys_, K, cert, schedule, ws, H, optimizer_budget=0)
+    assert zero.search_meta["last_step_frobs"] == [0.0]
+
+
+_HORIZON_CALLERS = {
+    "run_episode": lambda sys_, K, cert, sched, ws: run_episode(
+        sys_, K, cert, sched, NoiseProcess("gaussian", 1.0, dim=sys_.n_x, seed=1),
+        LearningRateSchedule("constant_sqrtT"), len(ws)),
+    "best_fixed_K": lambda sys_, K, cert, sched, ws: best_fixed_K(sys_, [K], sched, ws),
+    "best_fixed_M": lambda sys_, K, cert, sched, ws: best_fixed_M(
+        sys_, K, cert, sched, ws, 3, optimizer_budget=5),
+    "mstar_rollout": lambda sys_, K, cert, sched, ws: mstar_rollout(
+        sys_, K, K, sched, ws, 3, cert.kappa, cert.gamma),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_HORIZON_CALLERS))
+@pytest.mark.parametrize("steps", [1, 10, 49])
+def test_every_consumer_rejects_a_short_cost_schedule(caller, steps):
+    """A schedule shorter than the noise used to broadcast (1 step) or
+    fail inside numpy (10 steps) in the fixed-M comparators."""
+    sys_, K, cert = _plant_3x2_certified()
+    ws = RNG(4).standard_normal((50, 3))
+    call = _HORIZON_CALLERS[caller]
+    short = constant_schedule(quadratic_cost(np.eye(3), np.eye(2)), steps)
+    with pytest.raises(ValueError, match=f"cost schedule covers {steps} steps, need 50"):
+        call(sys_, K, cert, short, ws)
+    call(sys_, K, cert, constant_schedule(quadratic_cost(np.eye(3), np.eye(2)), 50), ws)

@@ -190,12 +190,34 @@ def test_bound_curve_positive_and_monotone():
 
 
 def test_theory_constants_delta_override():
-    exp = build_experiment(_base_doc())
-    with pytest.raises(ValueError):
-        compute_theory_constants(exp, delta=2.0)
-    c1 = compute_theory_constants(exp, delta=0.1)
-    c2 = compute_theory_constants(exp, delta=0.05)
+    """delta comes from the config alone; C_delta scales as 1/delta."""
+    c1 = compute_theory_constants(build_experiment(_base_doc(delta=0.1)))
+    c2 = compute_theory_constants(build_experiment(_base_doc(delta=0.05)))
+    assert (c1.delta, c2.delta) == (0.1, 0.05)
     assert c2.C_delta == pytest.approx(2 * c1.C_delta, rel=1e-12)
+    assert c2.C_delta_sc == pytest.approx(2 * c1.C_delta_sc, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa,gamma,kind,needle", [
+    (1e20, 0.9, "constant_sqrtT", "C_delta"),       # kappa ** 18 raises OverflowError
+    (1e17, 0.9, "constant_sqrtT", "C_delta"),       # the product rounds to inf
+    (1.0, 1e-300, "constant_sqrtT", "C_delta"),     # gamma ** 8 underflows to 0.0
+    (1e35, 0.9, "strongly_convex", "alpha_tilde"),  # kappa ** 10 in alpha_tilde_from
+])
+def test_overflowing_constants_exit_2_before_any_episode(tmp_path, capsys, monkeypatch,
+                                                         kappa, gamma, kind, needle):
+    doc = _base_doc(gain={"K": [[0.5]], "kappa": kappa, "gamma": gamma},
+                    schedule={"kind": kind})
+    with pytest.raises(ValueError, match=needle):
+        compute_theory_constants(build_experiment(doc))
+    monkeypatch.setattr(hz, "_episode_job", None)  # any episode would raise TypeError
+    cfg = _write_cfg(tmp_path, doc)
+    for args in (["constants"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main(args + ["--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid config:") and needle in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_batch_deterministic_outputs(tmp_path):
@@ -324,8 +346,11 @@ def test_cli_certify_reports_violations(tmp_path, capsys):
 
 
 def test_cli_constants_delta_out_of_range(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, _base_doc())
-    assert cli_main(["constants", "--config", cfg, "--delta", "1.5"]) == 2
+    cfg = _write_cfg(tmp_path, _base_doc(delta=1.5))
+    assert cli_main(["constants", "--config", cfg]) == 2
+    assert "delta" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # the config is the one source of delta
+        cli_main(["constants", "--config", cfg, "--delta", "0.05"])
 
 
 def test_cli_constants_prints_json(tmp_path, capsys):
@@ -375,12 +400,16 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     (lambda d: d["comparator"]["grid"].update(step=0.05), "grid has unknown key 'step'"),
     (lambda d: d["noise"].update(sigma=2.0), "noise has unknown key 'sigma'"),
     (lambda d: d["cost"].update(seed=7), "cost has unknown key 'seed'"),
+    (lambda d: d.update(schedule={"kind": "strongly_convex"},
+                        noise={"family": "gaussian", "scale": 1e200, "seed": 42}),
+     "sigma_lower overflows"),
 ], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
         "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa",
         "comparator-not-an-object", "nested-horizon", "nested-seed",
         "list-cost-seed", "string-df", "string-noise-seed", "cost-Q-wrong-shape",
         "unknown-gain-key", "unknown-schedule-key", "unknown-root-key",
-        "unknown-grid-key", "unknown-noise-key", "stale-quadratic-seed"])
+        "unknown-grid-key", "unknown-noise-key", "stale-quadratic-seed",
+        "overflowing-noise-scale"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
     doc = _base_doc()
     mutate(doc)

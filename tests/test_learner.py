@@ -1,12 +1,13 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from onlinectrl.costs import constant_schedule, quadratic_cost
 from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
-                                LearningRateSchedule, alpha_tilde_from, eta,
+                                LearningRateSchedule, alpha_tilde_from,
                                 noise_fingerprint, ogd_memory_regret_terms,
                                 run_episode)
 from onlinectrl.noise import NoiseProcess, sample
@@ -23,61 +24,53 @@ def _scalar_setup(A=0.6, B=1.0, K=0.4, kappa=1.0, gamma=0.8):
     return sys_, np.array([[K]]), cert
 
 
+def _eta(lr, t, T):
+    """Step size at step t of a T-step episode, one scalar at a time."""
+    if lr.kind == "constant_sqrtT":
+        return 1.0 / (math.sqrt(T) * math.log(T) ** 3)
+    return 3.0 / (lr.alpha_tilde * (t + 1))
+
+
 def test_eta_constant_sqrtT_matches_hand_values():
     sched = LearningRateSchedule("constant_sqrtT")
     # 1 / (sqrt(T) ln(T)^3), evaluated by hand
-    assert eta(sched, 0, 8) == pytest.approx(0.03932012223049602, rel=1e-15)
-    assert eta(sched, 57, 100) == pytest.approx(0.0010239127404318995, rel=1e-15)
-    assert eta(sched, 4095, 4096) == pytest.approx(2.7151879947527002e-05, rel=1e-15)
+    assert sched.etas(8)[0] == pytest.approx(0.03932012223049602, rel=1e-15)
+    assert sched.etas(100)[57] == pytest.approx(0.0010239127404318995, rel=1e-15)
+    assert sched.etas(4096)[4095] == pytest.approx(2.7151879947527002e-05, rel=1e-15)
     # constant in t
-    vals = {eta(sched, t, 100) for t in range(100)}
-    assert len(vals) == 1
+    assert sched.etas(100).shape == (100,)
+    assert len(set(sched.etas(100))) == 1
 
 
 def test_eta_strongly_convex_decays_like_inverse_t():
-    sched = LearningRateSchedule("strongly_convex", alpha_tilde=0.5)
-    assert eta(sched, 0, 10) == 6.0
-    assert eta(sched, 2, 10) == 2.0
-    assert eta(sched, 9, 10) == pytest.approx(0.6)
-
-
-def test_eta_constant_override():
-    sched = LearningRateSchedule("constant_sqrtT", eta_constant=0.01)
-    assert all(eta(sched, t, 50) == 0.01 for t in range(50))
-    with pytest.raises(ValueError):
-        LearningRateSchedule("constant_sqrtT", eta_constant=-1.0)
+    etas = LearningRateSchedule("strongly_convex", alpha_tilde=0.5).etas(10)
+    assert etas[0] == 6.0
+    assert etas[2] == 2.0
+    assert etas[9] == pytest.approx(0.6)
 
 
 @pytest.mark.parametrize("lr", [
     LearningRateSchedule("strongly_convex", alpha_tilde=0.37),
     LearningRateSchedule("constant_sqrtT"),
-    LearningRateSchedule("constant_sqrtT", eta_constant=0.013),
-], ids=["strongly_convex", "constant_sqrtT", "eta_constant"])
+], ids=["strongly_convex", "constant_sqrtT"])
 def test_episode_step_sizes_equal_eta(lr):
     sys_, K, cert = _scalar_setup()
     T = 50
     schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), T)
     rec = run_episode(sys_, K, cert, schedule, NoiseProcess("gaussian", 1.0, dim=1, seed=4),
                       lr, T)
-    assert all(rec.etas[t] == eta(lr, t, T) for t in range(T))
+    assert rec.etas.tobytes() == lr.etas(T).tobytes()
+    assert all(rec.etas[t] == _eta(lr, t, T) for t in range(T))
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="schedule kind"):
         LearningRateSchedule("adagrad")
-    sched = LearningRateSchedule("constant_sqrtT")
-    with pytest.raises(ValueError):
-        eta(sched, 0, 2)
-    with pytest.raises(ValueError):
-        eta(sched, 10, 10)
-    with pytest.raises(ValueError):
-        eta(LearningRateSchedule("strongly_convex"), 0, 10)
+    with pytest.raises(ValueError, match=">= 3"):
+        LearningRateSchedule("constant_sqrtT").etas(2)
     for bad in (None, 0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha_tilde"):
             LearningRateSchedule("strongly_convex", alpha_tilde=bad)
-    for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="eta_constant"):
-            LearningRateSchedule("constant_sqrtT", eta_constant=bad)
 
 
 def test_alpha_tilde_hand_value():
@@ -103,7 +96,7 @@ def _naive_replay(sys_, K, cert, proc, cost, lr, T, H):
         u = -K @ x + sum(M[i] @ W[i] for i in range(H))
         w = sample(proc, t)
         g = kern.grad(cost, M, W)[0]
-        step = eta(lr, t, T)
+        step = _eta(lr, t, T)
         U, sv, Vt = np.linalg.svd(M - step * g, full_matrices=False)
         steps.append({"x": x, "u": u, "w": w, "cost": cost.value(x, u),
                       "eta": step, "grad_frob": np.linalg.norm(g),
@@ -144,7 +137,7 @@ def test_episode_matches_naive_replay():
 
 def test_matrix_episode_matches_naive_replay():
     """(n_x, n_u) = (3, 2), Student-t noise and a step size large enough
-    that projection clips blocks along the way."""
+    that projection clips blocks along the way (on 38 of the 40 steps)."""
     B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]])
     K = np.array([[0.2, -0.1, 0.3], [0.1, 0.25, -0.2]])
     A = np.diag([0.3, -0.2, 0.1]) + B @ K
@@ -153,7 +146,7 @@ def test_matrix_episode_matches_naive_replay():
     T, H = 40, 4
     proc = NoiseProcess("student_t", 1.0, dim=3, seed=19, df=5.0)
     cost = quadratic_cost(np.diag([1.0, 2.0, 0.5]), np.diag([0.5, 1.0]))
-    lr = LearningRateSchedule("constant_sqrtT", eta_constant=0.2)
+    lr = LearningRateSchedule("strongly_convex", alpha_tilde=1.0)
     rec = run_episode(sys_, K, cert, constant_schedule(cost, T), proc, lr, T, H=H)
     steps, M, x = _naive_replay(sys_, K, cert, proc, cost, lr, T, H)
     assert sum(step["clipped"] for step in steps) >= 5
