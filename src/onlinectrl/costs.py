@@ -18,7 +18,7 @@ when available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -60,6 +60,7 @@ class QuadraticCost:
 
     Q: np.ndarray
     R: np.ndarray
+    _curv: Optional[tuple] = field(default=None, repr=False)  # (alpha, beta)
 
     def value(self, x: np.ndarray, u: np.ndarray) -> float:
         return float(x @ self.Q @ x + u @ self.R @ u)
@@ -68,19 +69,19 @@ class QuadraticCost:
     def G_c(self) -> float:
         return max(2.0 * spectral_norm(self.Q), 2.0 * spectral_norm(self.R), 1.0)
 
-    def _curvature(self) -> np.ndarray:
-        return 2.0 * np.concatenate([np.linalg.eigvalsh(self.Q),
-                                     np.linalg.eigvalsh(self.R)])
+    def _curvature(self) -> tuple:
+        if self._curv is None:  # on first read: reveal builds a cost per step and reads none
+            eig = 2.0 * np.concatenate([np.linalg.eigvalsh(self.Q), np.linalg.eigvalsh(self.R)])
+            self._curv = tuple(float(v) if v > 0.0 else None for v in (eig.min(), eig.max()))
+        return self._curv
 
     @property
     def alpha(self) -> Optional[float]:
-        lo = float(self._curvature().min())
-        return lo if lo > 0.0 else None
+        return self._curvature()[0]
 
     @property
     def beta(self) -> Optional[float]:
-        hi = float(self._curvature().max())
-        return hi if hi > 0.0 else None
+        return self._curvature()[1]
 
 
 def quadratic_cost(Qmat: np.ndarray, Rmat: np.ndarray) -> QuadraticCost:

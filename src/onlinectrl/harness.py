@@ -27,9 +27,10 @@ of the config; they are astronomically conservative (growing as
 kappa^18) and are reported for the shape of the bound, not tightness.
 
 Memory length: run_episode uses H = horizon_H(T, gamma) = ceil(2 ln T / gamma)
-under both step-size schedules. The logarithmic-regret analysis states its
-constants with H_sc = ceil(2 ln T / gamma) + 2; TheoryConstants.H_sc reports
-that value next to the bound but no episode runs with it.
+under both step-size schedules, and a config must keep H <= T for every
+horizon T. The logarithmic-regret analysis states its constants with
+H_sc = ceil(2 ln T / gamma) + 2; TheoryConstants.H_sc reports that value
+next to the bound but no episode runs with it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .noise import (NoiseProcess, population_sigma_lower, population_sigma_w,
                     population_sigma_w4)
 from .policy import horizon_H, policy_class_diameter
 from .rng import mix_seed
-from .stability import CertificationError, StabilityCertificate, certify
+from .stability import CertificationError, StabilityCertificate, _certify_stack
+from .stability import certify  # noqa: F401  (perfbench's tests read harness.certify)
 from .system import LinearSystem, initial_state, system_from_json
 
 _SUBGAUSSIAN_FAMILIES = ("gaussian", "scaled_bernoulli", "zero")
@@ -72,6 +74,10 @@ class ExperimentConfig:
     cert: StabilityCertificate
     cost_cfg: dict
     noise_cfg: dict
+    noise: NoiseProcess         # the family at seed 0: its population moments
+    g_c: float                  # cost family constants
+    alpha: Optional[float]
+    beta: Optional[float]
     lr_schedule: LearningRateSchedule
     horizons: tuple
     seeds: tuple
@@ -226,7 +232,6 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     gamma = _as_float(_require(gain, "gamma", "gain"), "gain gamma")
 
     kind = _require(_section(doc, "schedule", ("kind",)), "kind", "schedule")
-    cert = certify(sys, K, kappa, gamma)
 
     noise_cfg = dict(_section(doc, "noise", ("family", "scale", "seed", "df")))
     _require(noise_cfg, "family", "noise")
@@ -263,19 +268,18 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         from_grid = True
     else:
         raise ValueError("comparator must give 'candidates' or 'grid'")
-    candidates = []
-    for cand in raw:
-        if cand.shape != (sys.n_u, sys.n_x):
-            raise ValueError(f"candidate gain must be ({sys.n_u}, {sys.n_x})")
-        try:
-            certify(sys, cand, kappa, gamma)
-        except CertificationError:
-            if from_grid:
-                continue  # grid points outside the class are simply skipped
-            raise
-        candidates.append(cand)
+    if any(cand.shape != (sys.n_u, sys.n_x) for cand in raw):
+        raise ValueError(f"candidate gain must be ({sys.n_u}, {sys.n_x})")
+    cert, *certs = _certify_stack(sys, np.stack([K, *raw]), kappa, gamma)
+    for c in [cert] + ([] if from_grid else certs):  # failing grid points are skipped
+        if isinstance(c, CertificationError):
+            raise c
+    candidates = [cand for cand, c in zip(raw, certs) if not isinstance(c, CertificationError)]
     if not candidates:
         raise ValueError("no comparator candidate certifies at (kappa, gamma)")
+    for T in horizons:  # the episode buffers hold T + 2H + 1 rows
+        if (H := horizon_H(T, gamma)) > T:
+            raise ValueError(f"memory H = {H} exceeds horizon T = {T} at gamma = {gamma}")
 
     cost_cfg = dict(_section(doc, "cost", ("family", "Q", "R", "seed")))
     probe = _cost_schedule(cost_cfg, sys.n_x, sys.n_u)
@@ -306,7 +310,8 @@ def build_experiment(doc: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         doc=doc, system=sys, K=K, kappa=kappa, gamma=gamma, cert=cert,
-        cost_cfg=cost_cfg, noise_cfg=noise_cfg, lr_schedule=lr,
+        cost_cfg=cost_cfg, noise_cfg=noise_cfg, noise=proc, g_c=probe.g_c,
+        alpha=probe.alpha, beta=probe.beta, lr_schedule=lr,
         horizons=tuple(horizons), seeds=tuple(seeds),
         candidates=tuple(candidates), delta=delta, x0=x0,
     )
@@ -361,10 +366,7 @@ def compute_theory_constants(exp: ExperimentConfig) -> TheoryConstants:
     sys = exp.system
     kappa, gamma, kappa_B = exp.kappa, exp.gamma, sys.kappa_B
     n = max(sys.n_x, sys.n_u)
-    probe = _cost_schedule(exp.cost_cfg, sys.n_x, sys.n_u)
-    G_c, alpha, beta = probe.g_c, probe.alpha, probe.beta
-
-    proc = _noise_from_cfg(exp.noise_cfg, sys.n_x, seed=0)
+    G_c, alpha, beta, proc = exp.g_c, exp.alpha, exp.beta, exp.noise
     sw = _finite("sigma_w", lambda: max(population_sigma_w(proc), population_sigma_w4(proc)))
     sw_sub = population_sigma_w(proc)
     sigma_lower = population_sigma_lower(proc)

@@ -104,24 +104,26 @@ def make_closed_loop(sys: LinearSystem, K: np.ndarray, i_max: int) -> ClosedLoop
     return ClosedLoop(K=K, A_K=A_K, power_cache=cache)
 
 
+_CHECKS = ("norm_P <= 1 - gamma", "norm_K <= kappa", "norm_Q <= kappa",
+           "norm_Q_inv <= kappa", "Q P Q_inv reconstructs A_K", "P diagonal")
+
+
+def _violations(P, Q, Q_inv, A_K, K, kappa, gamma, diagonal) -> list[list[str]]:
+    """Failed check names per witness; P, Q, Q_inv, A_K are (k, n_x, n_x), K (k, n_u, n_x)."""
+    norms = np.linalg.svd(np.stack([P, Q, Q_inv, Q @ P @ Q_inv - A_K], axis=1),
+                          compute_uv=False)[..., 0]
+    off_diagonal = diagonal & (P[:, ~np.eye(P.shape[-1], dtype=bool)] != 0).any(-1)
+    values = np.column_stack([norms[:, 0], np.linalg.svd(K, compute_uv=False)[:, 0],
+                              norms[:, 1:], off_diagonal])
+    limits = [1.0 - gamma + _EQ_SLACK] + [kappa + _EQ_SLACK] * 3 + [_RECON_TOL, 0.0]
+    return [[name for name, bad in zip(_CHECKS, row) if bad] for row in values > limits]
+
+
 def validate_certificate(cert: StabilityCertificate, A_K: np.ndarray,
                          K: np.ndarray) -> list[str]:
     """Names of the Definition inequalities / reconstruction checks that fail."""
-    violations = []
-    if spectral_norm(cert.P) > 1.0 - cert.gamma + _EQ_SLACK:
-        violations.append("norm_P <= 1 - gamma")
-    if spectral_norm(np.asarray(K)) > cert.kappa + _EQ_SLACK:
-        violations.append("norm_K <= kappa")
-    if spectral_norm(cert.Q) > cert.kappa + _EQ_SLACK:
-        violations.append("norm_Q <= kappa")
-    if spectral_norm(cert.Q_inv) > cert.kappa + _EQ_SLACK:
-        violations.append("norm_Q_inv <= kappa")
-    recon = cert.Q @ cert.P @ cert.Q_inv
-    if spectral_norm(recon - A_K) > _RECON_TOL:
-        violations.append("Q P Q_inv reconstructs A_K")
-    if cert.diagonal and np.any(cert.P != np.diag(np.diag(cert.P))):
-        violations.append("P diagonal")
-    return violations
+    return _violations(cert.P[None], cert.Q[None], cert.Q_inv[None], np.asarray(A_K)[None],
+                       np.asarray(K)[None], cert.kappa, cert.gamma, cert.diagonal)[0]
 
 
 def build_certificate(kappa: float, gamma: float, P: np.ndarray, Q: np.ndarray,
@@ -137,6 +139,39 @@ def build_certificate(kappa: float, gamma: float, P: np.ndarray, Q: np.ndarray,
     return cert
 
 
+def _certify_stack(sys: LinearSystem, Ks: np.ndarray, kappa: float,
+                   gamma: float) -> list:
+    """certify for each gain of a (k, n_u, n_x) stack: its certificate or the
+    CertificationError certify raises. After one batched eig, loops with a
+    real spectrum and the others run apart, so a real loop gets the real
+    (P, Q, Q_inv) it gets alone; only non-defective loops reach the inverse."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if not 1.0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
+    A_K = sys.A - sys.B @ Ks
+    lam, V = np.linalg.eig(A_K)
+    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)), axis=-1)
+    lam, V = np.take_along_axis(lam, order, -1), np.take_along_axis(V, order[:, None, :], -1)
+    real = (lam.imag == 0.0).all(-1)
+    out = [CertificationError("defective") for _ in Ks]
+    for group, part in ((real, np.real), (~real, np.asarray)):
+        if not group.any():
+            continue
+        Q = part(V[group])
+        Q = Q / np.linalg.norm(Q, axis=-2, keepdims=True)
+        ok = np.linalg.svd(Q, compute_uv=False)[:, -1] >= _DEFECT_TOL
+        idx, Q = np.flatnonzero(group)[ok], Q[ok]
+        P = np.zeros_like(Q)
+        np.einsum("kii->ki", P)[...] = part(lam[idx])  # a view of the diagonals
+        Q_inv = np.linalg.inv(Q)
+        bad = _violations(P, Q, Q_inv, A_K[idx], Ks[idx], kappa, gamma, True)
+        for i, P_i, Q_i, Q_inv_i, v in zip(idx, P, Q, Q_inv, bad):
+            out[i] = CertificationError("bounds", v) if v else StabilityCertificate(
+                kappa=float(kappa), gamma=float(gamma), P=P_i, Q=Q_i, diagonal=True, Q_inv=Q_inv_i)
+    return out
+
+
 def certify(sys: LinearSystem, K: np.ndarray, kappa: float,
             gamma: float) -> StabilityCertificate:
     """Issue a certificate for K at the requested (kappa, gamma), or fail.
@@ -148,35 +183,12 @@ def certify(sys: LinearSystem, K: np.ndarray, kappa: float,
     eigenvalues, so every issued certificate is diagonal. Requested values
     are taken as given: no search over (kappa, gamma) is performed.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if not 1.0 <= kappa < np.inf:
-        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     K = np.asarray(K, dtype=float)
     if K.shape != (sys.n_u, sys.n_x):
         raise ValueError(f"K must have shape ({sys.n_u}, {sys.n_x}), got {K.shape}")
-
-    A_K = sys.A - sys.B @ K
-    lam, V = np.linalg.eig(A_K)
-    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
-    lam = lam[order]
-    V = V[:, order]
-    V = V / np.linalg.norm(V, axis=0)
-
-    if np.linalg.svd(V, compute_uv=False)[-1] < _DEFECT_TOL:
-        raise CertificationError("defective")
-
-    P = np.diag(lam)
-    Q = V
-    Q_inv = np.linalg.inv(Q)
-    if np.all(lam.imag == 0.0):
-        P, Q, Q_inv = P.real, Q.real, Q_inv.real
-
-    cert = StabilityCertificate(kappa=float(kappa), gamma=float(gamma),
-                                P=P, Q=Q, diagonal=True, Q_inv=Q_inv)
-    violations = validate_certificate(cert, A_K, K)
-    if violations:
-        raise CertificationError("bounds", violations)
+    cert = _certify_stack(sys, K[None], kappa, gamma)[0]
+    if isinstance(cert, CertificationError):
+        raise cert
     return cert
 
 

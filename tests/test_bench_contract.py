@@ -93,6 +93,17 @@ def test_tracing_targets_resolve():
     assert "reveal" in CostSchedule.__dict__
 
 
+@pytest.mark.parametrize("name,candidates,H", [("scalar-randcost-pool", 11, 19),
+                                               ("mimo4-heavytail", 4, 31)])
+def test_setup_chain_on_the_workload_documents(name, candidates, H, perfbench_workloads):
+    """What perfbench's setup_s times: the constants of the built experiment."""
+    wl = perfbench_workloads[name]
+    exp = harness.build_experiment(wl.doc(0))
+    constants = harness.compute_theory_constants(exp)
+    assert len(exp.candidates) == candidates
+    assert constants.H[wl.t_max] == H
+
+
 def _scalar_doc(cost):
     return {
         "system": {"A": [[0.5]], "B": [[1.0]]},

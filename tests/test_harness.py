@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -101,6 +102,24 @@ def test_explicit_candidate_failure_propagates():
         build_experiment(doc)
 
 
+def test_defective_listed_candidate_exits_2(tmp_path, capsys):
+    # the second candidate closes the loop on a Jordan block
+    doc = _base_doc(system={"A": [[0.5, 1.0], [0.0, 0.5]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+                    gain={"K": [[0.0, 1.0], [0.0, 0.0]], "kappa": 5.0, "gamma": 0.3},
+                    cost={"family": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]],
+                          "R": [[1.0, 0.0], [0.0, 1.0]]},
+                    horizons=[64],
+                    comparator={"candidates": [[[0.0, 1.0], [0.0, 0.0]],
+                                               [[0.0, 0.0], [0.0, 0.0]]]})
+    with pytest.raises(CertificationError) as exc:
+        build_experiment(doc)
+    assert exc.value.reason == "defective"
+    assert cli_main(["certify", "--config", _write_cfg(tmp_path, doc)]) == 2
+    assert "defective" in capsys.readouterr().err
+    doc["comparator"]["candidates"].pop()
+    assert len(build_experiment(doc).candidates) == 1
+
+
 def test_config_hash_is_git_blob_sha1():
     # git hash-object of the canonical serialization, frozen externally
     assert config_hash({"a": 1}) == "daa5053ecf5f9a37b2de733d0751cc1ab53ac010"
@@ -198,16 +217,35 @@ def test_theory_constants_delta_override():
     assert c2.C_delta_sc == pytest.approx(2 * c1.C_delta_sc, rel=1e-12)
 
 
+def test_theory_constants_rebuild_nothing(monkeypatch, perfbench_workloads):
+    """The constants read the cost family's constants and the noise process
+    that build_experiment made; they equal what rebuilding both gives."""
+    docs = [_base_doc(), *(wl.doc(0) for wl in perfbench_workloads.values())]
+    for doc in docs:
+        exp = build_experiment(doc)
+        n_x, n_u = exp.system.n_x, exp.system.n_u
+        probe = hz._cost_schedule(exp.cost_cfg, n_x, n_u)
+        rebuilt = dataclasses.replace(
+            exp, noise=hz._noise_from_cfg(exp.noise_cfg, n_x, seed=0),
+            g_c=probe.g_c, alpha=probe.alpha, beta=probe.beta)
+        want = compute_theory_constants(rebuilt).to_json_dict()
+        with monkeypatch.context() as m:
+            for name in ("_cost_schedule", "_noise_from_cfg"):
+                m.setattr(hz, name, None)  # a call would raise TypeError
+            assert compute_theory_constants(exp).to_json_dict() == want
+
+
 @pytest.mark.parametrize("kappa,gamma,kind,needle", [
     (1e20, 0.9, "constant_sqrtT", "C_delta"),       # kappa ** 18 raises OverflowError
     (1e17, 0.9, "constant_sqrtT", "C_delta"),       # the product rounds to inf
-    (1.0, 1e-300, "constant_sqrtT", "C_delta"),     # gamma ** 8 underflows to 0.0
+    (1.0, 1e-41, "constant_sqrtT", "C_delta"),      # gamma ** 8 underflows to 0.0
     (1e35, 0.9, "strongly_convex", "alpha_tilde"),  # kappa ** 10 in alpha_tilde_from
 ])
 def test_overflowing_constants_exit_2_before_any_episode(tmp_path, capsys, monkeypatch,
                                                          kappa, gamma, kind, needle):
+    # T = 1e45 keeps H <= T at gamma = 1e-41 (H = 2.1e43)
     doc = _base_doc(gain={"K": [[0.5]], "kappa": kappa, "gamma": gamma},
-                    schedule={"kind": kind})
+                    schedule={"kind": kind}, horizons=[10 ** 45])
     with pytest.raises(ValueError, match=needle):
         compute_theory_constants(build_experiment(doc))
     monkeypatch.setattr(hz, "_episode_job", None)  # any episode would raise TypeError
@@ -403,13 +441,15 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     (lambda d: d.update(schedule={"kind": "strongly_convex"},
                         noise={"family": "gaussian", "scale": 1e200, "seed": 42}),
      "sigma_lower overflows"),
+    (lambda d: d.update(gain={"K": [[0.5]], "kappa": 1.0, "gamma": 1e-6}, horizons=[4096]),
+     "memory H = 16635533 exceeds horizon T = 4096 at gamma = 1e-06"),
 ], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
         "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa",
         "comparator-not-an-object", "nested-horizon", "nested-seed",
         "list-cost-seed", "string-df", "string-noise-seed", "cost-Q-wrong-shape",
         "unknown-gain-key", "unknown-schedule-key", "unknown-root-key",
         "unknown-grid-key", "unknown-noise-key", "stale-quadratic-seed",
-        "overflowing-noise-scale"])
+        "overflowing-noise-scale", "memory-longer-than-episode"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
     doc = _base_doc()
     mutate(doc)

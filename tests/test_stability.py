@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from onlinectrl.stability import (CertificationError, build_certificate,
-                                  certify, make_closed_loop,
-                                  power_decay_check, validate_certificate)
-from onlinectrl.system import make_system
+from onlinectrl.stability import (CertificationError, StabilityCertificate,
+                                  _certify_stack, build_certificate, certify,
+                                  make_closed_loop, power_decay_check,
+                                  validate_certificate)
+from onlinectrl.system import make_system, system_from_json
 
 
 def _scalar_system():
@@ -141,3 +142,77 @@ def test_certify_tight_kappa_is_sharp():
         if tight > 1.0:
             with pytest.raises(CertificationError):
                 certify(sys_, K, kappa=tight * 0.98, gamma=0.2)
+
+
+def _reference_certify(sys_, K, kappa, gamma):
+    """Per-gain certification written out one numpy call at a time: the
+    certificate, or the (reason, violations) of the refusal."""
+    A_K = sys_.A - sys_.B @ K
+    lam, V = np.linalg.eig(A_K)
+    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
+    lam, V = lam[order], V[:, order]
+    V = V / np.linalg.norm(V, axis=0)
+    if np.linalg.svd(V, compute_uv=False)[-1] < 1e-10:
+        return ("defective", [])
+    P, Q, Q_inv = np.diag(lam), V, np.linalg.inv(V)
+    if np.all(lam.imag == 0.0):
+        P, Q, Q_inv = P.real, Q.real, Q_inv.real
+    norm = lambda m: np.linalg.svd(m, compute_uv=False)[0]  # noqa: E731
+    violations = [name for name, bad in (
+        ("norm_P <= 1 - gamma", norm(P) > 1.0 - gamma + 1e-12),
+        ("norm_K <= kappa", norm(K) > kappa + 1e-12),
+        ("norm_Q <= kappa", norm(Q) > kappa + 1e-12),
+        ("norm_Q_inv <= kappa", norm(Q_inv) > kappa + 1e-12),
+        ("Q P Q_inv reconstructs A_K", norm(Q @ P @ Q_inv - A_K) > 1e-8)) if bad]
+    return ("bounds", violations) if violations else (P, Q, Q_inv)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _stack_cases(workloads):
+    scalar = make_system(np.array([[0.5]]), np.array([[1.0]]))
+    mimo4 = workloads["mimo4-heavytail"].base
+    rotation = make_system(np.array([[0.5, -0.4], [0.4, 0.5]]), np.eye(2))
+    jordan = make_system(np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2))
+    return {
+        # (system, gains, kappa, gamma, how many must certify)
+        "c7-grid": (scalar, [[[v]] for v in np.linspace(0.4, 0.6, 11)], 1.0, 0.9, 11),
+        "wide-grid": (scalar, [[[v]] for v in np.linspace(0.0, 1.0, 11)], 1.0, 0.9, 3),
+        "mimo4": (system_from_json(mimo4["system"]),
+                  [mimo4["gain"]["K"], *mimo4["comparator"]["candidates"]], 2.0, 0.55, 5),
+        # loops with eigenvalues 0.5 - c +- 0.4i (|0.7 +- 0.4i| > 1 - gamma
+        # fails) and one with a real spectrum, in one stack
+        "complex-pair": (rotation, [[[0.0, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.0, 0.1]],
+                                    [[-0.2, 0.0], [0.0, -0.2]], [[0.0, -0.4], [0.4, 0.0]]],
+                         3.0, 0.2, 3),
+        "defective": (jordan, [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                      5.0, 0.3, 1),
+    }
+
+
+@pytest.mark.parametrize("case", ["c7-grid", "wide-grid", "mimo4", "complex-pair",
+                                  "defective"])
+def test_stacked_certification_matches_per_gain(case, perfbench_workloads):
+    sys_, gains, kappa, gamma, certified = _stack_cases(perfbench_workloads)[case]
+    Ks = np.array(gains, dtype=float)
+    stacked = _certify_stack(sys_, Ks, kappa, gamma)
+    assert sum(isinstance(r, StabilityCertificate) for r in stacked) == certified
+    for K, got in zip(Ks, stacked):
+        want = _reference_certify(sys_, K, kappa, gamma)
+        try:
+            alone = certify(sys_, K, kappa, gamma)
+        except CertificationError as exc:
+            alone = exc
+        for result in (got, alone):
+            if isinstance(want[0], str):
+                assert isinstance(result, CertificationError)
+                assert (result.reason, result.violations) == want
+            else:
+                assert result.diagonal
+                assert all(_same_bits(a, b) for a, b in
+                           zip((result.P, result.Q, result.Q_inv), want))
+    if case == "complex-pair":
+        assert [np.iscomplexobj(r.P) for r in stacked if not isinstance(
+            r, CertificationError)] == [True, True, False]
