@@ -31,9 +31,9 @@ _SYM_TOL = 1e-10
 
 
 def _check_psd_stack(stack: np.ndarray, name: str) -> None:
-    """Reject a (T, n, n) stack unless every matrix is finite, symmetric
-    and PSD; a stack that repeats one matrix with stride 0 is checked once."""
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+    """Reject a (T, n, n) or (T, S, n, n) stack unless every matrix is finite,
+    symmetric and PSD; a stack that repeats one step with stride 0 is checked once."""
+    if stack.ndim not in (3, 4) or stack.shape[-1] != stack.shape[-2]:
         raise ValueError(f"{name} must be a stack of square matrices, got shape {stack.shape}")
     if stack.size == 0:
         return
@@ -41,10 +41,10 @@ def _check_psd_stack(stack: np.ndarray, name: str) -> None:
         stack = stack[:1]
     if not np.isfinite(stack).all():
         raise ValueError(f"{name} must be finite")
-    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    asym = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
     if (asym > _SYM_TOL).any():
         raise ValueError(f"{name} must be symmetric (step {int(np.argmax(asym))})")
-    low = np.linalg.eigvalsh(stack)[:, 0]
+    low = np.linalg.eigvalsh(stack)[..., 0]
     if (low < _PSD_TOL).any():
         raise ValueError(f"{name} must be positive semidefinite (step {int(np.argmin(low))})")
 
@@ -101,11 +101,12 @@ class CostSchedule:
 
     The learner goes through reveal(t, u), which requires the committed
     input; comparators read Q and R (or stage_values) freely. The stacks
-    are validated on construction.
+    are validated on construction. Seeds run in lockstep share one schedule
+    of (T, S, n, n) stacks, whose revealed costs hold (S, n, n) matrices.
     """
 
-    Q: np.ndarray  # (T, n_x, n_x)
-    R: np.ndarray  # (T, n_u, n_u)
+    Q: np.ndarray  # (T, n_x, n_x), or (T, S, n_x, n_x) over seeds
+    R: np.ndarray  # (T, n_u, n_u), or (T, S, n_u, n_u)
     g_c: float
     alpha: Optional[float] = None
     beta: Optional[float] = None
@@ -127,6 +128,7 @@ class CostSchedule:
             raise ValueError(f"cost schedule covers {self.horizon} steps, need {T}")
 
     def reveal(self, t: int, u: np.ndarray) -> QuadraticCost:
+        """Step t's cost, given the committed input(s) u."""
         if not 0 <= t < self.horizon:
             raise ValueError(f"step {t} outside horizon [0, {self.horizon})")
         return QuadraticCost(self.Q[t], self.R[t])
@@ -171,8 +173,10 @@ def adversarial_convex_schedule(seed: int, T: int, n_x: int, n_u: int) -> CostSc
     R = np.empty((T, n_u, n_u))
     # zip asks range(T) first, so T = 0 keys no generator
     for t, rng in zip(range(T), keyed_steps(seed, STREAM_COST, range(T))):
-        Q[t] = _random_psd(rng, n_x)
-        R[t] = _random_psd(rng, n_u)
+        if n_x == n_u == 1:  # the two draws of _random_psd's scalar case, in one call
+            Q[t], R[t] = rng.uniform(0.1, 1.0, 2)
+        else:
+            Q[t], R[t] = _random_psd(rng, n_x), _random_psd(rng, n_u)
     alpha = 0.2 if (n_x == 1 and n_u == 1) else None
     return CostSchedule(Q=Q, R=R, g_c=2.0, alpha=alpha, beta=2.0,
                         family="random_quadratic")

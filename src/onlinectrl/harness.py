@@ -21,10 +21,11 @@ schedule, horizons, seeds, and the comparator gain set:
     }
 
 Per-episode randomness is derived by mixing the family seed with the
-episode seed, so a batch is reproducible job by job and its outputs are
-byte-identical across invocations. Theory constants are pure functions
-of the config; they are astronomically conservative (growing as
-kappa^18) and are reported for the shape of the bound, not tightness.
+episode seed. A batch runs one job per horizon, which learns all seeds
+in lockstep, so its outputs are byte-identical across invocations and
+worker counts. Theory constants are pure functions of the config; they
+are astronomically conservative (growing as kappa^18) and are reported
+for the shape of the bound, not tightness.
 
 Memory length: run_episode uses H = horizon_H(T, gamma) = ceil(2 ln T / gamma)
 under both step-size schedules, and a config must keep H <= T for every
@@ -447,49 +448,51 @@ class ScalingReport:
         }
 
 
-def _episode_job(exp: ExperimentConfig, T: int, seed: int,
-                 trace_path: Optional[str]) -> dict:
-    """One (T, seed) cell: learn, replay the comparator, measure regret."""
+def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple,
+                 trace_dir: Optional[str]) -> list:
+    """Every (T, seed) cell of horizon T: learn all seeds in lockstep, then per
+    seed replay the comparator and measure regret; one result dict per seed."""
     sys = exp.system
-    proc = _noise_from_cfg(exp.noise_cfg, sys.n_x,
-                           seed=mix_seed(int(exp.noise_cfg["seed"]), seed))
-    schedule = _cost_schedule(exp.cost_cfg, sys.n_x, sys.n_u, T, seed)
-    out = {"T": T, "seed": seed, "diverged": False, "step": None,
-           "regret": None, "learner_cost": None, "comparator_cost": None,
-           "comparator_index": None}
-    try:
-        record = run_episode(sys, exp.K, exp.cert, schedule, proc, exp.lr_schedule,
-                             T, x0=exp.x0)
-    except EpisodeDivergedError as exc:
-        out["diverged"] = True
-        out["step"] = exc.step
-        return out
-    comp = best_fixed_K(sys, list(exp.candidates), schedule, record.ws)
-    curve = regret(record, comp)
-    out["regret"] = float(curve.regret_final)
-    out["learner_cost"] = float(record.cum_cost)
-    out["comparator_cost"] = float(comp.cumulative_cost)
-    out["comparator_index"] = comp.descriptor["index"]
-    if trace_path is not None:
-        with open(trace_path, "w") as fp:
-            record.write_jsonl(fp)
-    return out
-
-
-def _job_star(args) -> dict:
-    return _episode_job(*args)
+    base = int(exp.noise_cfg["seed"])
+    procs = [_noise_from_cfg(exp.noise_cfg, sys.n_x, seed=mix_seed(base, seed))
+             for seed in seeds]
+    schedules = [_cost_schedule(exp.cost_cfg, sys.n_x, sys.n_u, T, seed) for seed in seeds]
+    outcomes = run_episode(sys, exp.K, exp.cert, schedules, procs, exp.lr_schedule,
+                           T, x0=exp.x0)
+    results = []
+    for seed, schedule, record in zip(seeds, schedules, outcomes):
+        out = {"T": T, "seed": seed, "diverged": False, "step": None,
+               "regret": None, "learner_cost": None, "comparator_cost": None,
+               "comparator_index": None}
+        results.append(out)
+        if isinstance(record, EpisodeDivergedError):
+            out["diverged"] = True
+            out["step"] = record.step
+            continue
+        comp = best_fixed_K(sys, list(exp.candidates), schedule, record.ws)
+        curve = regret(record, comp)
+        out["regret"] = float(curve.regret_final)
+        out["learner_cost"] = float(record.cum_cost)
+        out["comparator_cost"] = float(comp.cumulative_cost)
+        out["comparator_index"] = comp.descriptor["index"]
+        if trace_dir is not None:
+            with open(os.path.join(trace_dir, f"T{T}_seed{seed}.jsonl"), "w") as fp:
+                record.write_jsonl(fp)
+    return results
 
 
 def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
               trace: bool = False, workers: int = 1) -> ScalingReport:
     """Run every (T, seed) cell and aggregate regret quantiles per T.
 
-    Cells are independent; with workers > 1 they fan out to a process
-    pool. Results are re-sorted by (T, seed) before aggregation, so the
-    report does not depend on scheduling. Diverged episodes are dropped
-    from the quantiles; once more than 20% of cells diverge the whole
-    batch is marked failed. The theory constants come first, so overflowing
-    ones reject the config before any episode runs or output is written.
+    One job runs all seeds of one horizon in lockstep, so a seed's numbers
+    depend on the config's seed list but not on the worker count. With
+    workers > 1 the jobs fan out to a process pool, largest T first.
+    Results are re-sorted by (T, seed) before aggregation, so the report
+    does not depend on scheduling. Diverged episodes are dropped from the
+    quantiles; once more than 20% of cells diverge the whole batch is
+    marked failed. The theory constants come first, so overflowing ones
+    reject the config before any episode runs or output is written.
     """
     constants = compute_theory_constants(exp)
     trace_dir = None
@@ -499,20 +502,13 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
             trace_dir = os.path.join(out_dir, "traces")
             os.makedirs(trace_dir, exist_ok=True)
 
-    jobs = []
-    for T in exp.horizons:
-        for seed in exp.seeds:
-            path = None
-            if trace_dir is not None:
-                path = os.path.join(trace_dir, f"T{T}_seed{seed}.jsonl")
-            jobs.append((exp, T, seed, path))
-
+    jobs = [(exp, T, exp.seeds, trace_dir) for T in sorted(exp.horizons, reverse=True)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_job_star, jobs))
+            done = list(pool.map(_episode_job, *zip(*jobs)))
     else:
-        results = [_episode_job(*job) for job in jobs]
-    results.sort(key=lambda r: (r["T"], r["seed"]))
+        done = [_episode_job(*job) for job in jobs]
+    results = sorted((r for job in done for r in job), key=lambda r: (r["T"], r["seed"]))
 
     rows = []
     divergences = []
@@ -535,8 +531,7 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
             "regrets": regrets,
         })
 
-    total = len(jobs)
-    failed = len(divergences) > 0.2 * total
+    failed = len(divergences) > 0.2 * len(results)
 
     fit_rows = [r for r in rows
                 if r["seed_count"] > 0 and r["regret_median"] > 0.0]

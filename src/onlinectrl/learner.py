@@ -11,7 +11,9 @@ cost f_t. Two learning-rate schedules are provided:
 
 with alpha_tilde = alpha sigma_lower^2 gamma^2 / (36 kappa^10).
 LearningRateSchedule.etas(T) is the one place these formulas are
-evaluated; run_episode reads its step sizes from it.
+evaluated; run_episode reads its step sizes from it. Given one cost
+schedule and noise process per seed, run_episode runs all the seeds in
+lockstep, one pass of the per-step layers serving every seed.
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ import hashlib
 import json
 from dataclasses import dataclass
 from math import inf, log, sqrt
-from typing import IO, Optional
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
 from .costs import CostSchedule
 from .noise import NoiseProcess, sample_episode
-from .policy import (PolicyParams, control_input, horizon_H, is_admissible,
-                     policy_class_diameter, project, zero_policy)
+from .policy import (PolicyParams, control_input, disturbance_action, horizon_H,
+                     is_admissible, policy_class_diameter, project, zero_policy)
 from .stability import StabilityCertificate, make_closed_loop
-from .surrogate import SurrogateKernel
+from .surrogate import SurrogateKernel, _hankel
 from .system import LinearSystem, initial_state, recover_noise
 
 class EpisodeDivergedError(RuntimeError):
@@ -117,11 +119,11 @@ class EpisodeRecord:
 
 
 def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
-                cost_schedule: CostSchedule, noise_proc: NoiseProcess,
+                cost_schedule: CostSchedule | Sequence[CostSchedule],
+                noise_proc: NoiseProcess | Sequence[NoiseProcess],
                 lr_schedule: LearningRateSchedule, T: int, *,
-                M0: PolicyParams | None = None, H: int | None = None,
-                x0: np.ndarray | None = None,
-                divergence_limit: float = 1e12) -> EpisodeRecord:
+                M0: PolicyParams | None = None, H: int | None = None, x0: np.ndarray | None = None,
+                divergence_limit: float = 1e12) -> EpisodeRecord | list:
     """Run projected OGD for T steps and return the trace.
 
     The stage cost is revealed only through cost_schedule.reveal(t, u_t),
@@ -130,13 +132,29 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     is fully known once w_t has been recovered for the next step. The
     injected disturbances are drawn before the loop, with the values
     sample(noise_proc, t) gives.
+
+    Equal-length sequences of cost schedules and noise processes run one
+    episode per seed in lockstep: states, blocks and the recovered-noise
+    buffer gain a leading seed axis, each per-step layer runs once per step
+    for all seeds (project once per seed), and the result lists per seed its
+    EpisodeRecord or the EpisodeDivergedError its solo run raises.
     """
+    solo = isinstance(cost_schedule, CostSchedule)
+    schedules = [cost_schedule] if solo else list(cost_schedule)
+    procs = [noise_proc] if isinstance(noise_proc, NoiseProcess) else list(noise_proc)
+    if solo != isinstance(noise_proc, NoiseProcess) or not procs or len(procs) != len(schedules):
+        raise ValueError("pass one cost schedule and one noise process, "
+                         "or equal-length sequences of both")
     etas = lr_schedule.etas(T)  # also rejects T < 3
-    cost_schedule.require_horizon(T)
-    if (cost_schedule.Q.shape[1:], cost_schedule.R.shape[1:]) != \
-            ((sys.n_x, sys.n_x), (sys.n_u, sys.n_u)):
+    for schedule in schedules:
+        schedule.require_horizon(T)
+    # every seed's costs in one schedule of (T, S, n, n) stacks; one seed's stay a view
+    Q, R = ([s.Q[:T] for s in schedules], [s.R[:T] for s in schedules])
+    Q, R = (Q[0][:, None], R[0][:, None]) if len(Q) == 1 else (np.stack(Q, 1), np.stack(R, 1))
+    stage = CostSchedule(Q, R, schedules[0].g_c)
+    if (Q.shape[2:], R.shape[2:]) != ((sys.n_x, sys.n_x), (sys.n_u, sys.n_u)):
         raise ValueError("cost schedule dimensions must match the system")
-    if noise_proc.dim != sys.n_x:
+    if any(p.dim != sys.n_x for p in procs):
         raise ValueError("noise dimension must match the state dimension")
     if lr_schedule.kind == "strongly_convex" and not cert.diagonal:
         raise ValueError("strongly_convex schedule requires a diagonal certificate")
@@ -145,8 +163,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     if H is None:
         H = horizon_H(T, gamma)
     K = np.asarray(K, dtype=float)
-    cl = make_closed_loop(sys, K, i_max=H)
-    kern = SurrogateKernel(cl, sys.B, H)
+    kern = SurrogateKernel(make_closed_loop(sys, K, i_max=H), sys.B, H)
 
     M = M0 if M0 is not None else zero_policy(H, sys.n_u, sys.n_x)
     if M.blocks.shape != (H, sys.n_u, sys.n_x):
@@ -154,48 +171,67 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     if not is_admissible(M, kappa, gamma, kappa_B):
         raise ValueError("M0 lies outside the admissible set")
 
-    x = initial_state(sys, x0)
-    ws = sample_episode(noise_proc, T)
-    # Recovered disturbances, most recent first: row T-1-s holds w_s and the
-    # 2H+1 rows after row T-1 stay zero, so step t's surrogate window
-    # (window[m] = w_{t-1-m}) is the slice starting at row T-t.
-    buf = np.zeros((T + 2 * H + 1, sys.n_x))
-    xs = np.empty((T + 1, sys.n_x))
-    us = np.empty((T, sys.n_u))
-    costs = np.empty(T)
-    grad_frobs = np.empty(T)
-    m_frobs = np.empty(T)
+    S = len(procs)
+    step_sizes, A_T, B_T = etas.tolist(), sys.A.T, sys.B.T  # cheaper to use in the loop
+    # (S, H, n_u, n_x) view of (S, n_u, H, n_x) memory, the flattened blocks' and G's layout
+    blocks = np.repeat(M.blocks.swapaxes(0, 1)[None], S, axis=0).swapaxes(1, 2)
+    x = np.repeat(initial_state(sys, x0)[None], S, axis=0)
+    noise = [sample_episode(p, T) for p in procs]
+    ws = np.stack(noise, axis=1)
+    # Recovered disturbances, most recent first: buf[s, T-1-r] holds seed s's
+    # w_r and the 2H+1 rows after row T-1 stay zero, so step t's surrogate
+    # window (window[m] = w_{t-1-m}) and its Hankel rows start at row T-t.
+    buf = np.zeros((S, T + 2 * H + 1, sys.n_x))
+    hanks = _hankel(buf, H, H + 2)
+    xs = np.empty((T + 1, S, sys.n_x))  # step-major
+    us = np.empty((T, S, sys.n_u))
+    grad_sq, m_sq = np.empty((2, T, S))  # squared Frobenius norms
+    outcome: list = [None] * S
 
     for t in range(T):
-        window = buf[T - t:T - t + 2 * H + 1]
+        hank = np.ascontiguousarray(hanks[:, T - t])
+        dap = disturbance_action(blocks, hank)
+        u = control_input(K, x, dap[:, 0])
+        cost = stage.reveal(t, u)
         xs[t] = x
-        u = control_input(K, M, x, window)
-        cost_t = cost_schedule.reveal(t, u)
-        costs[t] = cost_t.value(x, u)
-        x_next = sys.A @ x + sys.B @ u + ws[t]
-        buf[T - 1 - t] = recover_noise(sys, x_next, x, u)
-
-        norm_x = sqrt(x_next @ x_next)  # np.linalg.norm's sum, as below
-        if not norm_x <= divergence_limit:  # also trips on NaN
-            raise EpisodeDivergedError(step=t, norm=norm_x)
-
-        G, _, _ = kern.grad(cost_t, M.blocks, window)
-
         us[t] = u
-        grad_frobs[t] = sqrt(G.ravel("K") @ G.ravel("K"))
-        m_frobs[t] = sqrt(M.blocks.ravel("K") @ M.blocks.ravel("K"))
+        x_next = x @ A_T + u @ B_T + ws[t]
+        buf[:, T - 1 - t] = recover_noise(sys, x_next, x, u)
 
-        M = project(PolicyParams(M.blocks - etas[t] * G), kappa, gamma, kappa_B)
+        G, _, _ = kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap)
+        grad_sq[t] = np.square(G).sum(axis=(1, 2, 3))
+        m_sq[t] = np.square(blocks).sum(axis=(1, 2, 3))
+        blocks = blocks - step_sizes[t] * G
+        for s in range(S):
+            blocks[s] = project(PolicyParams(blocks[s]), kappa, gamma, kappa_B).blocks
+
+        every = x_next.ravel()  # no seed's norm exceeds the norm of all together
+        if not sqrt(every @ every) <= divergence_limit:  # also trips on NaN
+            for s, row in enumerate(x_next):
+                norm = sqrt(row @ row)
+                if not norm <= divergence_limit:
+                    # its episode ends; it restarts from zero to stay finite, unrecorded
+                    outcome[s] = outcome[s] or EpisodeDivergedError(step=t, norm=norm)
+                    x_next[s], buf[s], blocks[s] = 0.0, 0.0, 0.0
+            if None not in outcome:
+                break
         x = x_next
 
     xs[T] = x
-    return EpisodeRecord(
-        T=T, n_x=sys.n_x, n_u=sys.n_u, H=H, kappa=kappa, gamma=gamma,
-        kappa_B=kappa_B, schedule_kind=lr_schedule.kind, xs=xs, us=us, ws=ws,
-        ws_recovered=buf[T - 1::-1].copy(), costs=costs, etas=etas,
-        grad_frobs=grad_frobs, m_frobs=m_frobs, cum_cost=float(costs.sum()),
-        M_final=M, noise_hash=noise_fingerprint(ws),
-    )
+    for s in [s for s, done in enumerate(outcome) if done is None]:
+        seed_xs, seed_us = np.ascontiguousarray(xs[:, s]), np.ascontiguousarray(us[:, s])
+        costs = schedules[s].stage_values(seed_xs[:T], seed_us)  # the paid c_t(x_t, u_t)
+        outcome[s] = EpisodeRecord(
+            T=T, n_x=sys.n_x, n_u=sys.n_u, H=H, kappa=kappa, gamma=gamma,
+            kappa_B=kappa_B, schedule_kind=lr_schedule.kind, xs=seed_xs, us=seed_us,
+            ws=noise[s], ws_recovered=buf[s, T - 1::-1].copy(), costs=costs, etas=etas,
+            grad_frobs=np.sqrt(grad_sq[:, s]), m_frobs=np.sqrt(m_sq[:, s]),
+            cum_cost=float(costs.sum()), M_final=PolicyParams(blocks[s].copy()),
+            noise_hash=noise_fingerprint(noise[s]),
+        )
+    if solo and isinstance(outcome[0], EpisodeDivergedError):
+        raise outcome[0]
+    return outcome[0] if solo else outcome
 
 
 def ogd_memory_regret_terms(record: EpisodeRecord, L_c: float = 1.0) -> dict:

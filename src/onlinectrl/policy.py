@@ -76,10 +76,12 @@ def is_admissible(M: PolicyParams, kappa: float, gamma: float, kappa_B: float,
 
 
 @lru_cache(maxsize=None, typed=True)
-def _radii(H: int, kappa: float, gamma: float, kappa_B: float) -> np.ndarray:
+def _radii(H: int, kappa: float, gamma: float, kappa_B: float) -> tuple:
+    """r, r^4 and -r, r as (H, 1, 1) columns; shared by every call, so read-only."""
     radii = admissible_radii(H, kappa, gamma, kappa_B)
-    table = np.stack([radii, radii ** 4])  # r and r^4, shared by every call: read-only
-    table.flags.writeable = False
+    table = (radii, radii ** 4, -radii[:, None, None], radii[:, None, None])
+    for a in table:
+        a.flags.writeable = False
     return table
 
 
@@ -97,10 +99,9 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float,
     within their own size. 1x1 blocks are clipped directly.
     """
     blocks = M_raw.blocks
-    radii, r4 = _radii(M_raw.H, kappa, gamma, kappa_B)
-    if blocks.shape[1] == 1 and blocks.shape[2] == 1:
-        clipped = np.clip(blocks[:, 0, 0], -radii, radii)
-        return PolicyParams(clipped.reshape(-1, 1, 1))
+    radii, r4, low, high = _radii(M_raw.H, kappa, gamma, kappa_B)
+    if blocks.shape[1] == 1 and blocks.shape[2] == 1:  # np.clip, without its wrapper's cost
+        return PolicyParams(np.minimum(np.maximum(blocks, low), high))
     wide = blocks if blocks.shape[1] <= blocks.shape[2] else blocks.transpose(0, 2, 1)
     gram = wide @ wide.transpose(0, 2, 1).copy()  # matmul is slower on a strided operand
     big = np.einsum("hij,hij->h", gram, gram) > r4
@@ -126,14 +127,19 @@ def sample_admissible(rng: np.random.Generator, H: int, n_u: int, n_x: int,
     return PolicyParams(blocks * scale[:, None, None])
 
 
-def control_input(K: np.ndarray, M: PolicyParams, x: np.ndarray,
-                  window: np.ndarray) -> np.ndarray:
-    """u = -K x + sum_i M^[i-1] w_{t-i}, where window[m] = w_{t-1-m}
-    (most recent first, zero before time zero) holds at least H rows."""
-    window = np.asarray(window)
-    if len(window) < M.H:
-        raise ValueError(f"history window holds {len(window)} rows, policy needs {M.H}")
-    return -K @ x + np.einsum("mux,mx->u", M.blocks, window[:M.H])
+def disturbance_action(blocks: np.ndarray, hank: np.ndarray) -> np.ndarray:
+    """D[..., j, :] = sum_m M^[m] w_{t-1-j-m} for blocks (..., H, n_u, n_x) and
+    Hankel rows hank[..., j, :] = (w_{t-1-j}, ..., w_{t-H-j}) raveled (see
+    surrogate._hankel); leading seed axes match. Row 0 is the policy's
+    disturbance-action term at time t, the rows after it the surrogate's."""
+    flat = blocks.swapaxes(-3, -2).reshape(blocks.shape[:-3] + (blocks.shape[-2], -1))
+    return hank @ flat.swapaxes(-1, -2)
+
+
+def control_input(K: np.ndarray, x: np.ndarray, dap: np.ndarray) -> np.ndarray:
+    """u = -K x + sum_i M^[i-1] w_{t-i}, given that disturbance-action term
+    dap (row 0 of disturbance_action); x and dap may carry a leading seed axis."""
+    return dap - x @ K.T
 
 
 def comparator_params(K: np.ndarray, K_star: np.ndarray, A: np.ndarray,

@@ -42,8 +42,9 @@ def keyed_steps(seed: int, stream: int,
     """
     rng = keyed_rng(seed, stream)
     fresh = rng.bit_generator.state
+    counter = fresh["state"]["counter"]  # (0, 0, stream, step): only the step changes
     for t in steps:
-        fresh["state"]["counter"] = _counter(stream, t)
+        counter[3] = t & _MASK64
         rng.bit_generator.state = fresh
         yield rng
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .costs import QuadraticCost
-from .policy import PolicyParams
+from .policy import PolicyParams, disturbance_action
 from .stability import ClosedLoop
 
 
@@ -104,14 +105,14 @@ def _windows(ws: np.ndarray, length: int) -> np.ndarray:
     return Z[length - 1 + np.arange(len(ws))[:, None] - np.arange(length)]
 
 
-def _hankel(W: np.ndarray, H: int) -> np.ndarray:
-    """Strided view of C-contiguous windows W (..., 2H+1, n_x) whose row j is
-    W[..., 1 + j : 1 + j + H, :].ravel(), j = 0..H: the H disturbances feeding
-    the policy at lag j. Column m * n_x + x of row j is w_{t-2-j-m}[x],
-    matching blocks flattened to (n_u, H * n_x). No data is copied."""
-    step = W.strides[-2]
-    return np.ndarray(W.shape[:-2] + (H + 1, H * W.shape[-1]), W.dtype, W, step,
-                      W.strides[:-2] + (step, W.itemsize))
+def _hankel(A: np.ndarray, H: int, rows: int) -> np.ndarray:
+    """Strided view, no copy, of A (..., L, n_x) with rows back to back: out[..., p, j, :]
+    = A[..., p + j : p + j + H, :].ravel() for j < rows, p <= L - H - rows + 1. On a
+    window (A[m] = w_{t-1-m}, p = 0) row j holds the H disturbances feeding the policy
+    at lag j, column m * n_x + x being w_{t-1-j-m}[x], as in blocks flattened to (n_u, H n_x)."""
+    step, item = A.strides[-2:]
+    shape = A.shape[:-2] + (A.shape[-2] - H - rows + 2, rows, H * A.shape[-1])
+    return as_strided(A, shape, A.strides[:-2] + (step, step, item), writeable=False)
 
 
 class SurrogateKernel:
@@ -119,8 +120,9 @@ class SurrogateKernel:
 
     Holds the power stack A_K^0..A_K^H and the products A_K^j B, laid
     side by side as (n_x, (H+1) n_x) and (n_x, (H+1) n_u) matrices, so a
-    point or a gradient is a few matrix products with the Hankel view of
-    the disturbance window and the blocks flattened to (n_u, H n_x).
+    point or a gradient is a few matrix products with the contiguous Hankel
+    rows 0..H+1 of the disturbance window and the blocks flattened to
+    (n_u, H n_x). Windows, blocks and costs may carry a leading seed axis.
     """
 
     def __init__(self, cl: ClosedLoop, B: np.ndarray, H: int):
@@ -134,49 +136,54 @@ class SurrogateKernel:
         # row a, column j*n + b holds A_K^j[a, b] and (A_K^j B)[a, b]
         self._pows_row = pows.transpose(1, 0, 2).reshape(self.n_x, -1)
         self._PB_row = np.matmul(pows, B).transpose(1, 0, 2).reshape(self.n_x, -1)
+        self._PB2T = 2.0 * self._PB_row.T  # doubling is exact
 
-    def _check_window(self, W: np.ndarray) -> np.ndarray:
+    def _check_window(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One window W, checked, and its contiguous Hankel rows (H+2, H n_x)."""
         W = np.ascontiguousarray(W, dtype=float)
         if W.shape != (2 * self.H + 1, self.n_x):
             raise ValueError(
                 f"window must have shape ({2 * self.H + 1}, {self.n_x}), got {W.shape}")
-        return W
+        return W, np.ascontiguousarray(_hankel(W, self.H, self.H + 2)[0])
 
-    def _point(self, flat: np.ndarray, W: np.ndarray,
-               hank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y, v) from blocks flattened to (n_u, H n_x) and hank = _hankel(W)."""
-        dap = hank @ flat.T  # dap[j] = sum_m M^[m] w_{t-2-j-m}
-        y = self._pows_row @ W[:self.H + 1].ravel() + self._PB_row @ dap.ravel()
-        v = flat @ W[:self.H].ravel() - self.K @ y
-        return y, v
+    def _point(self, W: np.ndarray, dap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, v) as columns (..., n, 1) from windows W and their disturbance-action rows dap."""
+        lead = dap.shape[:-2]
+        y = self._pows_row @ W[..., :self.H + 1, :].reshape(lead + (-1, 1))
+        y += self._PB_row @ dap[..., 1:, :].reshape(lead + (-1, 1))
+        return y, dap[..., 0, :, None] - self.K @ y
 
     def point(self, blocks: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, v) with the whole policy window frozen at one parameter."""
-        W = self._check_window(W)
-        flat = blocks.transpose(1, 0, 2).reshape(self.n_u, -1)
-        return self._point(flat, W, _hankel(W, self.H))
+        W, hank = self._check_window(W)
+        y, v = self._point(W, disturbance_action(blocks, hank))
+        return y[:, 0], v[:, 0]
 
     def value(self, cost: QuadraticCost, blocks: np.ndarray, W: np.ndarray) -> float:
         y, v = self.point(blocks, W)
         return cost.value(y, v)
 
-    def grad(self, cost: QuadraticCost, blocks: np.ndarray,
-             W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def grad(self, cost: QuadraticCost, blocks: np.ndarray, W: np.ndarray,
+             hank: np.ndarray | None = None, dap: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gradient blocks, y, v): adjoint accumulation of the chain rule.
 
         Block r collects (A_K^j B)' (g_x - K' g_u) against w_{t-2-r-j} over
-        j = 0..H, plus the direct input sensitivity g_u w_{t-1-r}'.
+        j = 0..H, plus the direct input sensitivity g_u w_{t-1-r}'. A lockstep
+        episode passes windows (S, 2H+1, n_x) with their contiguous Hankel rows
+        hank and dap = disturbance_action(blocks, hank), which its control
+        input shares; otherwise both are formed from the one window W.
         """
         H, n_x, n_u = self.H, self.n_x, self.n_u
-        W = self._check_window(W)
-        hank = _hankel(W, H)
-        flat = blocks.transpose(1, 0, 2).reshape(n_u, -1)
-        y, v = self._point(flat, W, hank)
-        g_u = 2.0 * (cost.R @ v)  # the stage-cost gradients at (y, v)
-        g_eff = 2.0 * (cost.Q @ y) - self.K.T @ g_u
-        Qv = (g_eff @ self._PB_row).reshape(H + 1, n_u)  # Qv[j] = (A_K^j B)' g_eff
-        G = Qv.T @ hank + g_u[:, None] * W[:H].ravel()
-        return G.reshape(n_u, H, n_x).transpose(1, 0, 2), y, v
+        if hank is None:
+            W, hank = self._check_window(W)
+            dap = disturbance_action(blocks, hank)
+        y, v = self._point(W, dap)
+        Rv = cost.R @ v  # half the stage-cost gradient g_u = 2 R v at (y, v)
+        # C = [g_u; (A_K^j B)' g_eff for j = 0..H], g_eff = 2 (Q y - K' R v) (doubled in _PB2T)
+        C = np.concatenate([Rv + Rv, self._PB2T @ (cost.Q @ y - self.K.T @ Rv)], axis=-2)
+        G = C.reshape(y.shape[:-2] + (H + 2, n_u)).swapaxes(-1, -2) @ hank
+        return G.reshape(G.shape[:-1] + (H, n_x)).swapaxes(-3, -2), y[..., 0], v[..., 0]
 
     def quadratic_form(self, Q: np.ndarray, R: np.ndarray,
                        ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -189,7 +196,7 @@ class SurrogateKernel:
         y0 = W[:, :H + 1].reshape(T, -1) @ self._pows_row.T
         # Jy[t, a, (m, u, x)] = sum_j (A_K^j B)[a, u] w_{t-2-j-m}[x]
         PB = self._PB_row.reshape(n_x, H + 1, n_u).transpose(1, 0, 2).reshape(H + 1, -1)
-        Jy = (PB.T @ _hankel(W, H)).reshape(T, n_x, n_u, H, n_x)
+        Jy = (PB.T @ _hankel(W[:, 1:], H, H + 1)[:, 0]).reshape(T, n_x, n_u, H, n_x)
         Jy = Jy.transpose(0, 1, 3, 2, 4).reshape(T, n_x, -1)
         # v = M w - K y, where d (M w)[b] / d M^[m][u, x] = [b = u] w_{t-1-m}[x]
         Jv = np.einsum("bu,tmx->tbmux", np.eye(n_u), W[:, :H]).reshape(T, n_u, -1) - self.K @ Jy

@@ -75,5 +75,6 @@ def initial_state(sys: LinearSystem, x0: np.ndarray | None = None) -> np.ndarray
 
 def recover_noise(sys: LinearSystem, x_next: np.ndarray, x: np.ndarray,
                   u: np.ndarray) -> np.ndarray:
-    """Realized disturbance w_t = x_{t+1} - A x_t - B u_t."""
-    return x_next - sys.A @ x - sys.B @ u
+    """Realized disturbance w_t = x_{t+1} - A x_t - B u_t; the states and
+    inputs may carry a leading seed axis."""
+    return x_next - x @ sys.A.T - u @ sys.B.T

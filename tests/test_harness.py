@@ -271,11 +271,16 @@ def test_run_batch_deterministic_outputs(tmp_path):
 
 
 def test_run_batch_worker_count_is_invisible(tmp_path):
+    """One job per horizon runs all its seeds together, so the seed axis,
+    and with it every bit, is fixed by the config, not by the pool."""
     exp = build_experiment(_base_doc())
-    r1 = run_batch(exp, workers=1)
-    r2 = run_batch(exp, workers=2)
-    for a, b in zip(r1.rows, r2.rows):
-        assert a == b
+    r1 = run_batch(exp, out_dir=str(tmp_path / "w1"), workers=1)
+    for workers in (2, 3):
+        r2 = run_batch(exp, out_dir=str(tmp_path / f"w{workers}"), workers=workers)
+        assert r1.rows == r2.rows
+        for name in ("scaling.csv", "report.json"):
+            assert ((tmp_path / "w1" / name).read_bytes()
+                    == (tmp_path / f"w{workers}" / name).read_bytes()), (workers, name)
 
 
 def test_run_batch_csv_schema(tmp_path):
@@ -305,8 +310,8 @@ def test_zero_noise_batch_reports_zero_regret(tmp_path):
 
 
 def test_divergent_batch_is_flagged(monkeypatch):
-    def explode(*a, **k):
-        raise EpisodeDivergedError(step=0, norm=float("inf"))
+    def explode(sys_, K, cert, schedules, procs, *a, **k):
+        return [EpisodeDivergedError(step=0, norm=float("inf")) for _ in procs]
 
     monkeypatch.setattr(hz, "run_episode", explode)
     report = run_batch(build_experiment(_base_doc()))

@@ -1,11 +1,13 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from onlinectrl.costs import constant_schedule, quadratic_cost
+from onlinectrl.costs import (adversarial_convex_schedule, constant_schedule,
+                              quadratic_cost)
 from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
                                 LearningRateSchedule, alpha_tilde_from,
                                 noise_fingerprint, ogd_memory_regret_terms,
@@ -151,6 +153,129 @@ def test_matrix_episode_matches_naive_replay():
     steps, M, x = _naive_replay(sys_, K, cert, proc, cost, lr, T, H)
     assert sum(step["clipped"] for step in steps) >= 5
     _assert_matches_replay(rec, steps, M, x, tol=1e-12)
+
+
+def _rel(a, b):
+    """Largest deviation of a from b, relative to b's largest entry."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def _assert_same_episode(got, want, tol=1e-12):
+    assert isinstance(got, EpisodeRecord)
+    assert got.ws.tobytes() == want.ws.tobytes()
+    assert got.noise_hash == want.noise_hash
+    assert got.etas.tobytes() == want.etas.tobytes()
+    assert got.cum_cost == pytest.approx(want.cum_cost, rel=tol, abs=0.0)
+    for field in ("costs", "grad_frobs", "m_frobs", "xs", "us", "ws_recovered"):
+        assert _rel(getattr(got, field), getattr(want, field)) <= tol, field
+    assert _rel(got.M_final.blocks, want.M_final.blocks) <= tol
+
+
+def _plant_3x2():
+    B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]])
+    K = np.array([[0.2, -0.1, 0.3], [0.1, 0.25, -0.2]])
+    sys_ = make_system(np.diag([0.3, -0.2, 0.1]) + B @ K, B)
+    return sys_, K, certify(sys_, K, 1.5, 0.5)
+
+
+def _lockstep_case(name):
+    """(system, K, cert, schedules, noise processes, lr, T, H) of one case."""
+    if name == "scalar-random-costs":
+        sys_, K, cert = _scalar_setup()
+        T = 64
+        schedules = [adversarial_convex_schedule(100 + s, T, 1, 1) for s in range(3)]
+        procs = [NoiseProcess("gaussian", 1.0, dim=1, seed=s) for s in range(3)]
+        return sys_, K, cert, schedules, procs, LearningRateSchedule("constant_sqrtT"), T, None
+    if name == "3x2-student-t-clipping":
+        sys_, K, cert = _plant_3x2()
+        T = 40
+        cost = quadratic_cost(np.diag([1.0, 2.0, 0.5]), np.diag([0.5, 1.0]))
+        procs = [NoiseProcess("student_t", 1.0, dim=3, seed=s, df=5.0) for s in (19, 20)]
+        lr = LearningRateSchedule("strongly_convex", alpha_tilde=1.0)
+        return sys_, K, cert, [constant_schedule(cost, T)] * 2, procs, lr, T, 4
+    if name == "scalar-strongly-convex":
+        sys_, K, cert = _scalar_setup()
+        T = 50
+        schedules = [adversarial_convex_schedule(7 + s, T, 1, 1) for s in range(4)]
+        procs = [NoiseProcess("laplace", 0.7, dim=1, seed=s) for s in range(4)]
+        lr = LearningRateSchedule("strongly_convex", alpha_tilde=0.37)
+        return sys_, K, cert, schedules, procs, lr, T, None
+    # H + 1 >= T: every window reaches back before time zero
+    sys_, K, cert = _scalar_setup()
+    T = 6
+    schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), T)
+    procs = [NoiseProcess("gaussian", 2.0, dim=1, seed=s) for s in range(3)]
+    return sys_, K, cert, [schedule] * 3, procs, LearningRateSchedule("constant_sqrtT"), T, 7
+
+
+@pytest.mark.parametrize("name", ["scalar-random-costs", "3x2-student-t-clipping",
+                                  "scalar-strongly-convex", "memory-reaches-past-start"])
+def test_lockstep_seeds_match_solo_episodes(name):
+    """One lockstep call returns, per seed, what a solo call returns."""
+    sys_, K, cert, schedules, procs, lr, T, H = _lockstep_case(name)
+    batch = run_episode(sys_, K, cert, schedules, procs, lr, T, H=H)
+    assert len(batch) == len(procs)
+    for schedule, proc, got in zip(schedules, procs, batch):
+        _assert_same_episode(got, run_episode(sys_, K, cert, schedule, proc, lr, T, H=H))
+    if name == "3x2-student-t-clipping":
+        radii = admissible_radii(4, cert.kappa, cert.gamma, sys_.kappa_B)
+        assert any(np.any(np.linalg.norm(rec.M_final.blocks, 2, axis=(1, 2))
+                          >= radii * (1 - 1e-9)) for rec in batch)
+
+
+def test_lockstep_drops_a_diverging_seed():
+    """A limit between the seeds' largest states trips one seed mid-episode:
+    it reports the step and norm its solo run raises, and the others equal
+    a batch that never held it."""
+    sys_, K, cert, schedules, procs, lr, T, H = _lockstep_case("scalar-random-costs")
+    free = run_episode(sys_, K, cert, schedules, procs, lr, T)
+    peaks = [float(np.max(np.linalg.norm(rec.xs[1:], axis=1))) for rec in free]
+    order = np.argsort(peaks)
+    wild = int(order[-1])
+    limit = 0.5 * (peaks[order[-1]] + peaks[order[-2]])
+    with pytest.raises(EpisodeDivergedError) as solo:
+        run_episode(sys_, K, cert, schedules[wild], procs[wild], lr, T,
+                    divergence_limit=limit)
+    assert 0 < solo.value.step < T - 1
+
+    batch = run_episode(sys_, K, cert, schedules, procs, lr, T, divergence_limit=limit)
+    err = batch[wild]
+    assert isinstance(err, EpisodeDivergedError)
+    assert err.step == solo.value.step
+    assert err.norm == pytest.approx(solo.value.norm, rel=1e-12)
+    rest = [s for s in range(len(procs)) if s != wild]
+    without = run_episode(sys_, K, cert, [schedules[s] for s in rest],
+                          [procs[s] for s in rest], lr, T, divergence_limit=limit)
+    for s, want in zip(rest, without):
+        _assert_same_episode(batch[s], want)
+
+
+def test_lockstep_diverged_seed_stays_finite():
+    """A seed whose state overflows at step 0 is reported as its solo run
+    raises it, restarts from zero instead of feeding inf and NaN through the
+    later steps, and leaves the other seed's episode as it is alone."""
+    sys_, K, cert = _plant_3x2()
+    T = 40
+    schedule = constant_schedule(quadratic_cost(np.diag([1.0, 2.0, 0.5]), np.diag([0.5, 1.0])), T)
+    lr = LearningRateSchedule("strongly_convex", alpha_tilde=1.0)
+    procs = [NoiseProcess("student_t", 1.0, dim=3, seed=19, df=5.0),
+             NoiseProcess("gaussian", 1e200, dim=3, seed=3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = run_episode(sys_, K, cert, [schedule] * 2, procs, lr, T, H=4)
+        with pytest.raises(EpisodeDivergedError) as solo:
+            run_episode(sys_, K, cert, schedule, procs[1], lr, T, H=4)
+    assert not [w for w in caught if "invalid value" in str(w.message)]
+    assert (batch[1].step, batch[1].norm) == (solo.value.step, solo.value.norm) == (0, math.inf)
+    _assert_same_episode(batch[0], run_episode(sys_, K, cert, schedule, procs[0], lr, T, H=4))
+
+
+def test_lockstep_input_validation():
+    sys_, K, cert, schedules, procs, lr, T, H = _lockstep_case("scalar-random-costs")
+    for bad in ((schedules[:2], procs), (schedules[0], procs), (schedules, procs[0]), ([], [])):
+        with pytest.raises(ValueError, match="equal-length sequences of both"):
+            run_episode(sys_, K, cert, *bad, lr, T)
 
 
 def test_x0_validation():

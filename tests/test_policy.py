@@ -3,7 +3,7 @@ import pytest
 
 from onlinectrl.policy import (PolicyParams, admissible_radii,
                                block_spectral_norms, comparator_params,
-                               control_input, horizon_H, is_admissible,
+                               control_input, disturbance_action, horizon_H, is_admissible,
                                policy_class_diameter, project,
                                sample_admissible, zero_policy)
 
@@ -166,19 +166,29 @@ def test_project_matches_full_svd_clipping(n_u, n_x):
 
 
 def test_control_input_matches_naive_sum():
+    """u = -K x + sum_i M^[i-1] w_{t-i} from row 0 of disturbance_action,
+    whose row j is the same sum lagged by j, for one seed and over a seed axis."""
     rng = np.random.default_rng(53)
     for _ in range(15):
         H, n_u, n_x = (int(rng.integers(1, 4)) for _ in range(3))
         K = rng.standard_normal((n_u, n_x))
         M = PolicyParams(rng.standard_normal((H, n_u, n_x)))
         x = rng.standard_normal(n_x)
-        past = [rng.standard_normal(n_x) for _ in range(H + 2)]
+        past = [rng.standard_normal(n_x) for _ in range(2 * H + 2)]
         window = np.stack(past[::-1])  # window[m] = w_{t-1-m}
-        u = control_input(K, M, x, window)
+        hank = np.stack([window[j:j + H].ravel() for j in range(H + 2)])
+        dap = disturbance_action(M.blocks, hank)
+        u = control_input(K, x, dap[0])
         expect = -K @ x
         for i in range(1, H + 1):  # u += M^[i-1] w_{t-i}
             expect = expect + M.blocks[i - 1] @ past[-i]
         np.testing.assert_allclose(u, expect, atol=1e-12)
+        for j in range(H + 2):
+            lagged = sum(M.blocks[m] @ past[-1 - j - m] for m in range(H))
+            np.testing.assert_allclose(dap[j], lagged, atol=1e-12)
+        seeds = disturbance_action(np.stack([M.blocks, -M.blocks]), np.stack([hank, hank]))
+        np.testing.assert_allclose(control_input(K, np.stack([x, x]), seeds[:, 0]),
+                                   [expect, -expect - 2 * K @ x], atol=1e-12)
 
 
 def test_comparator_params_construction():
