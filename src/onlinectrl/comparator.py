@@ -172,34 +172,22 @@ class RegretCurve:
     comparator_cum: np.ndarray
     checkpoints: dict = field(default_factory=dict)
     regret_final: float = 0.0
-    burn_in: int = 0
-    regret_after_burn_in: float = 0.0
 
 
-def regret(record: EpisodeRecord, comp: ComparatorResult,
-           burn_in: int = 0) -> RegretCurve:
+def regret(record: EpisodeRecord, comp: ComparatorResult) -> RegretCurve:
     """Cumulative learner cost minus comparator cost on shared noise.
 
     Refuses to compare runs whose disturbance fingerprints differ. The
-    primary number is the full-horizon difference; the burn-in variant
-    drops the first burn_in steps of both sides and is secondary.
+    final number is the full-horizon difference; checkpoints hold it at
+    T/8, T/4, T/2 and T.
     """
     if record.noise_hash != comp.noise_hash:
         raise ValueError("comparator was run on a different noise realization")
-    if not 0 <= burn_in < record.T:
-        raise ValueError(f"burn_in {burn_in} outside [0, {record.T})")
     lc = record.cum_costs()
     cc = np.cumsum(comp.per_step_costs)
     T = record.T
     diff = lc - cc
     marks = sorted({max(1, T // 8), max(1, T // 4), max(1, T // 2), T})
     checkpoints = {int(s): float(diff[s - 1]) for s in marks}
-    if burn_in > 0:
-        after = float((lc[-1] - lc[burn_in - 1]) - (cc[-1] - cc[burn_in - 1]))
-    else:
-        after = float(diff[-1])
-    return RegretCurve(
-        learner_cum=lc, comparator_cum=cc, checkpoints=checkpoints,
-        regret_final=float(diff[-1]), burn_in=burn_in,
-        regret_after_burn_in=after,
-    )
+    return RegretCurve(learner_cum=lc, comparator_cum=cc, checkpoints=checkpoints,
+                       regret_final=float(diff[-1]))

@@ -18,7 +18,7 @@ when available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,56 +43,16 @@ def _check_psd_stack(stack: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite")
     asym = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
     if (asym > _SYM_TOL).any():
-        raise ValueError(f"{name} must be symmetric (step {int(np.argmax(asym))})")
+        raise ValueError(f"{name} must be symmetric ({_at(np.argmax(asym), asym.shape)})")
     low = np.linalg.eigvalsh(stack)[..., 0]
     if (low < _PSD_TOL).any():
-        raise ValueError(f"{name} must be positive semidefinite (step {int(np.argmin(low))})")
+        raise ValueError(f"{name} must be positive semidefinite ({_at(np.argmin(low), low.shape)})")
 
 
-@dataclass(eq=False, slots=True)  # slots, not frozen: reveal builds one per step
-class QuadraticCost:
-    """c(x, u) = x'Qx + u'Ru; build validated instances with quadratic_cost.
-
-    G_c = max(2||Q||, 2||R||, 1); the curvature bounds come from the
-    extreme eigenvalues of blockdiag(Q, R), with alpha reported only when
-    strictly positive.
-    """
-
-    Q: np.ndarray
-    R: np.ndarray
-    _curv: Optional[tuple] = field(default=None, repr=False)  # (alpha, beta)
-
-    def value(self, x: np.ndarray, u: np.ndarray) -> float:
-        return float(x @ self.Q @ x + u @ self.R @ u)
-
-    @property
-    def G_c(self) -> float:
-        return max(2.0 * spectral_norm(self.Q), 2.0 * spectral_norm(self.R), 1.0)
-
-    def _curvature(self) -> tuple:
-        if self._curv is None:  # on first read: reveal builds a cost per step and reads none
-            eig = 2.0 * np.concatenate([np.linalg.eigvalsh(self.Q), np.linalg.eigvalsh(self.R)])
-            self._curv = tuple(float(v) if v > 0.0 else None for v in (eig.min(), eig.max()))
-        return self._curv
-
-    @property
-    def alpha(self) -> Optional[float]:
-        return self._curvature()[0]
-
-    @property
-    def beta(self) -> Optional[float]:
-        return self._curvature()[1]
-
-
-def quadratic_cost(Qmat: np.ndarray, Rmat: np.ndarray) -> QuadraticCost:
-    """Validated c(x, u) = x'Qx + u'Ru for symmetric PSD Q, R."""
-    Q = np.asarray(Qmat, dtype=float)
-    R = np.asarray(Rmat, dtype=float)
-    for mat, name in ((Q, "Q"), (R, "R")):
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"{name} must be square, got shape {mat.shape}")
-        _check_psd_stack(mat[None], name)
-    return QuadraticCost(Q, R)
+def _at(index: int, shape: tuple) -> str:
+    """Where a flat index into shape points: step t, and seed s on a seed axis."""
+    step, *seed = np.unravel_index(index, shape)
+    return f"step {step}" + "".join(f", seed {s}" for s in seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +63,7 @@ class CostSchedule:
     input; comparators read Q and R (or stage_values) freely. The stacks
     are validated on construction. Seeds run in lockstep share one schedule
     of (T, S, n, n) stacks, whose revealed costs hold (S, n, n) matrices.
+    A single stage cost is a one-step schedule (quadratic_cost).
     """
 
     Q: np.ndarray  # (T, n_x, n_x), or (T, S, n_x, n_x) over seeds
@@ -127,11 +88,11 @@ class CostSchedule:
         if self.horizon < T:
             raise ValueError(f"cost schedule covers {self.horizon} steps, need {T}")
 
-    def reveal(self, t: int, u: np.ndarray) -> QuadraticCost:
-        """Step t's cost, given the committed input(s) u."""
+    def reveal(self, t: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Step t's cost (Q_t, R_t), given the committed input(s) u."""
         if not 0 <= t < self.horizon:
             raise ValueError(f"step {t} outside horizon [0, {self.horizon})")
-        return QuadraticCost(self.Q[t], self.R[t])
+        return self.Q[t], self.R[t]
 
     def stage_values(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """c_t(X[t, ...], U[t, ...]) for rollouts X (T, ..., n_x) and
@@ -141,11 +102,31 @@ class CostSchedule:
                 + np.einsum("t...i,tij,t...j->t...", U, self.R[:T], U))
 
 
-def constant_schedule(cost: QuadraticCost, T: int) -> CostSchedule:
-    """The same cost at every step; Q and R are stride-0 views of its matrices."""
-    return CostSchedule(Q=np.broadcast_to(cost.Q, (T,) + cost.Q.shape),
-                        R=np.broadcast_to(cost.R, (T,) + cost.R.shape),
-                        g_c=cost.G_c, alpha=cost.alpha, beta=cost.beta,
+def quadratic_cost(Qmat: np.ndarray, Rmat: np.ndarray) -> CostSchedule:
+    """c(x, u) = x'Qx + u'Ru for symmetric PSD Q, R, as a validated one-step schedule.
+
+    G_c = max(2||Q||, 2||R||, 1); the curvature bounds come from the extreme
+    eigenvalues of blockdiag(Q, R), alpha only when strictly positive.
+    """
+    Q = np.asarray(Qmat, dtype=float)
+    R = np.asarray(Rmat, dtype=float)
+    for mat, name in ((Q, "Q"), (R, "R")):
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {mat.shape}")
+        if not np.isfinite(mat).all():  # before the SVD, which fails on NaN
+            raise ValueError(f"{name} must be finite")
+    eig = 2.0 * np.concatenate([np.linalg.eigvalsh(Q), np.linalg.eigvalsh(R)])
+    alpha, beta = (float(v) if v > 0.0 else None for v in (eig.min(), eig.max()))
+    return CostSchedule(Q=Q[None], R=R[None],  # which checks symmetry and PSD
+                        g_c=max(2.0 * spectral_norm(Q), 2.0 * spectral_norm(R), 1.0),
+                        alpha=alpha, beta=beta, family="quadratic")
+
+
+def constant_schedule(cost: CostSchedule, T: int) -> CostSchedule:
+    """Step 0 of cost at every step; Q and R are stride-0 views of its matrices."""
+    return CostSchedule(Q=np.broadcast_to(cost.Q[:1], (T,) + cost.Q.shape[1:]),
+                        R=np.broadcast_to(cost.R[:1], (T,) + cost.R.shape[1:]),
+                        g_c=cost.g_c, alpha=cost.alpha, beta=cost.beta,
                         family="quadratic")
 
 

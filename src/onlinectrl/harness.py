@@ -487,7 +487,8 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
 
     One job runs all seeds of one horizon in lockstep, so a seed's numbers
     depend on the config's seed list but not on the worker count. With
-    workers > 1 the jobs fan out to a process pool, largest T first.
+    workers > 1 the jobs fan out to a process pool, largest T first, of at
+    most one process per horizon; a single horizon runs in-process.
     Results are re-sorted by (T, seed) before aggregation, so the report
     does not depend on scheduling. Diverged episodes are dropped from the
     quantiles; once more than 20% of cells diverge the whole batch is
@@ -503,6 +504,7 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
             os.makedirs(trace_dir, exist_ok=True)
 
     jobs = [(exp, T, exp.seeds, trace_dir) for T in sorted(exp.horizons, reverse=True)]
+    workers = min(workers, len(jobs))  # a worker past one per job would idle
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_episode_job, *zip(*jobs)))

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import STREAM_ESTIMATION, STREAM_NOISE, keyed_rng, keyed_steps
+from .rng import STREAM_NOISE, keyed_rng, keyed_steps
 
 _FAMILIES = ("gaussian", "laplace", "student_t", "scaled_bernoulli", "zero")
 
@@ -45,17 +45,8 @@ class NoiseProcess:
             if self.df is None or not (isfinite(self.df) and self.df > 4.0):
                 raise ValueError("student_t requires a finite df > 4 "
                                  "(finite fourth moment)")
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Empirical moment summary: sigma_w_1 ~ E||w||, sigma_w_4 ~ (E||w||^4)^(1/4),
-    sigma_lower holds sigma-underbar (root of the smallest covariance eigenvalue)."""
-
-    sigma_w_1: float
-    sigma_w_4: float
-    sigma_lower: float
-    samples: int
+        elif self.df is not None:
+            raise ValueError(f"df applies only to student_t noise, not {self.family}")
 
 
 def _silent(proc: NoiseProcess) -> bool:
@@ -89,29 +80,6 @@ def sample_episode(proc: NoiseProcess, T: int) -> np.ndarray:
         for t, rng in enumerate(keyed_steps(proc.seed, STREAM_NOISE, range(T))):
             ws[t] = _draw(proc, rng, proc.dim)
     return ws
-
-
-def _batch(proc: NoiseProcess, n: int) -> np.ndarray:
-    """n draws from one dedicated estimation stream (not the per-t stream)."""
-    if _silent(proc):
-        return np.zeros((n, proc.dim))
-    return _draw(proc, keyed_rng(proc.seed, STREAM_ESTIMATION, 0), (n, proc.dim))
-
-
-def estimate_moments(proc: NoiseProcess, n_samples: int = 100_000) -> MomentEstimate:
-    """Monte-Carlo moment estimates from a deterministic estimation stream."""
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for stable moment estimates")
-    X = _batch(proc, n_samples)
-    norms = np.linalg.norm(X, axis=1)
-    cov = np.cov(X, rowvar=False).reshape(proc.dim, proc.dim)
-    lam_min = float(np.linalg.eigvalsh(cov).min())
-    return MomentEstimate(
-        sigma_w_1=float(norms.mean()),
-        sigma_w_4=float(np.mean(norms ** 4) ** 0.25),
-        sigma_lower=sqrt(max(lam_min, 0.0)),
-        samples=n_samples,
-    )
 
 
 def _component_moments(proc: NoiseProcess) -> tuple[float, float]:

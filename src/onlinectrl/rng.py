@@ -18,7 +18,6 @@ _MASK64 = (1 << 64) - 1
 # Stream ids keep independent consumers of the same seed apart.
 STREAM_NOISE = 1
 STREAM_COST = 2
-STREAM_ESTIMATION = 3
 
 
 def _counter(stream: int, step: int) -> np.ndarray:

@@ -45,11 +45,7 @@ class StabilityCertificate:
     P: np.ndarray
     Q: np.ndarray
     diagonal: bool
-    Q_inv: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.Q_inv is None:
-            object.__setattr__(self, "Q_inv", np.linalg.inv(self.Q))
+    Q_inv: np.ndarray = field(repr=False)
 
     def summary(self) -> dict:
         return {
@@ -119,24 +115,19 @@ def _violations(P, Q, Q_inv, A_K, K, kappa, gamma, diagonal) -> list[list[str]]:
     return [[name for name, bad in zip(_CHECKS, row) if bad] for row in values > limits]
 
 
-def validate_certificate(cert: StabilityCertificate, A_K: np.ndarray,
-                         K: np.ndarray) -> list[str]:
-    """Names of the Definition inequalities / reconstruction checks that fail."""
-    return _violations(cert.P[None], cert.Q[None], cert.Q_inv[None], np.asarray(A_K)[None],
-                       np.asarray(K)[None], cert.kappa, cert.gamma, cert.diagonal)[0]
-
-
 def build_certificate(kappa: float, gamma: float, P: np.ndarray, Q: np.ndarray,
                       A_K: np.ndarray, K: np.ndarray,
                       diagonal: bool = False) -> StabilityCertificate:
-    """Wrap an externally supplied (P, Q) witness, validating it first."""
-    cert = StabilityCertificate(kappa=float(kappa), gamma=float(gamma),
-                                P=np.asarray(P), Q=np.asarray(Q),
-                                diagonal=diagonal, Q_inv=np.linalg.inv(Q))
-    violations = validate_certificate(cert, np.asarray(A_K), np.asarray(K))
+    """Wrap an externally supplied (P, Q) witness, validating it first; a
+    failing witness raises CertificationError naming every failed check."""
+    kappa, gamma, P, Q = float(kappa), float(gamma), np.asarray(P), np.asarray(Q)
+    Q_inv = np.linalg.inv(Q)
+    violations = _violations(P[None], Q[None], Q_inv[None], np.asarray(A_K)[None],
+                             np.asarray(K)[None], kappa, gamma, diagonal)[0]
     if violations:
         raise CertificationError("bounds", violations)
-    return cert
+    return StabilityCertificate(kappa=kappa, gamma=gamma, P=P, Q=Q, diagonal=diagonal,
+                                Q_inv=Q_inv)
 
 
 def _certify_stack(sys: LinearSystem, Ks: np.ndarray, kappa: float,

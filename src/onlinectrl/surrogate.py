@@ -15,25 +15,13 @@ window[m] = w_{t-1-m} for m = 0..2H, zero-padded before time zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .costs import QuadraticCost
 from .policy import PolicyParams, disturbance_action
 from .stability import ClosedLoop
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Coefficient of w_{t-i} in the h-step state expansion at time t+1."""
-
-    value: np.ndarray
-    t: int
-    i: int
-    h: int
 
 
 def _transfer_stack(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams],
@@ -56,7 +44,7 @@ def _transfer_stack(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams]
 
 
 def psi(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams], t: int,
-        i: int, h: int, H: int) -> TransferMatrix:
+        i: int, h: int, H: int) -> np.ndarray:
     """Transfer matrix: the coefficient of w_{t-i} when x_{t+1} is expanded
     from x_{t-h} under the policy window M_seq = (M_{t-h}, ..., M_t).
 
@@ -68,7 +56,7 @@ def psi(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams], t: int,
         raise ValueError(f"need 0 <= h <= t, got h={h}, t={t}")
     if not 0 <= i <= H + h:
         raise ValueError(f"need 0 <= i <= H+h={H + h}, got i={i}")
-    return TransferMatrix(value=_transfer_stack(cl, B, M_seq, h, H)[i], t=t, i=i, h=h)
+    return _transfer_stack(cl, B, M_seq, h, H)[i]
 
 
 def state_expansion(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams],
@@ -159,11 +147,13 @@ class SurrogateKernel:
         y, v = self._point(W, disturbance_action(blocks, hank))
         return y[:, 0], v[:, 0]
 
-    def value(self, cost: QuadraticCost, blocks: np.ndarray, W: np.ndarray) -> float:
+    def value(self, cost: tuple, blocks: np.ndarray, W: np.ndarray) -> float:
+        """f(M) = y'Qy + v'Rv for a stage cost (Q, R), as CostSchedule.reveal gives it."""
+        Q, R = cost
         y, v = self.point(blocks, W)
-        return cost.value(y, v)
+        return float(y @ Q @ y + v @ R @ v)
 
-    def grad(self, cost: QuadraticCost, blocks: np.ndarray, W: np.ndarray,
+    def grad(self, cost: tuple, blocks: np.ndarray, W: np.ndarray,
              hank: np.ndarray | None = None, dap: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gradient blocks, y, v): adjoint accumulation of the chain rule.
@@ -175,13 +165,14 @@ class SurrogateKernel:
         input shares; otherwise both are formed from the one window W.
         """
         H, n_x, n_u = self.H, self.n_x, self.n_u
+        Q, R = cost
         if hank is None:
             W, hank = self._check_window(W)
             dap = disturbance_action(blocks, hank)
         y, v = self._point(W, dap)
-        Rv = cost.R @ v  # half the stage-cost gradient g_u = 2 R v at (y, v)
+        Rv = R @ v  # half the stage-cost gradient g_u = 2 R v at (y, v)
         # C = [g_u; (A_K^j B)' g_eff for j = 0..H], g_eff = 2 (Q y - K' R v) (doubled in _PB2T)
-        C = np.concatenate([Rv + Rv, self._PB2T @ (cost.Q @ y - self.K.T @ Rv)], axis=-2)
+        C = np.concatenate([Rv + Rv, self._PB2T @ (Q @ y - self.K.T @ Rv)], axis=-2)
         G = C.reshape(y.shape[:-2] + (H + 2, n_u)).swapaxes(-1, -2) @ hank
         return G.reshape(G.shape[:-1] + (H, n_x)).swapaxes(-3, -2), y[..., 0], v[..., 0]
 

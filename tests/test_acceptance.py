@@ -82,7 +82,7 @@ def test_criterion_02_gradient_oracle():
         Q = S @ S.T + 0.1 * np.eye(n)
         S = rng.standard_normal((n, n))
         R = S @ S.T + 0.1 * np.eye(n)
-        cost = quadratic_cost(Q, R)
+        cost = (Q, R)
         M = sample_admissible(rng, H, n, n, 1.0, 0.5, 1.0)
         W = rng.standard_normal((2 * H + 1, n))
 
@@ -201,7 +201,7 @@ def test_criterion_05_transfer_matrix_norm_bound():
                     mat = psi(cl, sys_.B, seq[:h + 1], t=t, i=i, h=h, H=H)
                     bound = ((2 * H + 1) * sys_.kappa_B ** 2 * cert.kappa ** 5
                              * (1.0 - gamma) ** (i - 1))
-                    assert spectral_norm(mat.value) <= bound + 1e-9, (t, i, h)
+                    assert spectral_norm(mat) <= bound + 1e-9, (t, i, h)
                     checked += 1
     print(f"criterion 5: {checked} transfer norms within the envelope")
 

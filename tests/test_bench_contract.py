@@ -139,8 +139,9 @@ def test_direct_episode_on_the_benchmark_path(cost):
     rec = learner.run_episode(exp.system, exp.K, exp.cert, schedule, proc, lr, T,
                               x0=exp.x0)
     assert rec.costs.shape == (T,) and np.isfinite(rec.cum_cost)
+    revealed = [schedule.reveal(t, rec.us[t]) for t in range(T)]
     assert rec.cum_cost == pytest.approx(float(np.sum(
-        [schedule.reveal(t, rec.us[t]).value(rec.xs[t], rec.us[t]) for t in range(T)])))
+        [x @ Q @ x + u @ R @ u for (Q, R), x, u in zip(revealed, rec.xs, rec.us)])))
 
 
 def test_every_step_layer_is_traced_once_per_step():

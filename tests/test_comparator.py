@@ -5,8 +5,8 @@ import pytest
 
 from onlinectrl.comparator import (ComparatorResult, best_fixed_K,
                                    best_fixed_M, mstar_rollout, regret)
-from onlinectrl.costs import (QuadraticCost, adversarial_convex_schedule,
-                              constant_schedule, quadratic_cost)
+from onlinectrl.costs import (adversarial_convex_schedule, constant_schedule,
+                              quadratic_cost)
 from onlinectrl.learner import LearningRateSchedule, run_episode
 from onlinectrl.noise import NoiseProcess, sample
 from onlinectrl.policy import sample_admissible
@@ -26,12 +26,17 @@ def _noise_matrix(proc, T):
     return np.stack([sample(proc, t) for t in range(T)])
 
 
+def _stage_cost(cost_schedule, t, x, u):
+    Q, R = cost_schedule.reveal(t, u)
+    return x @ Q @ x + u @ R @ u
+
+
 def _naive_gain_cost(sys_, K, cost_schedule, ws):
     x = np.zeros(sys_.n_x)
     total, per = 0.0, []
     for t in range(len(ws)):
         u = -K @ x
-        c = cost_schedule.reveal(t, u).value(x, u)
+        c = _stage_cost(cost_schedule, t, x, u)
         per.append(c)
         total += c
         x = sys_.A @ x + sys_.B @ u + ws[t]
@@ -48,7 +53,7 @@ def _naive_dap_costs(sys_, K, blocks, cost_schedule, ws):
         u = -K @ x
         for m in range(min(H, len(past))):
             u = u + blocks[m] @ past[len(past) - 1 - m]
-        per.append(cost_schedule.reveal(t, u).value(x, u))
+        per.append(_stage_cost(cost_schedule, t, x, u))
         x = sys_.A @ x + sys_.B @ u + ws[t]
         past.append(ws[t])
     return np.array(per)
@@ -166,8 +171,7 @@ def test_best_fixed_m_beats_sampled_admissible_points():
     windows = [Z[t:t + 2 * H + 1][::-1] for t in range(T)]
 
     def surrogate_total(blocks):
-        return sum(kern.value(QuadraticCost(schedule.Q[t], schedule.R[t]),
-                              blocks, windows[t])
+        return sum(kern.value((schedule.Q[t], schedule.R[t]), blocks, windows[t])
                    for t in range(T))
 
     rng = RNG(77)
@@ -199,7 +203,7 @@ def test_best_fixed_m_recovers_scalar_lqr_structure():
         sys_, [K], schedule, ws).noise_hash
 
 
-def test_regret_checkpoints_and_burn_in():
+def test_regret_checkpoints():
     sys_ = _scalar()
     K = np.array([[0.5]])
     cert = certify(sys_, K, 1.0, 0.9)
@@ -214,14 +218,6 @@ def test_regret_checkpoints_and_burn_in():
     assert curve.regret_final == pytest.approx(
         rec.cum_cost - comp.cumulative_cost)
     assert curve.checkpoints[40] == pytest.approx(curve.regret_final)
-
-    b = 7
-    with_burn = regret(rec, comp, burn_in=b)
-    lc, cc = with_burn.learner_cum, with_burn.comparator_cum
-    expect = (lc[-1] - lc[b - 1]) - (cc[-1] - cc[b - 1])
-    assert with_burn.regret_after_burn_in == pytest.approx(expect)
-    with pytest.raises(ValueError):
-        regret(rec, comp, burn_in=T)
 
     tampered = dataclasses.replace(comp, noise_hash="0" * 64)
     with pytest.raises(ValueError):

@@ -7,9 +7,15 @@ from onlinectrl.costs import (CostSchedule, _random_psd,
 from onlinectrl.rng import STREAM_COST, keyed_rng
 
 
+def _stage_cost(sched, t, x, u):
+    Q, R = sched.reveal(t, u)
+    return x @ Q @ x + u @ R @ u
+
+
 def test_quadratic_metadata():
     cost = quadratic_cost(np.eye(2), np.eye(1))
-    assert cost.G_c == 2.0
+    assert (cost.horizon, cost.family) == (1, "quadratic")
+    assert cost.g_c == 2.0
     assert np.isclose(cost.alpha, 2.0)
     assert np.isclose(cost.beta, 2.0)
 
@@ -33,14 +39,14 @@ def test_stage_values_match_loop():
     U = rng.standard_normal((9, 1))
     values = sched.stage_values(X, U)
     for t in range(9):
-        assert np.isclose(values[t], sched.reveal(t, U[t]).value(X[t], U[t]))
+        assert np.isclose(values[t], _stage_cost(sched, t, X[t], U[t]))
     # a leading batch axis per step: X[t, c] is candidate c's state
     Xc, Uc = rng.standard_normal((9, 4, 2)), rng.standard_normal((9, 4, 1))
     batch = sched.stage_values(Xc, Uc)
     assert batch.shape == (9, 4)
     for t in range(9):
         for c in range(4):
-            assert np.isclose(batch[t, c], sched.reveal(t, Uc[t, c]).value(Xc[t, c], Uc[t, c]))
+            assert np.isclose(batch[t, c], _stage_cost(sched, t, Xc[t, c], Uc[t, c]))
 
 
 def test_reveal_bounds_and_constant_schedule():
@@ -50,9 +56,9 @@ def test_reveal_bounds_and_constant_schedule():
     assert sched.family == "quadratic"
     u = np.zeros(1)
     for t in (0, 4):
-        step = sched.reveal(t, u)
-        np.testing.assert_array_equal(step.Q, cost.Q)
-        np.testing.assert_array_equal(step.R, cost.R)
+        Q_t, R_t = sched.reveal(t, u)
+        np.testing.assert_array_equal(Q_t, cost.Q[0])
+        np.testing.assert_array_equal(R_t, cost.R[0])
     with pytest.raises(ValueError):
         sched.reveal(5, u)
     with pytest.raises(ValueError):
@@ -66,7 +72,7 @@ def test_constant_schedule_stores_zero_copy_view():
     assert sched.Q.shape == (4096, 2, 2) and sched.R.shape == (4096, 1, 1)
     assert sched.Q.strides[0] == 0 and sched.R.strides[0] == 0
     assert np.shares_memory(sched.Q, cost.Q) and np.shares_memory(sched.R, cost.R)
-    assert (sched.g_c, sched.alpha, sched.beta) == (cost.G_c, cost.alpha, cost.beta)
+    assert (sched.g_c, sched.alpha, sched.beta) == (cost.g_c, cost.alpha, cost.beta)
 
 
 def test_adversarial_schedule_determinism_and_bounds():
@@ -114,6 +120,22 @@ def test_schedule_rejects_one_bad_step():
         CostSchedule(Q=sched.Q, R=asymmetric, g_c=2.0)
     with pytest.raises(ValueError, match="steps"):
         CostSchedule(Q=sched.Q, R=sched.R[:19], g_c=2.0)
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("asymmetric", "R must be symmetric"), ("indefinite", "R must be positive semidefinite"),
+])
+def test_seed_stack_error_names_step_and_seed(defect, message):
+    # (T, S, n, n) stacks as lockstep episodes build them: 3 steps, 2 seeds
+    sched = adversarial_convex_schedule(9, 3, 2, 2)
+    Q = np.stack([sched.Q, sched.Q], axis=1)
+    R = np.stack([sched.R, sched.R], axis=1)
+    if defect == "asymmetric":
+        R[1, 1, 0, 1] += 1e-3
+    else:
+        R[1, 1] = np.diag([1.0, -0.5])
+    with pytest.raises(ValueError, match=f"^{message} \\(step 1, seed 1\\)$"):
+        CostSchedule(Q=Q, R=R, g_c=2.0)
 
 
 def test_materialize_pointwise_equal():

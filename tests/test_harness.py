@@ -283,6 +283,33 @@ def test_run_batch_worker_count_is_invisible(tmp_path):
                     == (tmp_path / f"w{workers}" / name).read_bytes()), (workers, name)
 
 
+def test_run_batch_pool_holds_at_most_one_worker_per_horizon(monkeypatch):
+    """Each horizon is one job, so a larger pool would start idle workers;
+    a single job runs in-process without a pool."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(hz, "ProcessPoolExecutor", RecordingPool)
+    two = build_experiment(_base_doc())
+    one = build_experiment(_base_doc(horizons=[8]))
+    for exp, workers, pools in ((two, 1, []), (two, 2, [2]), (two, 3, [2]), (one, 3, [])):
+        sizes.clear()
+        assert run_batch(exp, workers=workers).rows == run_batch(exp).rows
+        assert sizes == pools, (exp.horizons, workers)
+
+
 def test_run_batch_csv_schema(tmp_path):
     exp = build_experiment(_base_doc())
     report = run_batch(exp, out_dir=str(tmp_path))
@@ -436,6 +463,7 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     (lambda d: d.update(noise={"family": "student_t", "scale": 1.0, "df": "5",
                                "seed": 42}), "df"),
     (lambda d: d["noise"].update(seed="abc"), "noise seed"),
+    (lambda d: d["noise"].update(df=3.0), "df applies only to student_t noise, not gaussian"),
     (lambda d: d["cost"].update(Q=[[1.0, 0.0], [0.0, 1.0]]), "cost Q"),
     (lambda d: d["gain"].update(require_diagonal=True), "gain has unknown key 'require_diagonal'"),
     (lambda d: d["schedule"].update(eta_constant=0.5), "schedule has unknown key 'eta_constant'"),
@@ -451,7 +479,8 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
 ], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
         "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa",
         "comparator-not-an-object", "nested-horizon", "nested-seed",
-        "list-cost-seed", "string-df", "string-noise-seed", "cost-Q-wrong-shape",
+        "list-cost-seed", "string-df", "string-noise-seed", "df-on-gaussian",
+        "cost-Q-wrong-shape",
         "unknown-gain-key", "unknown-schedule-key", "unknown-root-key",
         "unknown-grid-key", "unknown-noise-key", "stale-quadratic-seed",
         "overflowing-noise-scale", "memory-longer-than-episode"])

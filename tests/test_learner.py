@@ -97,10 +97,11 @@ def _naive_replay(sys_, K, cert, proc, cost, lr, T, H):
             W[m] = w
         u = -K @ x + sum(M[i] @ W[i] for i in range(H))
         w = sample(proc, t)
-        g = kern.grad(cost, M, W)[0]
+        Q, R = cost.reveal(0, u)  # a one-step schedule: the same cost every step
+        g = kern.grad((Q, R), M, W)[0]
         step = _eta(lr, t, T)
         U, sv, Vt = np.linalg.svd(M - step * g, full_matrices=False)
-        steps.append({"x": x, "u": u, "w": w, "cost": cost.value(x, u),
+        steps.append({"x": x, "u": u, "w": w, "cost": float(x @ Q @ x + u @ R @ u),
                       "eta": step, "grad_frob": np.linalg.norm(g),
                       "clipped": bool(np.any(sv[:, 0] > radii))})
         M = np.einsum("hij,hj,hjk->hik", U, np.minimum(sv, radii[:, None]), Vt)

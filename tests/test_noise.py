@@ -1,9 +1,37 @@
+from math import sqrt
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from onlinectrl.noise import (NoiseProcess, estimate_moments,
-                              population_sigma_lower, population_sigma_w,
-                              population_sigma_w4, sample, sample_episode)
+from onlinectrl.noise import (NoiseProcess, _draw, population_sigma_lower,
+                              population_sigma_w, population_sigma_w4, sample,
+                              sample_episode)
+from onlinectrl.rng import keyed_rng
+
+_ESTIMATION_STREAM = 3  # apart from the noise (1) and cost (2) streams
+
+
+class MomentEstimate(NamedTuple):
+    """sigma_w_1 ~ E||w||, sigma_w_4 ~ (E||w||^4)^(1/4), and sigma_lower ~
+    sigma-underbar, the root of the smallest covariance eigenvalue."""
+
+    sigma_w_1: float
+    sigma_w_4: float
+    sigma_lower: float
+    samples: int
+
+
+def estimate_moments(proc: NoiseProcess, n_samples: int) -> MomentEstimate:
+    """Monte-Carlo oracle for the population moments: n_samples draws from
+    one generator on a stream of its own, not the per-step noise stream."""
+    X = _draw(proc, keyed_rng(proc.seed, _ESTIMATION_STREAM, 0), (n_samples, proc.dim))
+    norms = np.linalg.norm(X, axis=1)
+    cov = np.cov(X, rowvar=False).reshape(proc.dim, proc.dim)
+    lam_min = float(np.linalg.eigvalsh(cov).min())
+    return MomentEstimate(sigma_w_1=float(norms.mean()),
+                          sigma_w_4=float(np.mean(norms ** 4) ** 0.25),
+                          sigma_lower=sqrt(max(lam_min, 0.0)), samples=n_samples)
 
 
 def test_sample_determinism_and_negative_time():
@@ -53,6 +81,9 @@ def test_family_validation():
             NoiseProcess(family="gaussian", scale=bad, dim=1, seed=0)
         with pytest.raises(ValueError, match="df"):
             NoiseProcess(family="student_t", scale=1.0, dim=1, seed=0, df=bad)
+    for family in ("gaussian", "laplace", "scaled_bernoulli", "zero"):
+        with pytest.raises(ValueError, match="df applies only to student_t"):
+            NoiseProcess(family=family, scale=1.0, dim=1, seed=0, df=5.0)
 
 
 def test_scaled_bernoulli_support():
@@ -114,9 +145,3 @@ def test_population_sigma_w4_dimension_formula():
     assert population_sigma_w4(proc) == pytest.approx(expect)
     lap = NoiseProcess(family="laplace", scale=1.0, dim=2, seed=34)
     assert population_sigma_w4(lap) == pytest.approx((2 * 24 + 2 * 4) ** 0.25)
-
-
-def test_estimate_moments_sample_floor():
-    proc = NoiseProcess(family="gaussian", scale=1.0, dim=1, seed=0)
-    with pytest.raises(ValueError):
-        estimate_moments(proc, n_samples=10)

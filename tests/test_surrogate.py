@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from onlinectrl.costs import QuadraticCost, adversarial_convex_schedule, quadratic_cost
+from onlinectrl.costs import adversarial_convex_schedule
 from onlinectrl.noise import NoiseProcess, sample_episode
 from onlinectrl.policy import sample_admissible
 from onlinectrl.stability import make_closed_loop
@@ -165,7 +165,8 @@ def _grad_fd_error(kern, cost, blocks, W, eps=1e-6):
     """Relative error of kern.grad against central finite differences."""
     G, y, v = kern.grad(cost, blocks, W)
     assert G.shape == blocks.shape
-    assert np.isfinite(cost.value(y, v))
+    Q, R = cost
+    assert np.isfinite(y @ Q @ y + v @ R @ v)
     fd = np.zeros_like(G)
     for idx in np.ndindex(G.shape):
         up, dn = blocks.copy(), blocks.copy()
@@ -176,10 +177,10 @@ def _grad_fd_error(kern, cost, blocks, W, eps=1e-6):
 
 
 def _random_cost(rng, n_x, n_u):
+    """A random strongly convex stage cost (Q, R)."""
     Qh = rng.standard_normal((n_x, n_x))
     Rh = rng.standard_normal((n_u, n_u))
-    return quadratic_cost(Qh @ Qh.T + 0.2 * np.eye(n_x),
-                          Rh @ Rh.T + 0.2 * np.eye(n_u))
+    return Qh @ Qh.T + 0.2 * np.eye(n_x), Rh @ Rh.T + 0.2 * np.eye(n_u)
 
 
 def test_grad_matches_finite_differences():
@@ -216,7 +217,7 @@ def test_quadratic_form_matches_summed_kernel(T, H):
     sched = adversarial_convex_schedule(23, T, 3, 2)
     ws = sample_episode(NoiseProcess("student_t", 1.0, dim=3, seed=4, df=5.0), T)
     P, q, c = kern.quadratic_form(sched.Q, sched.R, ws)
-    stages = [(QuadraticCost(sched.Q[t], sched.R[t]), _window(ws, t, 2 * H + 1))
+    stages = [((sched.Q[t], sched.R[t]), _window(ws, t, 2 * H + 1))
               for t in range(T)]
     for _ in range(3):
         blocks = rng.standard_normal((H, 2, 3))
