@@ -34,42 +34,70 @@ class ComparatorResult:
     surrogate_cost: Optional[float] = None
 
 
+def _realized(sys: LinearSystem, cost_schedule: CostSchedule,
+              realized_noise: np.ndarray) -> np.ndarray:
+    """realized_noise as a (T, n_x) float array that cost_schedule covers."""
+    ws = np.asarray(realized_noise, dtype=float)
+    if ws.ndim != 2 or ws.shape[1] != sys.n_x:
+        raise ValueError(f"realized noise must be a (T, n_x) = (T, {sys.n_x}) array, "
+                         f"got shape {ws.shape}")
+    cost_schedule.require_horizon(ws.shape[0])
+    return ws
+
+
 def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
-                 cost_schedule: CostSchedule,
-                 realized_noise: np.ndarray) -> ComparatorResult:
+                 cost_schedule: CostSchedule | Sequence[CostSchedule],
+                 realized_noise: np.ndarray | Sequence[np.ndarray]) -> ComparatorResult | list:
     """Cheapest fixed linear gain u = -Kx over the candidate set.
 
     All candidates are rolled out in one batch on the shared noise; ties
-    go to the first index.
+    go to the first index. Equal-length sequences of cost schedules and
+    noise arrays, one per seed, roll out every (seed, candidate) pair in
+    one loop and return a list with each seed's result, the same as its
+    solo call.
     """
+    solo = isinstance(cost_schedule, CostSchedule)
+    schedules = [cost_schedule] if solo else list(cost_schedule)
+    noises = [realized_noise] if solo else list(realized_noise)
+    if not schedules or len(noises) != len(schedules):
+        raise ValueError("pass one cost schedule and one noise array, "
+                         "or equal-length sequences of both")
     if len(candidates) == 0:
         raise ValueError("candidate set is empty")
-    ws = np.asarray(realized_noise, dtype=float)
-    T = ws.shape[0]
-    cost_schedule.require_horizon(T)
+    ws = [_realized(sys, schedule, w) for schedule, w in zip(schedules, noises)]
+    T = ws[0].shape[0]
+    if any(w.shape[0] != T for w in ws):
+        raise ValueError(f"every seed's realized noise must cover the first seed's {T} steps")
     Ks = np.stack([np.asarray(K, dtype=float) for K in candidates])
     if Ks.shape[1:] != (sys.n_u, sys.n_x):
         raise ValueError(f"candidate gains must be ({sys.n_u}, {sys.n_x})")
     A_Ks = sys.A[None, :, :] - np.matmul(sys.B, Ks)
 
-    X = np.empty((T, Ks.shape[0], sys.n_x))  # X[t, c]: state of candidate c
+    S, C = len(ws), Ks.shape[0]
+    A_rows = np.tile(A_Ks, (S, 1, 1))  # row s * C + c: candidate c on seed s
+    W_rows = np.repeat(np.stack(ws, axis=1), C, axis=1)
+    X = np.empty((T, S * C, sys.n_x))  # X[t, r]: state of row r
     x = np.zeros(X.shape[1:])
     for t in range(T):
         X[t] = x
-        x = np.einsum("cxy,cy->cx", A_Ks, x) + ws[t]
-    U = -np.einsum("cux,tcx->tcu", Ks, X)
-    costs = np.ascontiguousarray(cost_schedule.stage_values(X, U).T)
+        x = np.einsum("cxy,cy->cx", A_rows, x) + W_rows[t]
 
-    totals = costs.sum(axis=1)
-    best = int(np.argmin(totals))
-    return ComparatorResult(
-        kind="fixed_gain",
-        cumulative_cost=float(totals[best]),
-        per_step_costs=costs[best],
-        descriptor={"K": Ks[best].tolist(), "index": best},
-        search_meta={"candidate_costs": totals.tolist()},
-        noise_hash=noise_fingerprint(ws),
-    )
+    results = []
+    for s, (schedule, w) in enumerate(zip(schedules, ws)):
+        X_s = np.ascontiguousarray(X[:, s * C:(s + 1) * C])  # laid out as a solo call's X
+        U = -np.einsum("cux,tcx->tcu", Ks, X_s)
+        costs = np.ascontiguousarray(schedule.stage_values(X_s, U).T)
+        totals = costs.sum(axis=1)
+        best = int(np.argmin(totals))
+        results.append(ComparatorResult(
+            kind="fixed_gain",
+            cumulative_cost=float(totals[best]),
+            per_step_costs=costs[best],
+            descriptor={"K": Ks[best].tolist(), "index": best},
+            search_meta={"candidate_costs": totals.tolist()},
+            noise_hash=noise_fingerprint(w),
+        ))
+    return results[0] if solo else results
 
 
 def _rollout_dap(sys: LinearSystem, K: np.ndarray, M: PolicyParams,
@@ -96,8 +124,7 @@ def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
     and the policy imitates u = -K_star x up to a tail the class cannot
     express.
     """
-    ws = np.asarray(realized_noise, dtype=float)
-    cost_schedule.require_horizon(ws.shape[0])
+    ws = _realized(sys, cost_schedule, realized_noise)
     K = np.asarray(K, dtype=float)
     K_star = np.asarray(K_star, dtype=float)
     M_star = comparator_params(K, K_star, sys.A, sys.B, H, kappa, gamma)
@@ -125,8 +152,7 @@ def best_fixed_M(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     with L = 2 lambda_max(P), the exact Lipschitz constant of the gradient.
     The budget is fixed; search_meta["last_step_frobs"] shows how far each start last moved.
     """
-    ws = np.asarray(realized_noise, dtype=float)
-    cost_schedule.require_horizon(ws.shape[0])
+    ws = _realized(sys, cost_schedule, realized_noise)
     K = np.asarray(K, dtype=float)
     kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys.kappa_B
     kern = SurrogateKernel(make_closed_loop(sys, K, i_max=H), sys.B, H)

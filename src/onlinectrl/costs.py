@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import STREAM_COST, keyed_steps
+from .rng import STREAM_COST, keyed_blocks, keyed_steps
 from .system import spectral_norm
 
 _PSD_TOL = -1e-10
@@ -145,19 +145,24 @@ def adversarial_convex_schedule(seed: int, T: int, n_x: int, n_u: int) -> CostSc
 
     Q_t and R_t are PSD with spectral norm in [0.1, 1], drawn from the
     generator keyed by (seed, STREAM_COST, t), so any step can be
-    regenerated independently of the others; all T steps are drawn in one
-    pass. Family-level constants: G_c = 2 from the norm cap; beta = 2;
+    regenerated independently of the others. The scalar family computes
+    every step's draws from one array of Philox blocks; matrix costs take
+    their normals from numpy's ziggurat, one keyed generator per step.
+    Family-level constants: G_c = 2 from the norm cap; beta = 2;
     alpha = 0.2 in the scalar case (where the norm floor is also an
     eigenvalue floor) and unreported otherwise.
     """
     Q = np.empty((T, n_x, n_x))
     R = np.empty((T, n_u, n_u))
-    # zip asks range(T) first, so T = 0 keys no generator
-    for t, rng in zip(range(T), keyed_steps(seed, STREAM_COST, range(T))):
-        if n_x == n_u == 1:  # the two draws of _random_psd's scalar case, in one call
-            Q[t], R[t] = rng.uniform(0.1, 1.0, 2)
-        else:
+    if n_x > 1 or n_u > 1:
+        # zip asks range(T) first, so T = 0 keys no generator
+        for t, rng in zip(range(T), keyed_steps(seed, STREAM_COST, range(T))):
             Q[t], R[t] = _random_psd(rng, n_x), _random_psd(rng, n_u)
+    elif T > 0:
+        # each step's rng.uniform(0.1, 1.0, 2), the two draws of _random_psd's
+        # scalar case: low + (high - low) * (word >> 11) * 2^-53 on words 0 and 1
+        words = keyed_blocks(seed, STREAM_COST, np.arange(T, dtype=np.uint64))[:, :2]
+        Q[:, 0, 0], R[:, 0, 0] = (0.1 + (1.0 - 0.1) * ((words >> np.uint64(11)) * 2.0 ** -53)).T
     alpha = 0.2 if (n_x == 1 and n_u == 1) else None
     return CostSchedule(Q=Q, R=R, g_c=2.0, alpha=alpha, beta=2.0,
                         family="random_quadratic")

@@ -450,8 +450,9 @@ class ScalingReport:
 
 def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple,
                  trace_dir: Optional[str]) -> list:
-    """Every (T, seed) cell of horizon T: learn all seeds in lockstep, then per
-    seed replay the comparator and measure regret; one result dict per seed."""
+    """Every (T, seed) cell of horizon T: learn all seeds in lockstep, replay
+    the comparator on every seed that did not diverge in one more lockstep
+    loop, and measure regret; one result dict per seed."""
     sys = exp.system
     base = int(exp.noise_cfg["seed"])
     procs = [_noise_from_cfg(exp.noise_cfg, sys.n_x, seed=mix_seed(base, seed))
@@ -459,24 +460,27 @@ def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple,
     schedules = [_cost_schedule(exp.cost_cfg, sys.n_x, sys.n_u, T, seed) for seed in seeds]
     outcomes = run_episode(sys, exp.K, exp.cert, schedules, procs, exp.lr_schedule,
                            T, x0=exp.x0)
-    results = []
-    for seed, schedule, record in zip(seeds, schedules, outcomes):
-        out = {"T": T, "seed": seed, "diverged": False, "step": None,
-               "regret": None, "learner_cost": None, "comparator_cost": None,
-               "comparator_index": None}
-        results.append(out)
+    results = [{"T": T, "seed": seed, "diverged": False, "step": None,
+                "regret": None, "learner_cost": None, "comparator_cost": None,
+                "comparator_index": None} for seed in seeds]
+    live = []
+    for i, record in enumerate(outcomes):
         if isinstance(record, EpisodeDivergedError):
-            out["diverged"] = True
-            out["step"] = record.step
-            continue
-        comp = best_fixed_K(sys, list(exp.candidates), schedule, record.ws)
+            results[i]["diverged"] = True
+            results[i]["step"] = record.step
+        else:
+            live.append(i)
+    comps = best_fixed_K(sys, list(exp.candidates), [schedules[i] for i in live],
+                         [outcomes[i].ws for i in live]) if live else []
+    for i, comp in zip(live, comps):
+        out, record = results[i], outcomes[i]
         curve = regret(record, comp)
         out["regret"] = float(curve.regret_final)
         out["learner_cost"] = float(record.cum_cost)
         out["comparator_cost"] = float(comp.cumulative_cost)
         out["comparator_index"] = comp.descriptor["index"]
         if trace_dir is not None:
-            with open(os.path.join(trace_dir, f"T{T}_seed{seed}.jsonl"), "w") as fp:
+            with open(os.path.join(trace_dir, f"T{T}_seed{out['seed']}.jsonl"), "w") as fp:
                 record.write_jsonl(fp)
     return results
 

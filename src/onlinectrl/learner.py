@@ -118,6 +118,16 @@ class EpisodeRecord:
             }, separators=(",", ":")) + "\n")
 
 
+def _seed_axis(stacks: list) -> np.ndarray:
+    """The seeds' (T, n, n) stacks as one (T, S, n, n) stack. Fixed costs
+    (stride 0 over t) broadcast their step-0 matrices, so the stage
+    schedule checks S matrices, not T * S."""
+    if all(stack.strides[0] == 0 for stack in stacks):
+        first = np.stack([stack[0] for stack in stacks])
+        return np.broadcast_to(first, (stacks[0].shape[0],) + first.shape)
+    return np.stack(stacks, 1)
+
+
 def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
                 cost_schedule: CostSchedule | Sequence[CostSchedule],
                 noise_proc: NoiseProcess | Sequence[NoiseProcess],
@@ -148,9 +158,8 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     etas = lr_schedule.etas(T)  # also rejects T < 3
     for schedule in schedules:
         schedule.require_horizon(T)
-    # every seed's costs in one schedule of (T, S, n, n) stacks; one seed's stay a view
-    Q, R = ([s.Q[:T] for s in schedules], [s.R[:T] for s in schedules])
-    Q, R = (Q[0][:, None], R[0][:, None]) if len(Q) == 1 else (np.stack(Q, 1), np.stack(R, 1))
+    # every seed's costs in one schedule of (T, S, n, n) stacks
+    Q, R = (_seed_axis([s.Q[:T] for s in schedules]), _seed_axis([s.R[:T] for s in schedules]))
     stage = CostSchedule(Q, R, schedules[0].g_c)
     if (Q.shape[2:], R.shape[2:]) != ((sys.n_x, sys.n_x), (sys.n_u, sys.n_u)):
         raise ValueError("cost schedule dimensions must match the system")

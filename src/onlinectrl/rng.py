@@ -19,6 +19,11 @@ _MASK64 = (1 << 64) - 1
 STREAM_NOISE = 1
 STREAM_COST = 2
 
+# Philox4x64-10 round multipliers and key (Weyl) increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
 
 def _counter(stream: int, step: int) -> np.ndarray:
     return np.array([0, 0, stream & _MASK64, step & _MASK64], dtype=np.uint64)
@@ -46,6 +51,36 @@ def keyed_steps(seed: int, stream: int,
         counter[3] = t & _MASK64
         rng.bit_generator.state = fresh
         yield rng
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, the high one from 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    x_hi, x_lo = x >> np.uint64(32), x & _LOW32
+    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    carry = ((lo_lo >> np.uint64(32)) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> np.uint64(32)
+    hi = m_hi * x_hi + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32)) + carry
+    return hi, np.uint64(m) * x
+
+
+def keyed_blocks(seed: int, stream: int, steps: np.ndarray) -> np.ndarray:
+    """Row i is keyed_rng(seed, stream, steps[i]).bit_generator.random_raw(4).
+
+    numpy's Philox bumps its counter before each block, so a step's first
+    block is Philox4x64-10 of counter (1, 0, stream, t) under the key
+    (seed mod 2^64, (seed >> 64) mod 2^64): integer arithmetic computed
+    here for every step at once, bit for bit.
+    """
+    t = np.asarray(steps, dtype=np.uint64)
+    x = [np.ones_like(t), np.zeros_like(t), np.full_like(t, stream & _MASK64), t]
+    k0, k1 = seed & _MASK64, (seed >> 64) & _MASK64
+    with np.errstate(over="ignore"):
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], x[0])
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], x[2])
+            x = [hi1 ^ x[1] ^ np.uint64(k0), lo1, hi0 ^ x[3] ^ np.uint64(k1), lo0]
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+    return np.stack(x, axis=-1)
 
 
 def mix_seed(base: int, k: int) -> int:

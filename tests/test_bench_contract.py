@@ -11,6 +11,7 @@ cost-schedule path of the benchmark's direct episodes.
 import ast
 import importlib
 import importlib.util
+import json
 import types
 from pathlib import Path
 
@@ -102,6 +103,24 @@ def test_setup_chain_on_the_workload_documents(name, candidates, H, perfbench_wo
     constants = harness.compute_theory_constants(exp)
     assert len(exp.candidates) == candidates
     assert constants.H[wl.t_max] == H
+
+
+@pytest.mark.parametrize("name", ["scalar-randcost-pool", "mimo4-heavytail"])
+def test_batch_regrets_match_the_benchmark_reference(name, perfbench_workloads):
+    """perfbench's correctness gate at the default workload seed: every
+    cell's regret lies within 1e-12 relative of perfbench/reference.json,
+    so a draw or rollout that drifts fails here before the benchmark runs."""
+    wl = perfbench_workloads[name]
+    ref = json.loads((PERFBENCH / "reference.json").read_text())[name]
+    assert (ref["horizons"], ref["seeds"]) == (list(wl.horizons), list(wl.seeds))
+    report = harness.run_batch(harness.build_experiment(wl.doc(0)), workers=1)
+    assert report.divergences == []
+    got = {(row["T"], seed): regret
+           for row in report.rows for seed, regret in zip(wl.seeds, row["regrets"])}
+    want = {(cell["T"], cell["seed"]): cell["regret"] for cell in ref["cells"]}
+    assert got.keys() == want.keys()
+    for cell, regret in want.items():
+        assert abs(got[cell] - regret) <= 1e-12 * abs(regret), (cell, got[cell], regret)
 
 
 def _scalar_doc(cost):

@@ -292,3 +292,79 @@ def test_every_consumer_rejects_a_short_cost_schedule(caller, steps):
     with pytest.raises(ValueError, match=f"cost schedule covers {steps} steps, need 50"):
         call(sys_, K, cert, short, ws)
     call(sys_, K, cert, constant_schedule(quadratic_cost(np.eye(3), np.eye(2)), 50), ws)
+
+
+def _seed_batch(plant, S, T=300):
+    """(system, candidates, cost schedules, noise arrays) of S seeds on one plant."""
+    if plant == "scalar":
+        sys_ = _scalar()
+        cands = [np.array([[k]]) for k in np.linspace(0.4, 0.6, 11)]
+        schedules = [adversarial_convex_schedule(40 + s, T, 1, 1) for s in range(S)]
+        procs = [NoiseProcess("gaussian", 1.0, dim=1, seed=s) for s in range(S)]
+    elif plant == "mimo4":
+        rng = RNG(6)
+        sys_ = make_system(np.diag([0.5, 0.3, -0.2, 0.4]) + 0.05 * rng.standard_normal((4, 4)),
+                           np.eye(4) + 0.1 * rng.standard_normal((4, 4)))
+        cands = [k * np.eye(4) for k in (0.1, 0.2, 0.3)]
+        fixed = constant_schedule(quadratic_cost(np.eye(4), 0.5 * np.eye(4)), T)
+        schedules = [adversarial_convex_schedule(s, T, 4, 4) if s % 2 else fixed
+                     for s in range(S)]
+        procs = [NoiseProcess("gaussian", 1.0, dim=4, seed=s) for s in range(S)]
+    else:
+        sys_, K, _ = _plant_3x2_certified()
+        cands = [K, 0.5 * K, np.zeros((2, 3))]
+        schedules = [adversarial_convex_schedule(60 + s, T, 3, 2) for s in range(S)]
+        procs = [NoiseProcess("student_t", 1.0, dim=3, seed=s, df=5.0) for s in range(S)]
+    return sys_, cands, schedules, [_noise_matrix(p, T) for p in procs]
+
+
+@pytest.mark.parametrize("plant", ["scalar", "mimo4", "3x2-student-t"])
+@pytest.mark.parametrize("S", [1, 3])
+def test_best_fixed_k_over_seeds_equals_per_seed_calls(plant, S):
+    sys_, cands, schedules, ws = _seed_batch(plant, S)
+    batch = best_fixed_K(sys_, cands, schedules, ws)
+    assert isinstance(batch, list) and len(batch) == S
+    for schedule, w, got in zip(schedules, ws, batch):
+        want = best_fixed_K(sys_, cands, schedule, w)
+        assert got.per_step_costs.tobytes() == want.per_step_costs.tobytes()
+        assert got.search_meta == want.search_meta  # every candidate's total, bit for bit
+        assert (got.cumulative_cost, got.descriptor, got.noise_hash) == (
+            want.cumulative_cost, want.descriptor, want.noise_hash)
+
+
+def test_best_fixed_k_rejects_unequal_or_empty_seed_lists():
+    sys_, cands, schedules, ws = _seed_batch("scalar", 3)
+    for bad in ((schedules[:2], ws), (schedules, ws[:2]), (schedules, ws[0]), ([], [])):
+        with pytest.raises(ValueError, match="equal-length sequences of both"):
+            best_fixed_K(sys_, cands, *bad)
+    with pytest.raises(ValueError, match=r"\(T, n_x\)"):
+        best_fixed_K(sys_, cands, schedules[0], ws)
+    with pytest.raises(ValueError, match="first seed's 300 steps"):
+        best_fixed_K(sys_, cands, schedules, [ws[0], ws[1][:200], ws[2]])
+
+
+def _certified(plant):
+    if plant == "3x2":
+        return _plant_3x2_certified()
+    sys_, K = _scalar(), np.array([[0.5]])
+    return sys_, K, certify(sys_, K, 1.0, 0.9)
+
+
+_NOISE_CALLERS = {name: call for name, call in _HORIZON_CALLERS.items()
+                  if name != "run_episode"}  # which draws its own noise
+_NOISE_CALLERS["best_fixed_K over seeds"] = lambda sys_, K, cert, sched, ws: best_fixed_K(
+    sys_, [K], [sched] * 2, [np.zeros((len(ws), sys_.n_x)), ws])
+
+
+@pytest.mark.parametrize("caller", sorted(_NOISE_CALLERS))
+@pytest.mark.parametrize("plant,shape", [("3x2", (50,)), ("3x2", (50, 2)),
+                                         ("scalar", (50, 2)), ("scalar", (50,))])
+def test_every_comparator_rejects_mis_shaped_noise(caller, plant, shape):
+    """1-D noise on a 3-state plant used to broadcast into every component
+    (best_fixed_K) or raise IndexError (mstar_rollout), and a (T, 2) array
+    on the scalar plant failed inside numpy."""
+    sys_, K, cert = _certified(plant)
+    schedule = constant_schedule(quadratic_cost(np.eye(sys_.n_x), np.eye(sys_.n_u)), 50)
+    ws = RNG(4).standard_normal(shape)
+    with pytest.raises(ValueError, match=rf"\(T, n_x\) = \(T, {sys_.n_x}\) array, got shape"):
+        _NOISE_CALLERS[caller](sys_, K, cert, schedule, ws)

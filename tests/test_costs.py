@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onlinectrl import costs
 from onlinectrl.costs import (CostSchedule, _random_psd,
                               adversarial_convex_schedule, constant_schedule,
                               materialize, quadratic_cost)
@@ -106,6 +107,28 @@ def test_random_stack_equals_per_step_draws(n_x, n_u):
         Q_t, R_t = _random_psd(rng, n_x), _random_psd(rng, n_u)
         assert sched.Q[t].tobytes() == Q_t.tobytes()
         assert sched.R[t].tobytes() == R_t.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 19, 2**64 + 7])
+def test_scalar_schedule_equals_per_step_draws_at_full_horizon(seed):
+    """The vectorized scalar draws are each step's rng.uniform(0.1, 1.0, 2)."""
+    T = 4096
+    sched = adversarial_convex_schedule(seed, T, 1, 1)
+    draws = np.array([keyed_rng(seed, STREAM_COST, t).uniform(0.1, 1.0, 2) for t in range(T)])
+    assert sched.Q.shape == sched.R.shape == (T, 1, 1)
+    assert sched.Q.tobytes() == np.ascontiguousarray(draws[:, 0]).tobytes()
+    assert sched.R.tobytes() == np.ascontiguousarray(draws[:, 1]).tobytes()
+
+
+@pytest.mark.parametrize("n_x,n_u", [(1, 1), (2, 1)])
+def test_empty_schedule_draws_nothing(n_x, n_u, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a T = 0 schedule drew")
+
+    monkeypatch.setattr(costs, "keyed_blocks", no_draws)
+    monkeypatch.setattr("onlinectrl.rng.keyed_rng", no_draws)  # what keyed_steps builds
+    sched = adversarial_convex_schedule(5, 0, n_x, n_u)
+    assert sched.Q.shape == (0, n_x, n_x) and sched.R.shape == (0, n_u, n_u)
 
 
 def test_schedule_rejects_one_bad_step():

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from onlinectrl.costs import (adversarial_convex_schedule, constant_schedule,
-                              quadratic_cost)
+from onlinectrl import costs
+from onlinectrl.costs import (CostSchedule, adversarial_convex_schedule,
+                              constant_schedule, quadratic_cost)
 from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
                                 LearningRateSchedule, alpha_tilde_from,
                                 noise_fingerprint, ogd_memory_regret_terms,
@@ -270,6 +271,32 @@ def test_lockstep_diverged_seed_stays_finite():
     assert not [w for w in caught if "invalid value" in str(w.message)]
     assert (batch[1].step, batch[1].norm) == (solo.value.step, solo.value.norm) == (0, math.inf)
     _assert_same_episode(batch[0], run_episode(sys_, K, cert, schedule, procs[0], lr, T, H=4))
+
+
+@pytest.mark.parametrize("name", ["3x2-student-t-clipping", "memory-reaches-past-start"])
+def test_lockstep_fixed_costs_stay_stride_0(name, monkeypatch):
+    """Seeds with fixed costs share a stage stack that repeats step 0 with
+    stride 0, so its check sees S matrices, and their records equal those
+    of contiguous copies of the same costs, which are stacked step by step."""
+    sys_, K, cert, schedules, procs, lr, T, H = _lockstep_case(name)
+    checked = []
+
+    def spy(stack, what, check=costs._check_psd_stack):
+        checked.append(stack)
+        check(stack, what)
+
+    monkeypatch.setattr(costs, "_check_psd_stack", spy)
+    batch = run_episode(sys_, K, cert, schedules, procs, lr, T, H=H)
+    monkeypatch.undo()
+    stage = [stack for stack in checked if stack.ndim == 4]
+    assert len(stage) == 2  # Q and R
+    assert all(stack.shape[:2] == (T, len(procs)) and stack.strides[0] == 0 for stack in stage)
+
+    copies = [CostSchedule(np.ascontiguousarray(s.Q), np.ascontiguousarray(s.R), s.g_c)
+              for s in schedules]
+    assert copies[0].Q.strides[0] != 0
+    for got, want in zip(batch, run_episode(sys_, K, cert, copies, procs, lr, T, H=H)):
+        _assert_same_episode(got, want)
 
 
 def test_lockstep_input_validation():
