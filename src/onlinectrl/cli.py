@@ -68,6 +68,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:  # e.g. a grid count or horizon far past the address space
+        print(f"invalid config: too large to allocate: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
     if args.command == "constants":
         print(json.dumps(constants.to_json_dict(), sort_keys=True, indent=2))

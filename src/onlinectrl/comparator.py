@@ -1,25 +1,23 @@
 """Benchmark policies evaluated on the same disturbance realization.
 
 Regret is measured against a policy class replayed on exactly the noise
-the learner saw. Three comparators are provided: the best fixed strongly
-stable gain from a finite candidate set, the disturbance-action policy
-induced by a reference gain, and the best fixed disturbance-action
-parameters found by offline projected gradient descent on the surrogate
-objective.
+the learner saw. Two comparators are provided: the best fixed strongly
+stable gain from a finite candidate set (`best_fixed_K`), and the
+disturbance-action policy induced by a reference gain (`mstar_rollout`).
+`regret` turns a learner record and a comparator result into a regret curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .costs import CostSchedule
 from .learner import EpisodeRecord, noise_fingerprint
-from .policy import (PolicyParams, comparator_params, project, zero_policy)
-from .stability import StabilityCertificate, make_closed_loop
-from .surrogate import SurrogateKernel, _windows
+from .policy import PolicyParams, comparator_params, disturbance_action
+from .surrogate import _hankel
 from .system import LinearSystem
 
 
@@ -31,7 +29,6 @@ class ComparatorResult:
     descriptor: dict
     search_meta: dict
     noise_hash: str
-    surrogate_cost: Optional[float] = None
 
 
 def _realized(sys: LinearSystem, cost_schedule: CostSchedule,
@@ -104,8 +101,11 @@ def _rollout_dap(sys: LinearSystem, K: np.ndarray, M: PolicyParams,
                  cost_schedule: CostSchedule, ws: np.ndarray) -> np.ndarray:
     """Stage costs of a fixed disturbance-action policy on given noise."""
     T = ws.shape[0]
+    # the noise most recent first, as the learner stores it: recent[T-1-r] = w_r and
+    # H zero rows after it, so step t's Hankel row starts at row T-t
+    recent = np.vstack([ws[::-1], np.zeros((M.H, sys.n_x))])
     # dap[t] = sum_m M^[m] w_{t-1-m}; it does not depend on the state
-    dap = np.einsum("mux,tmx->tu", M.blocks, _windows(ws, M.H))
+    dap = disturbance_action(M.blocks, _hankel(recent, M.H, 1)[T:0:-1])[:, 0]
     xs = np.zeros((T + 1, sys.n_x))
     us = np.empty((T, sys.n_u))
     for t in range(T):
@@ -136,59 +136,6 @@ def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
         descriptor={"K": K.tolist(), "K_star": K_star.tolist(), "H": H},
         search_meta={"M_star_frob": float(M_star.frob_norm())},
         noise_hash=noise_fingerprint(ws),
-    )
-
-
-def best_fixed_M(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
-                 cost_schedule: CostSchedule, realized_noise: np.ndarray,
-                 H: int, optimizer_budget: int = 500,
-                 starts: Sequence[PolicyParams] | None = None) -> ComparatorResult:
-    """Best fixed admissible parameters in hindsight, by offline PGD.
-
-    The search objective is the summed surrogate cost, the convex quadratic
-    m'Pm + 2q'm + c of `SurrogateKernel.quadratic_form`; the reported
-    cumulative cost is an exact closed-loop rollout of the winner. Extra
-    starting points supplement the default zero start. The step size is 1/L
-    with L = 2 lambda_max(P), the exact Lipschitz constant of the gradient.
-    The budget is fixed; search_meta["last_step_frobs"] shows how far each start last moved.
-    """
-    ws = _realized(sys, cost_schedule, realized_noise)
-    K = np.asarray(K, dtype=float)
-    kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys.kappa_B
-    kern = SurrogateKernel(make_closed_loop(sys, K, i_max=H), sys.B, H)
-    P, q, c = kern.quadratic_form(cost_schedule.Q[:len(ws)], cost_schedule.R[:len(ws)], ws)
-    L = 2.0 * float(np.linalg.eigvalsh(P)[-1])
-    step = 1.0 / max(L, 1e-12)
-
-    points = [zero_policy(H, sys.n_u, sys.n_x)] + (list(starts) if starts else [])
-    finals, objectives, last_steps = [], [], []
-    for start in points:
-        M = prev = project(start, kappa, gamma, kappa_B)
-        for _ in range(optimizer_budget):
-            G = 2.0 * (P @ M.blocks.ravel() + q)
-            prev, M = M, project(PolicyParams(M.blocks - step * G.reshape(M.blocks.shape)),
-                                 kappa, gamma, kappa_B)
-        m = M.blocks.ravel()
-        finals.append(M)
-        objectives.append(m @ P @ m + 2.0 * q @ m + c)
-        last_steps.append(float(np.linalg.norm(M.blocks - prev.blocks)))
-    best = int(np.argmin(objectives))
-    M_best = finals[best]
-
-    costs = _rollout_dap(sys, K, M_best, cost_schedule, ws)
-    return ComparatorResult(
-        kind="fixed_params",
-        cumulative_cost=float(costs.sum()),
-        per_step_costs=costs,
-        descriptor={"H": H, "M_frob": float(M_best.frob_norm()),
-                    "blocks": M_best.blocks.tolist()},
-        search_meta={"objectives": [float(o) for o in objectives],
-                     "lipschitz_estimate": L,
-                     "iterations": optimizer_budget,
-                     "start_count": len(points),
-                     "last_step_frobs": last_steps},
-        noise_hash=noise_fingerprint(ws),
-        surrogate_cost=float(objectives[best]),
     )
 
 

@@ -148,6 +148,15 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def _as_seed(value, what: str) -> int:
+    """A JSON integer in [0, 2**64); mix_seed reduces its arguments mod 2**64,
+    so seeds outside that range would alias seeds inside it."""
+    seed = _as_int(value, what)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"config {what} must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _as_float(value, what: str) -> float:
     """A finite JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -197,7 +206,7 @@ def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int, T: int = 0,
         return constant_schedule(quadratic_cost(Q, R), T)
     if family == "random_quadratic":
         _no_unknown(cost_cfg, ("family", "seed"), "cost")
-        base = _as_int(_require(cost_cfg, "seed", "cost"), "cost seed")
+        base = _as_seed(_require(cost_cfg, "seed", "cost"), "cost seed")
         if seed is not None:
             base = mix_seed(base, seed)
         return adversarial_convex_schedule(base, T, n_x, n_u)
@@ -236,7 +245,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
 
     noise_cfg = dict(_section(doc, "noise", ("family", "scale", "seed", "df")))
     _require(noise_cfg, "family", "noise")
-    _as_int(_require(noise_cfg, "seed", "noise"), "noise seed")
+    _as_seed(_require(noise_cfg, "seed", "noise"), "noise seed")
     proc = _noise_from_cfg(noise_cfg, sys.n_x, seed=0)  # validates family/df
 
     horizons = sorted({_as_int(T, "horizon") for T in _require_list(doc, "horizons")})
@@ -244,19 +253,20 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         raise ValueError("horizons list is empty")
     if horizons[0] < 3:
         raise ValueError("every horizon must be >= 3")
-    seeds = [_as_int(s, "seed") for s in _require_list(doc, "seeds")]
+    seeds = [_as_seed(s, "seeds entry") for s in _require_list(doc, "seeds")]
     if not seeds:
         raise ValueError("seeds list is empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds list has duplicates")
 
     comp = _section(doc, "comparator", ("candidates", "grid"))
-    raw: list = []
-    from_grid = False
-    if "candidates" in comp:
+    if len(comp) != 1:  # the section has no other keys
+        raise ValueError("comparator must give either 'candidates' or 'grid'")
+    from_grid = "grid" in comp
+    if not from_grid:
         raw = [_as_array(c, "comparator candidate")
                for c in _require_list(comp, "candidates", "comparator")]
-    elif "grid" in comp:
+    else:
         if sys.n_x != 1 or sys.n_u != 1:
             raise ValueError("comparator grid is only defined for scalar systems")
         g = _section(comp, "grid", ("min", "max", "count"))
@@ -266,9 +276,6 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         if count < 1 or hi < lo:
             raise ValueError("comparator grid must have count >= 1 and max >= min")
         raw = [np.array([[v]]) for v in np.linspace(lo, hi, count)]
-        from_grid = True
-    else:
-        raise ValueError("comparator must give 'candidates' or 'grid'")
     if any(cand.shape != (sys.n_u, sys.n_x) for cand in raw):
         raise ValueError(f"candidate gain must be ({sys.n_u}, {sys.n_x})")
     cert, *certs = _certify_stack(sys, np.stack([K, *raw]), kappa, gamma)
@@ -304,8 +311,8 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
-    # Batches span several horizons and H grows with T, so a single explicit
-    # block stack cannot fit them all; nonzero starts go through run_episode.
+    # Batches span several horizons and H grows with T, so no single block
+    # stack fits them all; every episode starts from zero blocks.
     if doc.get("m0", "zero") != "zero":
         raise ValueError('m0 supports only "zero"')
 

@@ -28,8 +28,7 @@ import numpy as np
 
 from .costs import CostSchedule
 from .noise import NoiseProcess, sample_episode
-from .policy import (PolicyParams, control_input, disturbance_action, horizon_H,
-                     is_admissible, policy_class_diameter, project, zero_policy)
+from .policy import PolicyParams, control_input, disturbance_action, horizon_H, project
 from .stability import StabilityCertificate, make_closed_loop
 from .surrogate import SurrogateKernel, _hankel
 from .system import LinearSystem, initial_state, recover_noise
@@ -132,7 +131,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
                 cost_schedule: CostSchedule | Sequence[CostSchedule],
                 noise_proc: NoiseProcess | Sequence[NoiseProcess],
                 lr_schedule: LearningRateSchedule, T: int, *,
-                M0: PolicyParams | None = None, H: int | None = None, x0: np.ndarray | None = None,
+                H: int | None = None, x0: np.ndarray | None = None,
                 divergence_limit: float = 1e12) -> EpisodeRecord | list:
     """Run projected OGD for T steps and return the trace.
 
@@ -174,16 +173,11 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     K = np.asarray(K, dtype=float)
     kern = SurrogateKernel(make_closed_loop(sys, K, i_max=H), sys.B, H)
 
-    M = M0 if M0 is not None else zero_policy(H, sys.n_u, sys.n_x)
-    if M.blocks.shape != (H, sys.n_u, sys.n_x):
-        raise ValueError(f"M0 must have shape ({H}, {sys.n_u}, {sys.n_x})")
-    if not is_admissible(M, kappa, gamma, kappa_B):
-        raise ValueError("M0 lies outside the admissible set")
-
     S = len(procs)
     step_sizes, A_T, B_T = etas.tolist(), sys.A.T, sys.B.T  # cheaper to use in the loop
-    # (S, H, n_u, n_x) view of (S, n_u, H, n_x) memory, the flattened blocks' and G's layout
-    blocks = np.repeat(M.blocks.swapaxes(0, 1)[None], S, axis=0).swapaxes(1, 2)
+    # zero start, as an (S, H, n_u, n_x) view of (S, n_u, H, n_x) memory: the
+    # flattened blocks' and G's layout
+    blocks = np.zeros((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
     x = np.repeat(initial_state(sys, x0)[None], S, axis=0)
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
@@ -241,38 +235,3 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     if solo and isinstance(outcome[0], EpisodeDivergedError):
         raise outcome[0]
     return outcome[0] if solo else outcome
-
-
-def ogd_memory_regret_terms(record: EpisodeRecord, L_c: float = 1.0) -> dict:
-    """Empirical value of the three memory-OGD regret terms.
-
-    For a constant step size these are exactly the Lipschitz-drift sum
-    L_c eta sum_t sum_{i<=min(H+1,t)} sum_{k<=i} ||grad f_{t-k}||, the
-    diameter term D^2/(2 eta), and the gradient-energy term
-    (eta/2) sum ||grad f_t||^2. With a decaying schedule the per-step eta
-    is used inside the sums and the mean eta in the diameter term, as the
-    empirical analogue.
-    """
-    g = record.grad_frobs
-    e = record.etas
-    H, T = record.H, record.T
-    a = e * g
-    # steps t <= L weigh a[s] by s + 1; later ones convolve a with H+1, ..., 1
-    L = min(H, T - 1)
-    drift = L_c * float(np.arange(1, L + 1) @ (np.arange(L, 0, -1) * a[:L])
-                        + np.convolve(a, np.arange(H + 1, 0, -1.0))[H:T - 1].sum())
-
-    n = max(record.n_x, record.n_u)
-    D = policy_class_diameter(n, record.kappa, record.gamma, record.kappa_B)
-    constant = np.allclose(e, e[0])
-    eta_bar = float(e[0]) if constant else float(e.mean())
-    diameter = D ** 2 / (2.0 * eta_bar)
-    energy = 0.5 * float(e @ g ** 2)
-    return {
-        "lipschitz_term": float(drift),
-        "diameter_term": float(diameter),
-        "gradient_term": float(energy),
-        "total": float(drift + diameter + energy),
-        "eta_mode": "constant" if constant else "per_step",
-        "diameter": float(D),
-    }

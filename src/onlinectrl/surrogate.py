@@ -87,12 +87,6 @@ def state_expansion(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams]
     return cl.power(h + 1) @ x_base + np.einsum("ixy,iy->x", stack[:count], recent)
 
 
-def _windows(ws: np.ndarray, length: int) -> np.ndarray:
-    """Every window of an episode, W[t, m] = w_{t-1-m} for m < length, by one lag index."""
-    Z = np.vstack([np.zeros((length, ws.shape[1])), ws])
-    return Z[length - 1 + np.arange(len(ws))[:, None] - np.arange(length)]
-
-
 def _hankel(A: np.ndarray, H: int, rows: int) -> np.ndarray:
     """Strided view, no copy, of A (..., L, n_x) with rows back to back: out[..., p, j, :]
     = A[..., p + j : p + j + H, :].ravel() for j < rows, p <= L - H - rows + 1. On a
@@ -175,27 +169,3 @@ class SurrogateKernel:
         C = np.concatenate([Rv + Rv, self._PB2T @ (Q @ y - self.K.T @ Rv)], axis=-2)
         G = C.reshape(y.shape[:-2] + (H + 2, n_u)).swapaxes(-1, -2) @ hank
         return G.reshape(G.shape[:-1] + (H, n_x)).swapaxes(-3, -2), y[..., 0], v[..., 0]
-
-    def quadratic_form(self, Q: np.ndarray, R: np.ndarray,
-                       ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(P, q, c) with sum_t f_t(M) = m'Pm + 2q'm + c, m = blocks.ravel(), for stage
-        costs Q (T, n_x, n_x), R (T, n_u, n_u) and disturbances ws (T, n_x). The point
-        is affine in m, y_t = y0_t + Jy_t m and v_t = -K y0_t + Jv_t m."""
-        H, n_x, n_u = self.H, self.n_x, self.n_u
-        T = ws.shape[0]
-        W = _windows(np.asarray(ws, dtype=float), 2 * H + 1)
-        y0 = W[:, :H + 1].reshape(T, -1) @ self._pows_row.T
-        # Jy[t, a, (m, u, x)] = sum_j (A_K^j B)[a, u] w_{t-2-j-m}[x]
-        PB = self._PB_row.reshape(n_x, H + 1, n_u).transpose(1, 0, 2).reshape(H + 1, -1)
-        Jy = (PB.T @ _hankel(W[:, 1:], H, H + 1)[:, 0]).reshape(T, n_x, n_u, H, n_x)
-        Jy = Jy.transpose(0, 1, 3, 2, 4).reshape(T, n_x, -1)
-        # v = M w - K y, where d (M w)[b] / d M^[m][u, x] = [b = u] w_{t-1-m}[x]
-        Jv = np.einsum("bu,tmx->tbmux", np.eye(n_u), W[:, :H]).reshape(T, n_u, -1) - self.K @ Jy
-        P = q = c = 0.0
-        for J, C, z in ((Jy, Q, y0), (Jv, R, -y0 @ self.K.T)):
-            Jt = J.reshape(-1, J.shape[-1]).T  # the Jacobians of all t side by side
-            Cz = np.matmul(C, z[:, :, None]).ravel()
-            P = P + Jt @ np.matmul(C, J).reshape(Jt.shape[::-1])
-            q = q + Jt @ Cz
-            c = c + float(z.ravel() @ Cz)
-        return P, q, c

@@ -3,16 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from onlinectrl.comparator import (ComparatorResult, best_fixed_K,
-                                   best_fixed_M, mstar_rollout, regret)
+from onlinectrl.comparator import (ComparatorResult, best_fixed_K, mstar_rollout,
+                                   regret)
 from onlinectrl.costs import (adversarial_convex_schedule, constant_schedule,
                               quadratic_cost)
 from onlinectrl.learner import LearningRateSchedule, run_episode
 from onlinectrl.noise import NoiseProcess, sample
-from onlinectrl.policy import sample_admissible
 from onlinectrl.stability import certify
-from onlinectrl.surrogate import SurrogateKernel
-from onlinectrl.stability import make_closed_loop
 from onlinectrl.system import make_system
 
 RNG = np.random.default_rng
@@ -154,55 +151,6 @@ def test_mstar_matches_naive_dap_simulation(plant):
     assert res.cumulative_cost == pytest.approx(per.sum())
 
 
-def test_best_fixed_m_beats_sampled_admissible_points():
-    sys_ = _scalar()
-    K = np.array([[0.5]])
-    cert = certify(sys_, K, 1.0, 0.5)
-    T, H = 120, 5
-    schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), T)
-    proc = NoiseProcess("gaussian", 1.0, dim=1, seed=21)
-    ws = _noise_matrix(proc, T)
-    res = best_fixed_M(sys_, K, cert, schedule, ws, H, optimizer_budget=400)
-
-    # surrogate objective evaluated the same way the search does
-    cl = make_closed_loop(sys_, K, i_max=H)
-    kern = SurrogateKernel(cl, sys_.B, H)
-    Z = np.vstack([np.zeros((2 * H + 1, 1)), ws])
-    windows = [Z[t:t + 2 * H + 1][::-1] for t in range(T)]
-
-    def surrogate_total(blocks):
-        return sum(kern.value((schedule.Q[t], schedule.R[t]), blocks, windows[t])
-                   for t in range(T))
-
-    rng = RNG(77)
-    best_sampled = min(
-        surrogate_total(sample_admissible(rng, H, 1, 1, 1.0, 0.5, 1.0).blocks)
-        for _ in range(150))
-    assert best_sampled >= res.surrogate_cost - 1e-6 * max(1.0, abs(res.surrogate_cost))
-
-    # reported cumulative cost is the exact rollout of the winning blocks
-    blocks = np.asarray(res.descriptor["blocks"])
-    per = _naive_dap_costs(sys_, K, blocks, schedule, ws)
-    assert res.cumulative_cost == pytest.approx(per.sum(), rel=1e-10)
-
-
-def test_best_fixed_m_recovers_scalar_lqr_structure():
-    # for c = x^2 + u^2 the best first block sits near 0.22, later ones decay
-    sys_ = _scalar()
-    K = np.array([[0.5]])
-    cert = certify(sys_, K, 1.0, 0.5)
-    T, H = 400, 8
-    schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), T)
-    proc = NoiseProcess("gaussian", 1.0, dim=1, seed=2)
-    ws = _noise_matrix(proc, T)
-    res = best_fixed_M(sys_, K, cert, schedule, ws, H, optimizer_budget=400)
-    blocks = np.asarray(res.descriptor["blocks"])
-    assert 0.15 <= blocks[0, 0, 0] <= 0.30
-    assert abs(blocks[1, 0, 0]) < 0.15
-    assert res.noise_hash == best_fixed_K(
-        sys_, [K], schedule, ws).noise_hash
-
-
 def test_regret_checkpoints():
     sys_ = _scalar()
     K = np.array([[0.5]])
@@ -249,32 +197,11 @@ def _plant_3x2_certified():
     return sys_, K, certify(sys_, K, 1.5, 0.5)
 
 
-def test_best_fixed_m_reports_its_last_step():
-    sys_, K, cert = _plant_3x2_certified()
-    T, H = 60, 4
-    schedule = adversarial_convex_schedule(5, T, 3, 2)
-    ws = np.stack([sample(NoiseProcess("student_t", 1.0, dim=3, seed=8, df=5.0), t)
-                   for t in range(T)])
-    extra = [sample_admissible(RNG(3), H, 2, 3, 1.5, 0.5, sys_.kappa_B)]
-    short, long_ = (best_fixed_M(sys_, K, cert, schedule, ws, H, optimizer_budget=b,
-                                 starts=extra) for b in (200, 3000))
-    for res in (short, long_):
-        assert set(res.search_meta) == {"objectives", "lipschitz_estimate", "iterations",
-                                        "start_count", "last_step_frobs"}
-        assert len(res.search_meta["last_step_frobs"]) == res.search_meta["start_count"] == 2
-    assert all(s > l for s, l in zip(short.search_meta["last_step_frobs"],
-                                     long_.search_meta["last_step_frobs"]))
-    zero = best_fixed_M(sys_, K, cert, schedule, ws, H, optimizer_budget=0)
-    assert zero.search_meta["last_step_frobs"] == [0.0]
-
-
 _HORIZON_CALLERS = {
     "run_episode": lambda sys_, K, cert, sched, ws: run_episode(
         sys_, K, cert, sched, NoiseProcess("gaussian", 1.0, dim=sys_.n_x, seed=1),
         LearningRateSchedule("constant_sqrtT"), len(ws)),
     "best_fixed_K": lambda sys_, K, cert, sched, ws: best_fixed_K(sys_, [K], sched, ws),
-    "best_fixed_M": lambda sys_, K, cert, sched, ws: best_fixed_M(
-        sys_, K, cert, sched, ws, 3, optimizer_budget=5),
     "mstar_rollout": lambda sys_, K, cert, sched, ws: mstar_rollout(
         sys_, K, K, sched, ws, 3, cert.kappa, cert.gamma),
 }

@@ -55,6 +55,10 @@ def test_build_experiment_accepts_base_config():
     (lambda d: d.update(horizons=[2, 8]), ">= 3"),
     (lambda d: d.update(seeds=[]), "seeds"),
     (lambda d: d.update(seeds=[1, 1]), "duplicates"),
+    (lambda d: d.update(seeds=[-1]), "seeds entry must lie in"),
+    (lambda d: d.update(seeds=[0, 2 ** 64]), "seeds entry must lie in"),
+    (lambda d: d["noise"].update(seed=2 ** 64), "noise seed must lie in"),
+    (lambda d: d.update(cost={"family": "random_quadratic", "seed": -1}), "cost seed must lie in"),
     (lambda d: d.pop("comparator"), "comparator"),
     (lambda d: d.update(x0=[1.0, 2.0]), "x0"),
     (lambda d: d.update(delta=0.0), "delta"),
@@ -476,6 +480,9 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
      "sigma_lower overflows"),
     (lambda d: d.update(gain={"K": [[0.5]], "kappa": 1.0, "gamma": 1e-6}, horizons=[4096]),
      "memory H = 16635533 exceeds horizon T = 4096 at gamma = 1e-06"),
+    (lambda d: d.update(seeds=[0, 2 ** 64]), "seeds entry must lie in"),
+    (lambda d: d["comparator"].update(candidates=[[[0.45]]]),
+     "comparator must give either 'candidates' or 'grid'"),
 ], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
         "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa",
         "comparator-not-an-object", "nested-horizon", "nested-seed",
@@ -483,7 +490,8 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
         "cost-Q-wrong-shape",
         "unknown-gain-key", "unknown-schedule-key", "unknown-root-key",
         "unknown-grid-key", "unknown-noise-key", "stale-quadratic-seed",
-        "overflowing-noise-scale", "memory-longer-than-episode"])
+        "overflowing-noise-scale", "memory-longer-than-episode", "aliasing-seeds",
+        "candidates-and-grid"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
     doc = _base_doc()
     mutate(doc)
@@ -495,6 +503,16 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
     assert rc == 2
     assert err.startswith("invalid config:") and needle in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_unallocatable_grid_exits_2(tmp_path, capsys):
+    # np.linspace asks for 711 PiB, which is refused before anything is allocated
+    doc = _base_doc(comparator={"grid": {"min": 0.4, "max": 0.6, "count": 10 ** 17}})
+    rc = cli_main(["run", "--config", _write_cfg(tmp_path, doc),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid config: too large to allocate")
 
 
 def _paths(node, prefix=()):

@@ -11,11 +11,9 @@ from onlinectrl.costs import (CostSchedule, adversarial_convex_schedule,
                               constant_schedule, quadratic_cost)
 from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
                                 LearningRateSchedule, alpha_tilde_from,
-                                noise_fingerprint, ogd_memory_regret_terms,
-                                run_episode)
+                                noise_fingerprint, run_episode)
 from onlinectrl.noise import NoiseProcess, sample
-from onlinectrl.policy import (PolicyParams, admissible_radii, is_admissible,
-                               policy_class_diameter, zero_policy)
+from onlinectrl.policy import admissible_radii, is_admissible, zero_policy
 from onlinectrl.stability import build_certificate, certify, make_closed_loop
 from onlinectrl.surrogate import SurrogateKernel
 from onlinectrl.system import make_system
@@ -365,21 +363,6 @@ def test_strongly_convex_requires_diagonal_certificate():
         run_episode(sys_, K, cert, schedule, proc, lr, 10)
 
 
-def test_m0_validation():
-    sys_, K, cert = _scalar_setup()
-    proc = NoiseProcess("gaussian", 1.0, dim=1, seed=2)
-    schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), 12)
-    bad_shape = zero_policy(2, 1, 1)
-    with pytest.raises(ValueError):
-        run_episode(sys_, K, cert, schedule, proc,
-                    LearningRateSchedule("constant_sqrtT"), 12, H=5,
-                    M0=bad_shape)
-    fat = PolicyParams(np.full((5, 1, 1), 50.0))
-    with pytest.raises(ValueError):
-        run_episode(sys_, K, cert, schedule, proc,
-                    LearningRateSchedule("constant_sqrtT"), 12, H=5, M0=fat)
-
-
 def test_zero_noise_episode_is_identically_zero():
     sys_, K, cert = _scalar_setup()
     proc = NoiseProcess("zero", 0.0, dim=1, seed=0)
@@ -407,58 +390,3 @@ def test_trace_jsonl_roundtrip():
         np.testing.assert_allclose(row["x"], rec.xs[t])
         np.testing.assert_allclose(row["w"], rec.ws[t])
 
-
-def _stub_record(T, H, etas, grads, kappa=1.0, gamma=0.5, kappa_B=1.0):
-    z1 = np.zeros((T + 1, 1))
-    z = np.zeros((T, 1))
-    return EpisodeRecord(T=T, n_x=1, n_u=1, H=H, kappa=kappa, gamma=gamma,
-                         kappa_B=kappa_B, schedule_kind="constant_sqrtT",
-                         xs=z1, us=z, ws=z, ws_recovered=z,
-                         costs=np.zeros(T), etas=np.asarray(etas, dtype=float),
-                         grad_frobs=np.asarray(grads, dtype=float),
-                         m_frobs=np.zeros(T), cum_cost=0.0,
-                         M_final=zero_policy(H, 1, 1), noise_hash="")
-
-
-def test_regret_terms_hand_case():
-    # T=4, H=1: drift = eta (2 g0 + 3 g1 + 2 g2); g3 never enters
-    g = [1.0, 2.0, 3.0, 4.0]
-    etas = [0.1] * 4
-    rec = _stub_record(4, 1, etas, g)
-    terms = ogd_memory_regret_terms(rec, L_c=1.0)
-    assert terms["lipschitz_term"] == pytest.approx(0.1 * (2 * 1 + 3 * 2 + 2 * 3))
-    D = policy_class_diameter(1, 1.0, 0.5, 1.0)
-    assert terms["diameter"] == pytest.approx(D)
-    assert terms["diameter_term"] == pytest.approx(D ** 2 / 0.2)
-    assert terms["gradient_term"] == pytest.approx(0.05 * sum(x * x for x in g))
-    assert terms["eta_mode"] == "constant"
-    assert terms["total"] == pytest.approx(terms["lipschitz_term"]
-                                           + terms["diameter_term"]
-                                           + terms["gradient_term"])
-
-
-def test_regret_terms_scale_with_lipschitz_constant():
-    rec = _stub_record(6, 2, [0.2] * 6, [1.0] * 6)
-    t1 = ogd_memory_regret_terms(rec, L_c=1.0)
-    t3 = ogd_memory_regret_terms(rec, L_c=3.0)
-    assert t3["lipschitz_term"] == pytest.approx(3 * t1["lipschitz_term"])
-    assert t3["diameter_term"] == t1["diameter_term"]
-
-
-def _naive_drift(a, H, T):
-    drift = 0.0
-    for t in range(T):
-        m = min(H + 1, t)
-        for k in range(1, m + 1):
-            drift += (m - k + 1) * a[t - k]
-    return drift
-
-
-@pytest.mark.parametrize("T,H", [(200, 7), (64, 19), (5, 4), (6, 9), (3, 3)])
-def test_regret_drift_term_matches_naive_loop(T, H):
-    rng = np.random.default_rng(T + 100 * H)
-    grads = rng.uniform(0.0, 3.0, T)
-    for etas in (np.full(T, 0.07), 3.0 / (0.4 * np.arange(1, T + 1))):
-        rec = _stub_record(T, H, etas, grads)
-        drift = ogd_memory_regret_terms(rec, L_c=1.5)["lipschitz_term"]
-        assert drift == pytest.approx(1.5 * _naive_drift(etas * grads, H, T), rel=1e-12)

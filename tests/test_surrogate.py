@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from onlinectrl.costs import adversarial_convex_schedule
-from onlinectrl.noise import NoiseProcess, sample_episode
 from onlinectrl.policy import sample_admissible
 from onlinectrl.stability import make_closed_loop
 from onlinectrl.surrogate import SurrogateKernel, psi, state_expansion
@@ -204,26 +202,3 @@ def test_grad_matches_finite_differences_non_square():
         M = sample_admissible(rng, H, n_u, n_x, KAPPA, GAMMA, KAPPA_B)
         assert _grad_fd_error(kern, cost, M.blocks, W) <= 1e-6
 
-
-@pytest.mark.parametrize("T,H", [(60, 4), (4, 5), (6, 5)])
-def test_quadratic_form_matches_summed_kernel(T, H):
-    # (3, 2) plant, random per-step costs, Student-t noise; H + 1 >= T
-    # leaves every window partly zero-padded
-    rng = np.random.default_rng(606)
-    B = rng.standard_normal((3, 2))
-    K = 0.2 * rng.standard_normal((2, 3))
-    sys_ = make_system(np.diag([0.3, -0.2, 0.4]) + B @ K, B)
-    kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), B, H)
-    sched = adversarial_convex_schedule(23, T, 3, 2)
-    ws = sample_episode(NoiseProcess("student_t", 1.0, dim=3, seed=4, df=5.0), T)
-    P, q, c = kern.quadratic_form(sched.Q, sched.R, ws)
-    stages = [((sched.Q[t], sched.R[t]), _window(ws, t, 2 * H + 1))
-              for t in range(T)]
-    for _ in range(3):
-        blocks = rng.standard_normal((H, 2, 3))
-        m = blocks.ravel()
-        total = sum(kern.value(cost, blocks, W) for cost, W in stages)
-        grad = sum(kern.grad(cost, blocks, W)[0] for cost, W in stages)
-        assert abs(m @ P @ m + 2 * q @ m + c - total) <= 1e-12 * abs(total)
-        err = np.linalg.norm(2 * (P @ m + q) - grad.ravel())
-        assert err <= 1e-12 * np.linalg.norm(grad)
