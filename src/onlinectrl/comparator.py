@@ -74,10 +74,10 @@ def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
     A_rows = np.tile(A_Ks, (S, 1, 1))  # row s * C + c: candidate c on seed s
     W_rows = np.repeat(np.stack(ws, axis=1), C, axis=1)
     X = np.empty((T, S * C, sys.n_x))  # X[t, r]: state of row r
-    x = np.zeros(X.shape[1:])
-    for t in range(T):
-        X[t] = x
-        x = np.einsum("cxy,cy->cx", A_rows, x) + W_rows[t]
+    X[:1] = 0.0
+    for t in range(T - 1):
+        np.einsum("cxy,cy->cx", A_rows, X[t], out=X[t + 1])
+        X[t + 1] += W_rows[t]
 
     results = []
     for s, (schedule, w) in enumerate(zip(schedules, ws)):

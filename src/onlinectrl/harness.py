@@ -40,6 +40,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, log, sqrt
@@ -492,6 +493,14 @@ def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple,
     return results
 
 
+def _outermost_missing(path: str) -> Optional[str]:
+    """The outermost directory on path that does not exist yet, or None."""
+    path, missing = os.path.abspath(path), None
+    while not os.path.exists(path):
+        path, missing = os.path.dirname(path), path
+    return missing
+
+
 def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
               trace: bool = False, workers: int = 1) -> ScalingReport:
     """Run every (T, seed) cell and aggregate regret quantiles per T.
@@ -504,23 +513,29 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
     does not depend on scheduling. Diverged episodes are dropped from the
     quantiles; once more than 20% of cells diverge the whole batch is
     marked failed. The theory constants come first, so overflowing ones
-    reject the config before any episode runs or output is written.
+    reject the config before any episode runs or output is written; if
+    an episode job fails, the directories this call created for out_dir
+    are removed again.
     """
     constants = compute_theory_constants(exp)
-    trace_dir = None
+    trace_dir = made = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if trace:
-            trace_dir = os.path.join(out_dir, "traces")
-            os.makedirs(trace_dir, exist_ok=True)
+        trace_dir = os.path.join(out_dir, "traces") if trace else None
+        made = _outermost_missing(trace_dir or out_dir)
+        os.makedirs(trace_dir or out_dir, exist_ok=True)
 
     jobs = [(exp, T, exp.seeds, trace_dir) for T in sorted(exp.horizons, reverse=True)]
     workers = min(workers, len(jobs))  # a worker past one per job would idle
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_episode_job, *zip(*jobs)))
-    else:
-        done = [_episode_job(*job) for job in jobs]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                done = list(pool.map(_episode_job, *zip(*jobs)))
+        else:
+            done = [_episode_job(*job) for job in jobs]
+    except BaseException:  # a failed batch leaves behind no directory it made
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     results = sorted((r for job in done for r in job), key=lambda r: (r["T"], r["seed"]))
 
     rows = []

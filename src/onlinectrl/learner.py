@@ -178,6 +178,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     # zero start, as an (S, H, n_u, n_x) view of (S, n_u, H, n_x) memory: the
     # flattened blocks' and G's layout
     blocks = np.zeros((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
+    flat = blocks.swapaxes(1, 2).reshape(S, -1)  # a view: blocks are updated in place
     x = np.repeat(initial_state(sys, x0)[None], S, axis=0)
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
@@ -198,13 +199,16 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         cost = stage.reveal(t, u)
         xs[t] = x
         us[t] = u
-        x_next = x @ A_T + u @ B_T + ws[t]
-        buf[:, T - 1 - t] = recover_noise(sys, x_next, x, u)
+        Ax, Bu = x @ A_T, u @ B_T  # shared by the step and the noise recovery
+        x_next = Ax + Bu
+        x_next += ws[t]
+        buf[:, T - 1 - t] = recover_noise(x_next, Ax, Bu)
 
         G, _, _ = kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap)
-        grad_sq[t] = np.square(G).sum(axis=(1, 2, 3))
-        m_sq[t] = np.square(blocks).sum(axis=(1, 2, 3))
-        blocks = blocks - step_sizes[t] * G
+        grad_sq[t] = np.square(G.swapaxes(1, 2).reshape(S, -1)).sum(axis=1)
+        m_sq[t] = np.square(flat).sum(axis=1)
+        G *= step_sizes[t]
+        blocks -= G
         for s in range(S):
             blocks[s] = project(PolicyParams(blocks[s]), kappa, gamma, kappa_B).blocks
 

@@ -4,7 +4,7 @@ sample(proc, t) is a pure function of (proc.seed, t): each step keys its
 own counter-based generator, so episodes replay bit-identically and any
 window of steps can be regenerated without generating its past.
 sample_episode(proc, T) draws w_0..w_{T-1} in one call with the same
-values, reusing one generator instead of keying one per step.
+values, resetting one generator instead of keying one per step.
 
 Families cover the regimes the regret guarantees care about: gaussian
 (sub-Gaussian, the logarithmic-regret assumptions hold), laplace (finite
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import STREAM_NOISE, keyed_rng, keyed_steps
+from .rng import STREAM_NOISE, keyed_blocks, keyed_steps
 
 _FAMILIES = ("gaussian", "laplace", "student_t", "scaled_bernoulli", "zero")
 
@@ -53,8 +53,18 @@ def _silent(proc: NoiseProcess) -> bool:
     return proc.family == "zero" or proc.scale == 0.0
 
 
+def _signs(scale: float, words: np.ndarray, count: int) -> np.ndarray:
+    """+-scale by bit 31 of the first count 32-bit halves of words (..., k),
+    low half of each word first: numpy's integers(0, 2) on those words, as
+    Lemire's method on a range of two keeps the top bit of each half."""
+    bits = np.stack([words >> np.uint64(31), words >> np.uint64(63)], axis=-1) & np.uint64(1)
+    return np.where(bits.reshape(words.shape[:-1] + (-1,))[..., :count] == 1, scale, -scale)
+
+
 def _draw(proc: NoiseProcess, rng: np.random.Generator, shape) -> np.ndarray:
-    """Draws of the process's family with the given shape; the one family switch."""
+    """Draws of the process's family with the given shape from a fresh
+    generator; each row of _keyed_rows equals this draw from its step's
+    keyed generator."""
     if proc.family == "gaussian":
         return proc.scale * rng.standard_normal(shape)
     if proc.family == "laplace":
@@ -62,24 +72,49 @@ def _draw(proc: NoiseProcess, rng: np.random.Generator, shape) -> np.ndarray:
     if proc.family == "student_t":
         return proc.scale * rng.standard_t(proc.df, size=shape)
     # scaled_bernoulli: +-scale equiprobably per component
-    return proc.scale * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
+    count = int(np.prod(shape))
+    return _signs(proc.scale, rng.bit_generator.random_raw(-(-count // 2)), count).reshape(shape)
+
+
+def _keyed_rows(proc: NoiseProcess, first: int, count: int) -> np.ndarray:
+    """w_t for the count steps from t = first as a (count, dim) array; row i
+    is _draw(proc, keyed_rng(proc.seed, STREAM_NOISE, first + i), proc.dim),
+    bit for bit. The one keyed path: scaled_bernoulli computes every step's
+    Philox words at once, the other families reset one generator per step,
+    and Gaussian and Student-t rows are scaled once at the end."""
+    ws = np.zeros((count, proc.dim))
+    if _silent(proc):
+        return ws
+    if proc.family == "scaled_bernoulli":  # 8 components per 4-word block
+        steps = np.arange(count, dtype=np.uint64) + np.uint64(first % 2**64)  # wraps like keyed_rng
+        words = [keyed_blocks(proc.seed, STREAM_NOISE, steps, b) for b in range(-(-proc.dim // 8))]
+        return _signs(proc.scale, np.concatenate(words, axis=1), proc.dim)
+    rngs = keyed_steps(proc.seed, STREAM_NOISE, range(first, first + count))
+    if proc.family == "laplace":  # numpy applies the scale inside its transform
+        for t, rng in enumerate(rngs):
+            ws[t] = rng.laplace(0.0, proc.scale, proc.dim)
+        return ws
+    if proc.family == "gaussian":
+        for row, rng in zip(ws, rngs):
+            rng.standard_normal(out=row)
+    else:
+        for t, rng in enumerate(rngs):
+            ws[t] = rng.standard_t(proc.df, proc.dim)
+    ws *= proc.scale
+    return ws
 
 
 def sample(proc: NoiseProcess, t: int) -> np.ndarray:
     """Disturbance w_t; the zero vector for t < 0 by convention."""
-    if t < 0 or _silent(proc):
+    if t < 0:
         return np.zeros(proc.dim)
-    return _draw(proc, keyed_rng(proc.seed, STREAM_NOISE, t), proc.dim)
+    return _keyed_rows(proc, t, 1)[0]
 
 
 def sample_episode(proc: NoiseProcess, T: int) -> np.ndarray:
     """Disturbances w_0..w_{T-1} as a (T, dim) array; row t is bit-identical
-    to sample(proc, t), drawn through one reseated generator."""
-    ws = np.zeros((T, proc.dim))
-    if not _silent(proc):
-        for t, rng in enumerate(keyed_steps(proc.seed, STREAM_NOISE, range(T))):
-            ws[t] = _draw(proc, rng, proc.dim)
-    return ws
+    to sample(proc, t)."""
+    return _keyed_rows(proc, 0, T)
 
 
 def _component_moments(proc: NoiseProcess) -> tuple[float, float]:

@@ -41,12 +41,16 @@ def keyed_steps(seed: int, stream: int,
 
     One generator is yielded over and over: its Philox counter and buffer
     are reset to the fresh (seed, stream, t) state before each yield, which
-    is several times cheaper than building a generator per step. Draw from
-    each item before advancing to the next.
+    is several times cheaper than building a generator per step. The state
+    is held as plain ints, which the Philox state setter reads two to three
+    times faster than uint64 arrays. Draw from each item before advancing
+    to the next.
     """
     rng = keyed_rng(seed, stream)
     fresh = rng.bit_generator.state
-    counter = fresh["state"]["counter"]  # (0, 0, stream, step): only the step changes
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    counter = fresh["state"]["counter"]  # [0, 0, stream, step]: only the step changes
     for t in steps:
         counter[3] = t & _MASK64
         rng.bit_generator.state = fresh
@@ -63,16 +67,17 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, np.uint64(m) * x
 
 
-def keyed_blocks(seed: int, stream: int, steps: np.ndarray) -> np.ndarray:
-    """Row i is keyed_rng(seed, stream, steps[i]).bit_generator.random_raw(4).
+def keyed_blocks(seed: int, stream: int, steps: np.ndarray, block: int = 0) -> np.ndarray:
+    """Row i is the 4-word block number `block` (from 0) that
+    keyed_rng(seed, stream, steps[i]).bit_generator.random_raw yields.
 
-    numpy's Philox bumps its counter before each block, so a step's first
-    block is Philox4x64-10 of counter (1, 0, stream, t) under the key
+    numpy's Philox bumps its counter before each block, so block b of a
+    step is Philox4x64-10 of counter (b + 1, 0, stream, t) under the key
     (seed mod 2^64, (seed >> 64) mod 2^64): integer arithmetic computed
     here for every step at once, bit for bit.
     """
     t = np.asarray(steps, dtype=np.uint64)
-    x = [np.ones_like(t), np.zeros_like(t), np.full_like(t, stream & _MASK64), t]
+    x = [np.full_like(t, block + 1), np.zeros_like(t), np.full_like(t, stream & _MASK64), t]
     k0, k1 = seed & _MASK64, (seed >> 64) & _MASK64
     with np.errstate(over="ignore"):
         for _ in range(10):

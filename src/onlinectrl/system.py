@@ -73,8 +73,8 @@ def initial_state(sys: LinearSystem, x0: np.ndarray | None = None) -> np.ndarray
     return x
 
 
-def recover_noise(sys: LinearSystem, x_next: np.ndarray, x: np.ndarray,
-                  u: np.ndarray) -> np.ndarray:
-    """Realized disturbance w_t = x_{t+1} - A x_t - B u_t; the states and
-    inputs may carry a leading seed axis."""
-    return x_next - x @ sys.A.T - u @ sys.B.T
+def recover_noise(x_next: np.ndarray, Ax: np.ndarray, Bu: np.ndarray) -> np.ndarray:
+    """Realized disturbance w_t = x_{t+1} - A x_t - B u_t, given the products
+    A x_t and B u_t that the step forming x_{t+1} already computed; the
+    states and inputs may carry a leading seed axis."""
+    return x_next - Ax - Bu

@@ -515,6 +515,24 @@ def test_cli_unallocatable_grid_exits_2(tmp_path, capsys):
     assert err.startswith("invalid config: too large to allocate")
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_cli_failed_batch_leaves_no_out_dir_of_its_own(tmp_path, capsys, existing):
+    # the step sizes of T = 10^13 ask for 72.8 TiB, refused before anything is allocated
+    doc = _base_doc(horizons=[10 ** 13])
+    out = tmp_path / "kept" if existing else tmp_path / "new" / "out"
+    if existing:
+        out.mkdir()
+        (out / "notes.txt").write_text("the user's own file")
+    rc = cli_main(["run", "--config", _write_cfg(tmp_path, doc), "--trace", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("invalid config: too large to allocate")
+    if existing:  # the user's directory stays; the traces directory the run made goes
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    else:
+        assert not (tmp_path / "new").exists()
+
+
 def _paths(node, prefix=()):
     """Every (key or index) path to a field below the root."""
     items = node.items() if isinstance(node, dict) else (

@@ -41,8 +41,20 @@ def test_recover_noise_inverts_step():
         u = rng.standard_normal(n_u)
         w = rng.standard_normal(n_x)
         x_next = sys_.A @ x + sys_.B @ u + w
-        np.testing.assert_allclose(recover_noise(sys_, x_next, x, u), w,
+        np.testing.assert_allclose(recover_noise(x_next, sys_.A @ x, sys_.B @ u), w,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("n_x,n_u", [(1, 1), (3, 2), (4, 4)])
+def test_recover_noise_from_products_is_the_full_expression(n_x, n_u):
+    """Given A x and B u, the recovery is x_next - x A' - u B', bit for bit."""
+    rng = np.random.default_rng(n_x * 10 + n_u)
+    A, B = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_x, n_u))
+    for lead in [(), (5,)]:  # one state, or a seed axis
+        x, u = rng.standard_normal(lead + (n_x,)), rng.standard_normal(lead + (n_u,))
+        x_next = rng.standard_normal(lead + (n_x,))
+        got = recover_noise(x_next, x @ A.T, u @ B.T)
+        assert got.tobytes() == (x_next - x @ A.T - u @ B.T).tobytes()
 
 
 def test_initial_state_default_and_validation():
