@@ -501,6 +501,23 @@ def _outermost_missing(path: str) -> Optional[str]:
     return missing
 
 
+def _remove_own_dirs(out_dir: str, trace_dir: Optional[str], made: str) -> None:
+    """Undo the makedirs that created made on the way to trace_dir or out_dir:
+    remove the run's own directory with its files (trace_dir when out_dir
+    already existed, else out_dir), then each parent it created up to made
+    while that parent is empty, so one that another run writes into stays."""
+    own = os.path.abspath(out_dir)
+    if trace_dir is not None and made == os.path.abspath(trace_dir):
+        own = made
+    shutil.rmtree(own, ignore_errors=True)
+    while own != made:
+        own = os.path.dirname(own)
+        try:
+            os.rmdir(own)
+        except OSError:  # not empty: someone else's files are in it
+            return
+
+
 def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
               trace: bool = False, workers: int = 1) -> ScalingReport:
     """Run every (T, seed) cell and aggregate regret quantiles per T.
@@ -514,8 +531,8 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
     quantiles; once more than 20% of cells diverge the whole batch is
     marked failed. The theory constants come first, so overflowing ones
     reject the config before any episode runs or output is written; if
-    an episode job fails, the directories this call created for out_dir
-    are removed again.
+    an episode job fails, the directory this call created for its files
+    is removed again, with each parent it created that is left empty.
     """
     constants = compute_theory_constants(exp)
     trace_dir = made = None
@@ -532,9 +549,9 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
                 done = list(pool.map(_episode_job, *zip(*jobs)))
         else:
             done = [_episode_job(*job) for job in jobs]
-    except BaseException:  # a failed batch leaves behind no directory it made
+    except BaseException:  # a failed batch leaves behind no directory of its own
         if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
+            _remove_own_dirs(out_dir, trace_dir, made)
         raise
     results = sorted((r for job in done for r in job), key=lambda r: (r["T"], r["seed"]))
 

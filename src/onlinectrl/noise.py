@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import STREAM_NOISE, keyed_blocks, keyed_steps
+from .rng import STREAM_NOISE, keyed_steps
 
 _FAMILIES = ("gaussian", "laplace", "student_t", "scaled_bernoulli", "zero")
 
@@ -53,42 +53,14 @@ def _silent(proc: NoiseProcess) -> bool:
     return proc.family == "zero" or proc.scale == 0.0
 
 
-def _signs(scale: float, words: np.ndarray, count: int) -> np.ndarray:
-    """+-scale by bit 31 of the first count 32-bit halves of words (..., k),
-    low half of each word first: numpy's integers(0, 2) on those words, as
-    Lemire's method on a range of two keeps the top bit of each half."""
-    bits = np.stack([words >> np.uint64(31), words >> np.uint64(63)], axis=-1) & np.uint64(1)
-    return np.where(bits.reshape(words.shape[:-1] + (-1,))[..., :count] == 1, scale, -scale)
-
-
-def _draw(proc: NoiseProcess, rng: np.random.Generator, shape) -> np.ndarray:
-    """Draws of the process's family with the given shape from a fresh
-    generator; each row of _keyed_rows equals this draw from its step's
-    keyed generator."""
-    if proc.family == "gaussian":
-        return proc.scale * rng.standard_normal(shape)
-    if proc.family == "laplace":
-        return rng.laplace(0.0, proc.scale, size=shape)
-    if proc.family == "student_t":
-        return proc.scale * rng.standard_t(proc.df, size=shape)
-    # scaled_bernoulli: +-scale equiprobably per component
-    count = int(np.prod(shape))
-    return _signs(proc.scale, rng.bit_generator.random_raw(-(-count // 2)), count).reshape(shape)
-
-
 def _keyed_rows(proc: NoiseProcess, first: int, count: int) -> np.ndarray:
     """w_t for the count steps from t = first as a (count, dim) array; row i
-    is _draw(proc, keyed_rng(proc.seed, STREAM_NOISE, first + i), proc.dim),
-    bit for bit. The one keyed path: scaled_bernoulli computes every step's
-    Philox words at once, the other families reset one generator per step,
-    and Gaussian and Student-t rows are scaled once at the end."""
+    is drawn from keyed_rng(proc.seed, STREAM_NOISE, first + i). The one
+    keyed path and family switch: one generator is reset per step, and
+    Gaussian, Student-t and Bernoulli rows are scaled once at the end."""
     ws = np.zeros((count, proc.dim))
     if _silent(proc):
         return ws
-    if proc.family == "scaled_bernoulli":  # 8 components per 4-word block
-        steps = np.arange(count, dtype=np.uint64) + np.uint64(first % 2**64)  # wraps like keyed_rng
-        words = [keyed_blocks(proc.seed, STREAM_NOISE, steps, b) for b in range(-(-proc.dim // 8))]
-        return _signs(proc.scale, np.concatenate(words, axis=1), proc.dim)
     rngs = keyed_steps(proc.seed, STREAM_NOISE, range(first, first + count))
     if proc.family == "laplace":  # numpy applies the scale inside its transform
         for t, rng in enumerate(rngs):
@@ -97,9 +69,12 @@ def _keyed_rows(proc: NoiseProcess, first: int, count: int) -> np.ndarray:
     if proc.family == "gaussian":
         for row, rng in zip(ws, rngs):
             rng.standard_normal(out=row)
-    else:
+    elif proc.family == "student_t":
         for t, rng in enumerate(rngs):
             ws[t] = rng.standard_t(proc.df, proc.dim)
+    else:  # scaled_bernoulli: +-scale equiprobably per component
+        for t, rng in enumerate(rngs):
+            ws[t] = 2.0 * rng.integers(0, 2, proc.dim) - 1.0
     ws *= proc.scale
     return ws
 

@@ -67,17 +67,16 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, np.uint64(m) * x
 
 
-def keyed_blocks(seed: int, stream: int, steps: np.ndarray, block: int = 0) -> np.ndarray:
-    """Row i is the 4-word block number `block` (from 0) that
-    keyed_rng(seed, stream, steps[i]).bit_generator.random_raw yields.
+def keyed_blocks(seed: int, stream: int, steps: np.ndarray) -> np.ndarray:
+    """Row i is keyed_rng(seed, stream, steps[i]).bit_generator.random_raw(4).
 
-    numpy's Philox bumps its counter before each block, so block b of a
-    step is Philox4x64-10 of counter (b + 1, 0, stream, t) under the key
+    numpy's Philox bumps its counter before each block, so a step's first
+    block is Philox4x64-10 of counter (1, 0, stream, t) under the key
     (seed mod 2^64, (seed >> 64) mod 2^64): integer arithmetic computed
     here for every step at once, bit for bit.
     """
     t = np.asarray(steps, dtype=np.uint64)
-    x = [np.full_like(t, block + 1), np.zeros_like(t), np.full_like(t, stream & _MASK64), t]
+    x = [np.ones_like(t), np.zeros_like(t), np.full_like(t, stream & _MASK64), t]
     k0, k1 = seed & _MASK64, (seed >> 64) & _MASK64
     with np.errstate(over="ignore"):
         for _ in range(10):

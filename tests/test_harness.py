@@ -515,20 +515,32 @@ def test_cli_unallocatable_grid_exits_2(tmp_path, capsys):
     assert err.startswith("invalid config: too large to allocate")
 
 
-@pytest.mark.parametrize("existing", [False, True])
-def test_cli_failed_batch_leaves_no_out_dir_of_its_own(tmp_path, capsys, existing):
+@pytest.mark.parametrize("case", ["new", "shared", "existing"])
+def test_cli_failed_batch_leaves_no_out_dir_of_its_own(tmp_path, capsys, monkeypatch, case):
     # the step sizes of T = 10^13 ask for 72.8 TiB, refused before anything is allocated
     doc = _base_doc(horizons=[10 ** 13])
-    out = tmp_path / "kept" if existing else tmp_path / "new" / "out"
-    if existing:
+    out = tmp_path / "kept" if case == "existing" else tmp_path / "new" / "out"
+    if case == "existing":
         out.mkdir()
         (out / "notes.txt").write_text("the user's own file")
+    if case == "shared":  # another run writes under the new parent while this one runs
+        job = hz._episode_job
+
+        def job_beside_another_run(*args):
+            (tmp_path / "new" / "other").mkdir()
+            (tmp_path / "new" / "other" / "report.json").write_text("{}")
+            return job(*args)
+
+        monkeypatch.setattr(hz, "_episode_job", job_beside_another_run)
     rc = cli_main(["run", "--config", _write_cfg(tmp_path, doc), "--trace", "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("invalid config: too large to allocate")
-    if existing:  # the user's directory stays; the traces directory the run made goes
+    if case == "existing":  # the user's directory stays; the traces directory the run made goes
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    elif case == "shared":  # the shared parent and the other run's files stay
+        assert [p.name for p in (tmp_path / "new").iterdir()] == ["other"]
+        assert (tmp_path / "new" / "other" / "report.json").read_text() == "{}"
     else:
         assert not (tmp_path / "new").exists()
 

@@ -18,16 +18,6 @@ def test_keyed_blocks_equal_random_raw(seed, stream):
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("seed", _SEEDS)
-@pytest.mark.parametrize("block", [1, 2])
-def test_later_keyed_blocks_equal_random_raw(seed, block):
-    for stream in _STREAMS:
-        got = keyed_blocks(seed, stream, np.array(_STEPS, dtype=np.uint64), block)
-        want = [keyed_rng(seed, stream, t).bit_generator.random_raw(4 * (block + 1))[-4:]
-                for t in _STEPS]
-        np.testing.assert_array_equal(got, np.array(want))
-
-
 def test_keyed_blocks_of_no_steps():
     assert keyed_blocks(3, 2, np.arange(0, dtype=np.uint64)).shape == (0, 4)
 
