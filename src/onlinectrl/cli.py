@@ -1,7 +1,8 @@
 """Command-line front end: run batches, print constants, certify gains.
 
 Exit codes: 0 on success, 2 when the config or arguments fail
-validation, 3 when a batch runs but fails (too many diverged episodes).
+validation or the outputs cannot be written to --out, 3 when a batch
+runs but fails (too many diverged episodes).
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     except MemoryError as exc:  # e.g. a grid count or horizon far past the address space
         print(f"invalid config: too large to allocate: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:  # load_config raises ValueError and jobs open no file: --out failed
+        print(f"cannot write outputs to {args.out}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
     if args.command == "constants":

@@ -23,9 +23,11 @@ schedule, horizons, seeds, and the comparator gain set:
 Per-episode randomness is derived by mixing the family seed with the
 episode seed. A batch runs one job per horizon, which learns all seeds
 in lockstep, so its outputs are byte-identical across invocations and
-worker counts. Theory constants are pure functions of the config; they
-are astronomically conservative (growing as kappa^18) and are reported
-for the shape of the bound, not tightness.
+worker counts. The jobs open no file: the batch writes its outputs and
+traces once every job has finished, so a failed batch writes nothing.
+Theory constants are pure functions of the config; they are
+astronomically conservative (growing as kappa^18) and are reported for
+the shape of the bound, not tightness.
 
 Memory length: run_episode uses H = horizon_H(T, gamma) = ceil(2 ln T / gamma)
 under both step-size schedules, and a config must keep H <= T for every
@@ -37,10 +39,10 @@ next to the bound but no episode runs with it.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
-import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, log, sqrt
@@ -456,11 +458,11 @@ class ScalingReport:
         }
 
 
-def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple,
-                 trace_dir: Optional[str]) -> list:
+def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool) -> list:
     """Every (T, seed) cell of horizon T: learn all seeds in lockstep, replay
     the comparator on every seed that did not diverge in one more lockstep
-    loop, and measure regret; one result dict per seed."""
+    loop, and measure regret; one result dict per seed. Opens no file: with
+    trace, each live cell's dict carries its per-step JSONL text."""
     sys = exp.system
     base = int(exp.noise_cfg["seed"])
     procs = [_noise_from_cfg(exp.noise_cfg, sys.n_x, seed=mix_seed(base, seed))
@@ -470,7 +472,7 @@ def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple,
                            T, x0=exp.x0)
     results = [{"T": T, "seed": seed, "diverged": False, "step": None,
                 "regret": None, "learner_cost": None, "comparator_cost": None,
-                "comparator_index": None} for seed in seeds]
+                "comparator_index": None, "trace": None} for seed in seeds]
     live = []
     for i, record in enumerate(outcomes):
         if isinstance(record, EpisodeDivergedError):
@@ -487,35 +489,11 @@ def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple,
         out["learner_cost"] = float(record.cum_cost)
         out["comparator_cost"] = float(comp.cumulative_cost)
         out["comparator_index"] = comp.descriptor["index"]
-        if trace_dir is not None:
-            with open(os.path.join(trace_dir, f"T{T}_seed{out['seed']}.jsonl"), "w") as fp:
-                record.write_jsonl(fp)
+        if trace:
+            text = io.StringIO()
+            record.write_jsonl(text)
+            out["trace"] = text.getvalue()
     return results
-
-
-def _outermost_missing(path: str) -> Optional[str]:
-    """The outermost directory on path that does not exist yet, or None."""
-    path, missing = os.path.abspath(path), None
-    while not os.path.exists(path):
-        path, missing = os.path.dirname(path), path
-    return missing
-
-
-def _remove_own_dirs(out_dir: str, trace_dir: Optional[str], made: str) -> None:
-    """Undo the makedirs that created made on the way to trace_dir or out_dir:
-    remove the run's own directory with its files (trace_dir when out_dir
-    already existed, else out_dir), then each parent it created up to made
-    while that parent is empty, so one that another run writes into stays."""
-    own = os.path.abspath(out_dir)
-    if trace_dir is not None and made == os.path.abspath(trace_dir):
-        own = made
-    shutil.rmtree(own, ignore_errors=True)
-    while own != made:
-        own = os.path.dirname(own)
-        try:
-            os.rmdir(own)
-        except OSError:  # not empty: someone else's files are in it
-            return
 
 
 def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
@@ -530,29 +508,20 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
     does not depend on scheduling. Diverged episodes are dropped from the
     quantiles; once more than 20% of cells diverge the whole batch is
     marked failed. The theory constants come first, so overflowing ones
-    reject the config before any episode runs or output is written; if
-    an episode job fails, the directory this call created for its files
-    is removed again, with each parent it created that is left empty.
+    reject the config before any episode runs. The jobs open no file:
+    out_dir, its traces and its outputs are written only after every job
+    has finished, so a failed batch writes nothing, and an unusable
+    out_dir raises OSError only then.
     """
     constants = compute_theory_constants(exp)
-    trace_dir = made = None
-    if out_dir is not None:
-        trace_dir = os.path.join(out_dir, "traces") if trace else None
-        made = _outermost_missing(trace_dir or out_dir)
-        os.makedirs(trace_dir or out_dir, exist_ok=True)
-
-    jobs = [(exp, T, exp.seeds, trace_dir) for T in sorted(exp.horizons, reverse=True)]
+    trace = trace and out_dir is not None
+    jobs = [(exp, T, exp.seeds, trace) for T in sorted(exp.horizons, reverse=True)]
     workers = min(workers, len(jobs))  # a worker past one per job would idle
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(_episode_job, *zip(*jobs)))
-        else:
-            done = [_episode_job(*job) for job in jobs]
-    except BaseException:  # a failed batch leaves behind no directory of its own
-        if made is not None:
-            _remove_own_dirs(out_dir, trace_dir, made)
-        raise
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_episode_job, *zip(*jobs)))
+    else:
+        done = [_episode_job(*job) for job in jobs]
     results = sorted((r for job in done for r in job), key=lambda r: (r["T"], r["seed"]))
 
     rows = []
@@ -597,6 +566,14 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
         horizons=exp.horizons, seeds=exp.seeds,
         schedule_kind=exp.schedule_kind,
     )
+    if trace:
+        trace_dir = os.path.join(out_dir, "traces")
+        os.makedirs(trace_dir, exist_ok=True)
+        for r in results:
+            if r["trace"] is not None:
+                with open(os.path.join(trace_dir, f"T{r['T']}_seed{r['seed']}.jsonl"),
+                          "w") as fp:
+                    fp.write(r["trace"])
     if out_dir is not None:
         write_outputs(report, out_dir)
     return report

@@ -80,13 +80,7 @@ class EpisodeRecord:
     """Full trace of one learning episode."""
 
     T: int
-    n_x: int
-    n_u: int
     H: int
-    kappa: float
-    gamma: float
-    kappa_B: float
-    schedule_kind: str
     xs: np.ndarray            # (T+1, n_x), xs[t] is the state before step t
     us: np.ndarray            # (T, n_u)
     ws: np.ndarray            # (T, n_x), injected disturbances
@@ -229,9 +223,8 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         seed_xs, seed_us = np.ascontiguousarray(xs[:, s]), np.ascontiguousarray(us[:, s])
         costs = schedules[s].stage_values(seed_xs[:T], seed_us)  # the paid c_t(x_t, u_t)
         outcome[s] = EpisodeRecord(
-            T=T, n_x=sys.n_x, n_u=sys.n_u, H=H, kappa=kappa, gamma=gamma,
-            kappa_B=kappa_B, schedule_kind=lr_schedule.kind, xs=seed_xs, us=seed_us,
-            ws=noise[s], ws_recovered=buf[s, T - 1::-1].copy(), costs=costs, etas=etas,
+            T=T, H=H, xs=seed_xs, us=seed_us, ws=noise[s],
+            ws_recovered=buf[s, T - 1::-1].copy(), costs=costs, etas=etas,
             grad_frobs=np.sqrt(grad_sq[:, s]), m_frobs=np.sqrt(m_sq[:, s]),
             cum_cost=float(costs.sum()), M_final=PolicyParams(blocks[s].copy()),
             noise_hash=noise_fingerprint(noise[s]),

@@ -184,3 +184,21 @@ def test_every_step_layer_is_traced_once_per_step():
     assert tracer.counts["policy.project.blocks"] == T * rec.H
     assert tracer.counts["policy.project.clipped_blocks"] > 0
     assert tracing.leftover_wrappers() == []
+
+
+def test_episode_job_spans_carry_horizon_and_seeds(tmp_path):
+    """The tracer tags each kept `harness._episode_job` span with the job's
+    positional arguments 1 and 2 (T and the seed tuple), and perfbench
+    times the one `write_outputs` call of a batch."""
+    tracing = _tracing()
+    doc = _scalar_doc({"family": "random_quadratic", "seed": 7})
+    doc.update(horizons=[16, 8], seeds=[0, 3])
+    exp = harness.build_experiment(doc)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        harness.run_batch(exp, out_dir=str(tmp_path / "out"), workers=1)
+    jobs = [span for span in tracer.spans if span["name"] == "harness._episode_job"]
+    assert sorted(span["T"] for span in jobs) == [8, 16]
+    assert all(span["seed"] == exp.seeds == (0, 3) for span in jobs)
+    assert tracer.totals("harness.write_outputs")[0] == 1
+    assert (tmp_path / "out" / "report.json").exists()
+    assert tracing.leftover_wrappers() == []

@@ -276,13 +276,18 @@ def test_run_batch_deterministic_outputs(tmp_path):
 
 def test_run_batch_worker_count_is_invisible(tmp_path):
     """One job per horizon runs all its seeds together, so the seed axis,
-    and with it every bit, is fixed by the config, not by the pool."""
+    and with it every bit, is fixed by the config, not by the pool; the
+    traces the workers serialize are written by the parent alike."""
     exp = build_experiment(_base_doc())
-    r1 = run_batch(exp, out_dir=str(tmp_path / "w1"), workers=1)
+    r1 = run_batch(exp, out_dir=str(tmp_path / "w1"), trace=True, workers=1)
+    traces = sorted(p.name for p in (tmp_path / "w1" / "traces").iterdir())
+    assert traces == [f"T{T}_seed{s}.jsonl" for T in (16, 8) for s in (0, 1, 2)]
     for workers in (2, 3):
-        r2 = run_batch(exp, out_dir=str(tmp_path / f"w{workers}"), workers=workers)
+        r2 = run_batch(exp, out_dir=str(tmp_path / f"w{workers}"), trace=True,
+                       workers=workers)
         assert r1.rows == r2.rows
-        for name in ("scaling.csv", "report.json"):
+        assert sorted(p.name for p in (tmp_path / f"w{workers}" / "traces").iterdir()) == traces
+        for name in ("scaling.csv", "report.json", *(f"traces/{t}" for t in traces)):
             assert ((tmp_path / "w1" / name).read_bytes()
                     == (tmp_path / f"w{workers}" / name).read_bytes()), (workers, name)
 
@@ -515,34 +520,61 @@ def test_cli_unallocatable_grid_exits_2(tmp_path, capsys):
     assert err.startswith("invalid config: too large to allocate")
 
 
-@pytest.mark.parametrize("case", ["new", "shared", "existing"])
-def test_cli_failed_batch_leaves_no_out_dir_of_its_own(tmp_path, capsys, monkeypatch, case):
-    # the step sizes of T = 10^13 ask for 72.8 TiB, refused before anything is allocated
-    doc = _base_doc(horizons=[10 ** 13])
+@pytest.mark.parametrize("case,workers", [
+    ("new", 1), ("new", 2), ("existing", 1), ("existing", 2), ("shared", 1), ("same", 1),
+], ids=["new", "new-pool", "existing", "existing-pool", "shared", "same"])
+def test_cli_failed_batch_leaves_no_out_dir_of_its_own(tmp_path, capsys, monkeypatch,
+                                                       case, workers):
+    # the step sizes of T = 10^13 ask for 72.8 TiB, refused before anything is allocated;
+    # at two workers a pool starts and the failure comes back from a worker
+    doc = _base_doc(horizons=[10 ** 13] if workers == 1 else [8, 10 ** 13])
     out = tmp_path / "kept" if case == "existing" else tmp_path / "new" / "out"
     if case == "existing":
         out.mkdir()
         (out / "notes.txt").write_text("the user's own file")
-    if case == "shared":  # another run writes under the new parent while this one runs
-        job = hz._episode_job
+    if case in ("shared", "same"):  # another run writes while this one runs
+        other = tmp_path / "new" / "other" if case == "shared" else out
+        job = hz._episode_job  # a local function cannot be pickled, so one worker
 
         def job_beside_another_run(*args):
-            (tmp_path / "new" / "other").mkdir()
-            (tmp_path / "new" / "other" / "report.json").write_text("{}")
+            other.mkdir(parents=True, exist_ok=True)
+            (other / "report.json").write_text("{}")
             return job(*args)
 
         monkeypatch.setattr(hz, "_episode_job", job_beside_another_run)
-    rc = cli_main(["run", "--config", _write_cfg(tmp_path, doc), "--trace", "--out", str(out)])
+    rc = cli_main(["run", "--config", _write_cfg(tmp_path, doc), "--trace", "--out", str(out),
+                   "--workers", str(workers)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("invalid config: too large to allocate")
-    if case == "existing":  # the user's directory stays; the traces directory the run made goes
+    if case == "existing":  # the user's directory stays as it was
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
     elif case == "shared":  # the shared parent and the other run's files stay
         assert [p.name for p in (tmp_path / "new").iterdir()] == ["other"]
         assert (tmp_path / "new" / "other" / "report.json").read_text() == "{}"
+    elif case == "same":  # the other run's file in the same --out stays
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        assert (out / "report.json").read_text() == "{}"
     else:
         assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_cli_unusable_out_exits_2(tmp_path, capsys, trace, below):
+    """An --out that is a regular file, or lies below one, fails once the
+    episodes have run; the run exits 2 with a message, not a traceback."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if below else blocker
+    args = ["run", "--config", _write_cfg(tmp_path, _base_doc(horizons=[8], seeds=[0, 1])),
+            "--out", str(out)] + (["--trace"] if trace else [])
+    rc = cli_main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"cannot write outputs to {out}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
 
 
 def _paths(node, prefix=()):
