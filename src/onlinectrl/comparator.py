@@ -108,9 +108,10 @@ def _rollout_dap(sys: LinearSystem, K: np.ndarray, M: PolicyParams,
     dap = disturbance_action(M.blocks, _hankel(recent, M.H, 1)[T:0:-1])[:, 0]
     xs = np.zeros((T + 1, sys.n_x))
     us = np.empty((T, sys.n_u))
+    K_T, A_T, B_T = K.T, sys.A.T, sys.B.T  # 2-D dot products: no matmul dispatch per step
     for t in range(T):
-        us[t] = -K @ xs[t] + dap[t]
-        xs[t + 1] = sys.A @ xs[t] + sys.B @ us[t] + ws[t]
+        us[t] = dap[t] - xs[t].dot(K_T)
+        xs[t + 1] = xs[t].dot(A_T) + us[t].dot(B_T) + ws[t]
     return cost_schedule.stage_values(xs[:T], us)
 
 

@@ -251,7 +251,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     _as_seed(_require(noise_cfg, "seed", "noise"), "noise seed")
     proc = _noise_from_cfg(noise_cfg, sys.n_x, seed=0)  # validates family/df
 
-    horizons = sorted({_as_int(T, "horizon") for T in _require_list(doc, "horizons")})
+    horizons = sorted(_as_int(T, "horizon") for T in _require_list(doc, "horizons"))
     if not horizons:
         raise ValueError("horizons list is empty")
     if horizons[0] < 3:
@@ -259,8 +259,9 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     seeds = [_as_seed(s, "seeds entry") for s in _require_list(doc, "seeds")]
     if not seeds:
         raise ValueError("seeds list is empty")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds list has duplicates")
+    for name, values in (("horizons", horizons), ("seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} list has duplicates")
 
     comp = _section(doc, "comparator", ("candidates", "grid"))
     if len(comp) != 1:  # the section has no other keys
@@ -306,9 +307,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
             probe.alpha, sigma_lower, gamma, kappa))
     lr = LearningRateSchedule(kind, alpha_tilde)  # also rejects an unknown kind
 
-    x0 = None
-    if doc.get("x0") is not None:
-        x0 = initial_state(sys, _as_array(doc["x0"], "x0"))
+    x0 = None if doc.get("x0") is None else initial_state(sys, _as_array(doc["x0"], "x0"))
 
     delta = _as_float(doc.get("delta", 0.1), "delta")
     if not 0.0 < delta <= 1.0:
@@ -361,13 +360,8 @@ class TheoryConstants:
     beta_bar: Optional[dict]
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            if isinstance(value, dict):
-                out[key] = {str(k): v for k, v in value.items()}
-            else:
-                out[key] = value
-        return out
+        return {key: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+                for key, value in self.__dict__.items()}
 
 
 def compute_theory_constants(exp: ExperimentConfig) -> TheoryConstants:

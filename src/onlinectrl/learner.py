@@ -28,7 +28,7 @@ import numpy as np
 
 from .costs import CostSchedule
 from .noise import NoiseProcess, sample_episode
-from .policy import PolicyParams, control_input, disturbance_action, horizon_H, project
+from .policy import PolicyParams, control_input, horizon_H, project
 from .stability import StabilityCertificate, make_closed_loop
 from .surrogate import SurrogateKernel, _hankel
 from .system import LinearSystem, initial_state, recover_noise
@@ -138,9 +138,12 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
 
     Equal-length sequences of cost schedules and noise processes run one
     episode per seed in lockstep: states, blocks and the recovered-noise
-    buffer gain a leading seed axis, each per-step layer runs once per step
-    for all seeds (project once per seed), and the result lists per seed its
-    EpisodeRecord or the EpisodeDivergedError its solo run raises.
+    buffer gain a leading seed axis, and each per-step layer runs once per
+    step for all seeds (project once per seed). The result lists per seed its
+    EpisodeRecord, equal to its solo run's to rounding but not bit for bit in
+    general (tests hold 1e-12 relative; bit for bit where A - B K = 0, as in
+    the acceptance and benchmark documents), or the EpisodeDivergedError its
+    solo run raises.
     """
     solo = isinstance(cost_schedule, CostSchedule)
     schedules = [cost_schedule] if solo else list(cost_schedule)
@@ -162,8 +165,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         raise ValueError("strongly_convex schedule requires a diagonal certificate")
 
     kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys.kappa_B
-    if H is None:
-        H = horizon_H(T, gamma)
+    H = horizon_H(T, gamma) if H is None else H
     K = np.asarray(K, dtype=float)
     kern = SurrogateKernel(make_closed_loop(sys, K, i_max=H), sys.B, H)
 
@@ -173,6 +175,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     # flattened blocks' and G's layout
     blocks = np.zeros((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
     flat = blocks.swapaxes(1, 2).reshape(S, -1)  # a view: blocks are updated in place
+    flatT = flat.reshape(S, sys.n_u, -1).swapaxes(1, 2)  # (S, H n_x, n_u), as disturbance_action
     x = np.repeat(initial_state(sys, x0)[None], S, axis=0)
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
@@ -188,28 +191,28 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
 
     for t in range(T):
         hank = np.ascontiguousarray(hanks[:, T - t])
-        dap = disturbance_action(blocks, hank)
+        dap = hank @ flatT  # disturbance_action(blocks, hank)
         u = control_input(K, x, dap[:, 0])
         cost = stage.reveal(t, u)
         xs[t] = x
         us[t] = u
-        Ax, Bu = x @ A_T, u @ B_T  # shared by the step and the noise recovery
+        Ax, Bu = x.dot(A_T), u.dot(B_T)  # shared by the step and the noise recovery
         x_next = Ax + Bu
         x_next += ws[t]
         buf[:, T - 1 - t] = recover_noise(x_next, Ax, Bu)
 
         G, _, _ = kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap)
-        grad_sq[t] = np.square(G.swapaxes(1, 2).reshape(S, -1)).sum(axis=1)
-        m_sq[t] = np.square(flat).sum(axis=1)
+        np.add.reduce(np.square(G.swapaxes(1, 2).reshape(S, -1)), axis=1, out=grad_sq[t])
+        np.add.reduce(np.square(flat), axis=1, out=m_sq[t])
         G *= step_sizes[t]
         blocks -= G
         for s in range(S):
             blocks[s] = project(PolicyParams(blocks[s]), kappa, gamma, kappa_B).blocks
 
         every = x_next.ravel()  # no seed's norm exceeds the norm of all together
-        if not sqrt(every @ every) <= divergence_limit:  # also trips on NaN
+        if not sqrt(every.dot(every)) <= divergence_limit:  # also trips on NaN
             for s, row in enumerate(x_next):
-                norm = sqrt(row @ row)
+                norm = sqrt(row.dot(row))
                 if not norm <= divergence_limit:
                     # its episode ends; it restarts from zero to stay finite, unrecorded
                     outcome[s] = outcome[s] or EpisodeDivergedError(step=t, norm=norm)

@@ -139,7 +139,7 @@ def disturbance_action(blocks: np.ndarray, hank: np.ndarray) -> np.ndarray:
 def control_input(K: np.ndarray, x: np.ndarray, dap: np.ndarray) -> np.ndarray:
     """u = -K x + sum_i M^[i-1] w_{t-i}, given that disturbance-action term
     dap (row 0 of disturbance_action); x and dap may carry a leading seed axis."""
-    return dap - x @ K.T
+    return dap - x.dot(K.T)
 
 
 def comparator_params(K: np.ndarray, K_star: np.ndarray, A: np.ndarray,

@@ -76,10 +76,7 @@ def state_expansion(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams]
     if not 0 <= h <= t - 1:
         raise ValueError(f"need 0 <= h <= t-1, got h={h}, t={t}")
     s = t - 1 - h
-    if s == 0:
-        x_base = np.zeros(B.shape[0])
-    else:
-        x_base = state_expansion(cl, B, M_seq, noise, s, s - 1, H)
+    x_base = state_expansion(cl, B, M_seq, noise, s, s - 1, H) if s else np.zeros(B.shape[0])
 
     stack = _transfer_stack(cl, B, M_seq[s:t], h, H)
     count = min(H + h + 1, t)
@@ -104,7 +101,8 @@ class SurrogateKernel:
     side by side as (n_x, (H+1) n_x) and (n_x, (H+1) n_u) matrices, so a
     point or a gradient is a few matrix products with the contiguous Hankel
     rows 0..H+1 of the disturbance window and the blocks flattened to
-    (n_u, H n_x). Windows, blocks and costs may carry a leading seed axis.
+    (n_u, H n_x). Products with fixed matrices are 2-D ndarray.dot calls over
+    the seeds' rows, which at these sizes cost about half a matmul call.
     """
 
     def __init__(self, cl: ClosedLoop, B: np.ndarray, H: int):
@@ -115,10 +113,10 @@ class SurrogateKernel:
         self.K = cl.K
         self.n_x, self.n_u = B.shape
         pows = cl.power_stack(H + 1)
-        # row a, column j*n + b holds A_K^j[a, b] and (A_K^j B)[a, b]
-        self._pows_row = pows.transpose(1, 0, 2).reshape(self.n_x, -1)
-        self._PB_row = np.matmul(pows, B).transpose(1, 0, 2).reshape(self.n_x, -1)
-        self._PB2T = 2.0 * self._PB_row.T  # doubling is exact
+        # row a, column j*n + b holds A_K^j[a, b] and (A_K^j B)[a, b]; kept transposed
+        self._pows_rowT = pows.transpose(1, 0, 2).reshape(self.n_x, -1).T
+        self._PB_rowT = np.matmul(pows, B).transpose(1, 0, 2).reshape(self.n_x, -1).T
+        self._PB2_row, self._KT = 2.0 * self._PB_rowT.T, self.K.T  # doubling is exact
 
     def _check_window(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One window W, checked, and its contiguous Hankel rows (H+2, H n_x)."""
@@ -129,17 +127,17 @@ class SurrogateKernel:
         return W, np.ascontiguousarray(_hankel(W, self.H, self.H + 2)[0])
 
     def _point(self, W: np.ndarray, dap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y, v) as columns (..., n, 1) from windows W and their disturbance-action rows dap."""
-        lead = dap.shape[:-2]
-        y = self._pows_row @ W[..., :self.H + 1, :].reshape(lead + (-1, 1))
-        y += self._PB_row @ dap[..., 1:, :].reshape(lead + (-1, 1))
-        return y, dap[..., 0, :, None] - self.K @ y
+        """(y, v) as rows (S, n) from windows W (S, 2H+1, n_x) and their dap rows (S, H+2, n_u)."""
+        S = len(W)
+        y = W[:, :self.H + 1].reshape(S, -1).dot(self._pows_rowT)
+        y += dap[:, 1:].reshape(S, -1).dot(self._PB_rowT)
+        return y, dap[:, 0] - y.dot(self._KT)
 
     def point(self, blocks: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, v) with the whole policy window frozen at one parameter."""
         W, hank = self._check_window(W)
-        y, v = self._point(W, disturbance_action(blocks, hank))
-        return y[:, 0], v[:, 0]
+        y, v = self._point(W[None], disturbance_action(blocks, hank)[None])
+        return y[0], v[0]
 
     def value(self, cost: tuple, blocks: np.ndarray, W: np.ndarray) -> float:
         """f(M) = y'Qy + v'Rv for a stage cost (Q, R), as CostSchedule.reveal gives it."""
@@ -155,17 +153,19 @@ class SurrogateKernel:
         Block r collects (A_K^j B)' (g_x - K' g_u) against w_{t-2-r-j} over
         j = 0..H, plus the direct input sensitivity g_u w_{t-1-r}'. A lockstep
         episode passes windows (S, 2H+1, n_x) with their contiguous Hankel rows
-        hank and dap = disturbance_action(blocks, hank), which its control
-        input shares; otherwise both are formed from the one window W.
+        hank, dap = disturbance_action(blocks, hank), shared with its control
+        input, and S costs (Q, R); one window W runs as a stack of one.
         """
-        H, n_x, n_u = self.H, self.n_x, self.n_u
         Q, R = cost
-        if hank is None:
+        solo = hank is None
+        if solo:
             W, hank = self._check_window(W)
-            dap = disturbance_action(blocks, hank)
+            W, hank, dap = W[None], hank[None], disturbance_action(blocks, hank)[None]
         y, v = self._point(W, dap)
-        Rv = R @ v  # half the stage-cost gradient g_u = 2 R v at (y, v)
-        # C = [g_u; (A_K^j B)' g_eff for j = 0..H], g_eff = 2 (Q y - K' R v) (doubled in _PB2T)
-        C = np.concatenate([Rv + Rv, self._PB2T @ (Q @ y - self.K.T @ Rv)], axis=-2)
-        G = C.reshape(y.shape[:-2] + (H + 2, n_u)).swapaxes(-1, -2) @ hank
-        return G.reshape(G.shape[:-1] + (H, n_x)).swapaxes(-3, -2), y[..., 0], v[..., 0]
+        Rv = (R @ v[:, :, None])[:, :, 0]  # half the stage-cost gradient g_u = 2 R v
+        # C = [g_u; (A_K^j B)' g_eff for j = 0..H], g_eff = 2 (Q y - K' R v) (doubled in _PB2_row)
+        g = (Q @ y[:, :, None])[:, :, 0] - Rv.dot(self.K)
+        C = np.concatenate([Rv + Rv, g.dot(self._PB2_row)], axis=1)
+        G = C.reshape(len(W), self.H + 2, self.n_u).swapaxes(1, 2) @ hank
+        G = G.reshape(G.shape[:2] + (self.H, self.n_x)).swapaxes(1, 2)
+        return (G[0], y[0], v[0]) if solo else (G, y, v)

@@ -13,7 +13,7 @@ import pytest
 from onlinectrl.comparator import best_fixed_K, mstar_rollout
 from onlinectrl.costs import constant_schedule, quadratic_cost
 from onlinectrl.harness import build_experiment, compute_theory_constants, run_batch
-from onlinectrl.noise import NoiseProcess, sample
+from onlinectrl.noise import NoiseProcess, sample_episode
 from onlinectrl.policy import (PolicyParams, admissible_radii,
                                comparator_params, horizon_H, is_admissible,
                                project, sample_admissible)
@@ -237,11 +237,12 @@ def test_criterion_06_comparator_params_admissible_and_gap_shrinks():
     schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), T)
     medians = {}
     comp_costs = []
+    # one draw per seed, shared by every H; bit-identical to sample(proc, t) row by row
+    noises = [sample_episode(NoiseProcess("gaussian", 1.0, dim=1, seed=9000 + s), T)
+              for s in range(30)]
     for H in (2, 5, 10, 20):
         gaps = []
-        for s in range(30):
-            proc = NoiseProcess("gaussian", 1.0, dim=1, seed=9000 + s)
-            ws = np.stack([sample(proc, t) for t in range(T)])
+        for ws in noises:
             mimic = mstar_rollout(sys_, K, K_star, schedule, ws, H, kappa, gamma)
             target = best_fixed_K(sys_, [K_star], schedule, ws)
             gaps.append(abs(mimic.cumulative_cost - target.cumulative_cost))

@@ -488,6 +488,7 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     (lambda d: d.update(seeds=[0, 2 ** 64]), "seeds entry must lie in"),
     (lambda d: d["comparator"].update(candidates=[[[0.45]]]),
      "comparator must give either 'candidates' or 'grid'"),
+    (lambda d: d.update(horizons=[64, 64]), "horizons list has duplicates"),
 ], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
         "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa",
         "comparator-not-an-object", "nested-horizon", "nested-seed",
@@ -496,7 +497,7 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
         "unknown-gain-key", "unknown-schedule-key", "unknown-root-key",
         "unknown-grid-key", "unknown-noise-key", "stale-quadratic-seed",
         "overflowing-noise-scale", "memory-longer-than-episode", "aliasing-seeds",
-        "candidates-and-grid"])
+        "candidates-and-grid", "duplicate-horizons"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
     doc = _base_doc()
     mutate(doc)

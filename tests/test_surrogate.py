@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from onlinectrl.policy import sample_admissible
+from onlinectrl.policy import disturbance_action, sample_admissible
 from onlinectrl.stability import make_closed_loop
-from onlinectrl.surrogate import SurrogateKernel, psi, state_expansion
+from onlinectrl.surrogate import SurrogateKernel, _hankel, psi, state_expansion
 from onlinectrl.system import make_system
 
 KAPPA, GAMMA, KAPPA_B = 1.0, 0.5, 1.0
@@ -202,3 +202,49 @@ def test_grad_matches_finite_differences_non_square():
         M = sample_admissible(rng, H, n_u, n_x, KAPPA, GAMMA, KAPPA_B)
         assert _grad_fd_error(kern, cost, M.blocks, W) <= 1e-6
 
+
+
+def _plant(name):
+    """(system, K): a scalar loop with A - B K = 0.2, or a 3x2 plant with dense B."""
+    if name == "scalar":
+        return make_system([[0.6]], [[1.0]]), np.array([[0.4]])
+    B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]])
+    K = np.array([[0.2, -0.1, 0.3], [0.1, 0.25, -0.2]])
+    return make_system(np.diag([0.3, -0.2, 0.1]) + B @ K, B), K
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+@pytest.mark.parametrize("plant,H,S", [
+    ("scalar", 1, 1), ("scalar", 11, 1), ("3x2", 4, 1),
+    ("scalar", 1, 3), ("scalar", 4, 3), ("scalar", 11, 3), ("scalar", 19, 3), ("3x2", 4, 3),
+    ("3x2", 11, 3)])
+def test_lockstep_grad_equals_single_window_calls(plant, H, S):
+    """grad on a stack of S windows, as run_episode calls it, returns per seed
+    what a single-window call returns: bit for bit as a stack of one, to
+    rounding otherwise. point and value agree with its (y, v) bit for bit."""
+    sys_, K = _plant(plant)
+    n_x, n_u = sys_.n_x, sys_.n_u
+    kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
+    rng = np.random.default_rng(1000 * H + S)
+    W = rng.standard_normal((S, 2 * H + 1, n_x))
+    blocks = rng.standard_normal((S, H, n_u, n_x))
+    Q, R = (np.stack(m) for m in zip(*[_random_cost(rng, n_x, n_u) for _ in range(S)]))
+    hank = np.ascontiguousarray(_hankel(W, H, H + 2)[:, 0])
+    G, y, v = kern.grad((Q, R), blocks, W, hank, disturbance_action(blocks, hank))
+    assert (G.shape, y.shape, v.shape) == (blocks.shape, (S, n_x), (S, n_u))
+    for s in range(S):
+        cost = (Q[s], R[s])
+        solo = kern.grad(cost, blocks[s], W[s])
+        for got, want in zip((G[s], y[s], v[s]), solo):
+            assert got.shape == want.shape
+            if S == 1:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert _rel(got, want) <= 1e-12
+        _, y_s, v_s = solo
+        y_p, v_p = kern.point(blocks[s], W[s])
+        assert y_p.tobytes() == y_s.tobytes() and v_p.tobytes() == v_s.tobytes()
+        assert kern.value(cost, blocks[s], W[s]) == float(y_s @ Q[s] @ y_s + v_s @ R[s] @ v_s)
