@@ -9,7 +9,7 @@ disturbance-action policy induced by a reference gain (`mstar_rollout`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -142,10 +142,8 @@ def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
 
 @dataclass
 class RegretCurve:
-    learner_cum: np.ndarray
-    comparator_cum: np.ndarray
-    checkpoints: dict = field(default_factory=dict)
-    regret_final: float = 0.0
+    checkpoints: dict
+    regret_final: float
 
 
 def regret(record: EpisodeRecord, comp: ComparatorResult) -> RegretCurve:
@@ -157,11 +155,8 @@ def regret(record: EpisodeRecord, comp: ComparatorResult) -> RegretCurve:
     """
     if record.noise_hash != comp.noise_hash:
         raise ValueError("comparator was run on a different noise realization")
-    lc = record.cum_costs()
-    cc = np.cumsum(comp.per_step_costs)
+    diff = np.cumsum(record.costs) - np.cumsum(comp.per_step_costs)
     T = record.T
-    diff = lc - cc
     marks = sorted({max(1, T // 8), max(1, T // 4), max(1, T // 2), T})
-    checkpoints = {int(s): float(diff[s - 1]) for s in marks}
-    return RegretCurve(learner_cum=lc, comparator_cum=cc, checkpoints=checkpoints,
+    return RegretCurve(checkpoints={int(s): float(diff[s - 1]) for s in marks},
                        regret_final=float(diff[-1]))

@@ -20,11 +20,14 @@ schedule, horizons, seeds, and the comparator gain set:
       "m0":         "zero"       (optional; the only batch-level start)
     }
 
-Per-episode randomness is derived by mixing the family seed with the
-episode seed. A batch runs one job per horizon, which learns all seeds
-in lockstep, so its outputs are byte-identical across invocations and
-worker counts. The jobs open no file: the batch writes its outputs and
-traces once every job has finished, so a failed batch writes nothing.
+build_experiment reads the document once, keeping the validated cost
+family and the noise process at the config's noise seed; each job builds
+its seeds' inputs from those two, mixing the family seed with the episode
+seed. A batch runs one job per horizon, which learns all seeds in
+lockstep, so its outputs are byte-identical across invocations and worker
+counts. The jobs open no file: write_outputs writes every file once all
+jobs have finished, report.json last, so a failed batch writes nothing
+and a present report.json marks a complete batch.
 Theory constants are pure functions of the config; they are
 astronomically conservative (growing as kappa^18) and are reported for
 the shape of the bound, not tightness.
@@ -44,7 +47,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite, log, sqrt
 from typing import Optional
 
@@ -61,7 +64,7 @@ from .policy import horizon_H, policy_class_diameter
 from .rng import mix_seed
 from .stability import CertificationError, StabilityCertificate, _certify_stack
 from .stability import certify  # noqa: F401  (perfbench's tests read harness.certify)
-from .system import LinearSystem, initial_state, system_from_json
+from .system import LinearSystem, initial_state, make_system
 
 _SUBGAUSSIAN_FAMILIES = ("gaussian", "scaled_bernoulli", "zero")
 _ROOT_KEYS = ("system", "gain", "cost", "noise", "schedule", "horizons", "seeds",
@@ -78,10 +81,9 @@ class ExperimentConfig:
     cert: StabilityCertificate
     cost_cfg: dict
     noise_cfg: dict
-    noise: NoiseProcess         # the family at seed 0: its population moments
-    g_c: float                  # cost family constants
-    alpha: Optional[float]
-    beta: Optional[float]
+    cost: CostSchedule          # the validated family: one step of a fixed (Q, R),
+    cost_seed: Optional[int]    # or zero steps of the random one and its seed
+    noise: NoiseProcess         # the family at the config's noise seed
     lr_schedule: LearningRateSchedule
     horizons: tuple
     seeds: tuple
@@ -174,30 +176,24 @@ def _as_float(value, what: str) -> float:
 
 
 def _as_array(value, what: str) -> np.ndarray:
-    """A finite numeric array from nested JSON lists."""
+    """A finite float array from nested lists of JSON numbers. Strings and
+    booleans are refused, but numpy promotes a boolean among numbers."""
     try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = np.array(value)
+    except ValueError as exc:  # ragged rows
         raise ValueError(f"config {what} must be a numeric array: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"config {what} must hold only JSON numbers, got {arr.dtype} entries")
+    arr = arr.astype(float)
     if not np.isfinite(arr).all():
         raise ValueError(f"config {what} must be finite")
     return arr
 
 
-def _noise_from_cfg(cfg: dict, n_x: int, seed: int) -> NoiseProcess:
-    df = cfg.get("df")
-    return NoiseProcess(
-        family=cfg["family"], scale=_as_float(cfg.get("scale", 1.0), "noise scale"),
-        dim=n_x, seed=seed, df=None if df is None else _as_float(df, "noise df"),
-    )
-
-
-def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int, T: int = 0,
-                   seed: Optional[int] = None) -> CostSchedule:
-    """The configured cost family over T steps of episode seed `seed`; the
-    one place that builds schedules. With the defaults nothing is drawn:
-    the result validates the config (a fixed (Q, R) included) and carries
-    the family constants g_c, alpha and beta."""
+def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int) -> tuple[CostSchedule, Optional[int]]:
+    """The configured cost family, validated, with the family constants
+    g_c, alpha and beta: the one-step quadratic_cost of a fixed (Q, R), or
+    the zero-step random schedule and its seed. Nothing is drawn."""
     family = _require(cost_cfg, "family", "cost")
     if family == "quadratic":
         _no_unknown(cost_cfg, ("family", "Q", "R"), "cost")
@@ -206,13 +202,11 @@ def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int, T: int = 0,
         if Q.shape != (n_x, n_x) or R.shape != (n_u, n_u):
             raise ValueError(f"cost Q must be ({n_x}, {n_x}) and R ({n_u}, {n_u}), "
                              f"got {Q.shape} and {R.shape}")
-        return constant_schedule(quadratic_cost(Q, R), T)
+        return quadratic_cost(Q, R), None
     if family == "random_quadratic":
         _no_unknown(cost_cfg, ("family", "seed"), "cost")
-        base = _as_seed(_require(cost_cfg, "seed", "cost"), "cost seed")
-        if seed is not None:
-            base = mix_seed(base, seed)
-        return adversarial_convex_schedule(base, T, n_x, n_u)
+        seed = _as_seed(_require(cost_cfg, "seed", "cost"), "cost seed")
+        return adversarial_convex_schedule(seed, 0, n_x, n_u), seed
     raise ValueError(f"unknown cost family {family!r}")
 
 
@@ -235,7 +229,9 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     and of every comparator candidate, and unknown keys. Grid-generated
     candidates that fail certification are dropped; listed ones must certify.
     """
-    sys = system_from_json(_section(doc, "system", ("A", "B")))
+    plant = _section(doc, "system", ("A", "B"))
+    sys = make_system(*(_as_array(_require(plant, key, "system"), f"system {key}")
+                        for key in ("A", "B")))
     _no_unknown(doc, _ROOT_KEYS, "root")
     gain = _section(doc, "gain", ("K", "kappa", "gamma"))
     K = _as_array(_require(gain, "K", "gain"), "gain K")
@@ -247,9 +243,11 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     kind = _require(_section(doc, "schedule", ("kind",)), "kind", "schedule")
 
     noise_cfg = dict(_section(doc, "noise", ("family", "scale", "seed", "df")))
-    _require(noise_cfg, "family", "noise")
-    _as_seed(_require(noise_cfg, "seed", "noise"), "noise seed")
-    proc = _noise_from_cfg(noise_cfg, sys.n_x, seed=0)  # validates family/df
+    family = _require(noise_cfg, "family", "noise")
+    seed = _as_seed(_require(noise_cfg, "seed", "noise"), "noise seed")
+    df = noise_cfg.get("df")
+    proc = NoiseProcess(family, _as_float(noise_cfg.get("scale", 1.0), "noise scale"), sys.n_x,
+                        seed, df=None if df is None else _as_float(df, "noise df"))
 
     horizons = sorted(_as_int(T, "horizon") for T in _require_list(doc, "horizons"))
     if not horizons:
@@ -294,17 +292,17 @@ def build_experiment(doc: dict) -> ExperimentConfig:
             raise ValueError(f"memory H = {H} exceeds horizon T = {T} at gamma = {gamma}")
 
     cost_cfg = dict(_section(doc, "cost", ("family", "Q", "R", "seed")))
-    probe = _cost_schedule(cost_cfg, sys.n_x, sys.n_u)
+    cost, cost_seed = _cost_schedule(cost_cfg, sys.n_x, sys.n_u)
 
     alpha_tilde = None  # from seed-free inputs, so one schedule serves every cell
     if kind == "strongly_convex":
-        if probe.alpha is None:
+        if cost.alpha is None:
             raise ValueError("strongly_convex schedule needs strongly convex costs")
         sigma_lower = _finite("sigma_lower", lambda: population_sigma_lower(proc))
         if sigma_lower <= 0.0:
             raise ValueError("strongly_convex schedule needs non-degenerate noise")
         alpha_tilde = _finite("alpha_tilde", lambda: alpha_tilde_from(
-            probe.alpha, sigma_lower, gamma, kappa))
+            cost.alpha, sigma_lower, gamma, kappa))
     lr = LearningRateSchedule(kind, alpha_tilde)  # also rejects an unknown kind
 
     x0 = None if doc.get("x0") is None else initial_state(sys, _as_array(doc["x0"], "x0"))
@@ -320,8 +318,8 @@ def build_experiment(doc: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         doc=doc, system=sys, K=K, kappa=kappa, gamma=gamma, cert=cert,
-        cost_cfg=cost_cfg, noise_cfg=noise_cfg, noise=proc, g_c=probe.g_c,
-        alpha=probe.alpha, beta=probe.beta, lr_schedule=lr,
+        cost_cfg=cost_cfg, noise_cfg=noise_cfg, cost=cost, cost_seed=cost_seed, noise=proc,
+        lr_schedule=lr,
         horizons=tuple(horizons), seeds=tuple(seeds),
         candidates=tuple(candidates), delta=delta, x0=x0,
     )
@@ -371,7 +369,7 @@ def compute_theory_constants(exp: ExperimentConfig) -> TheoryConstants:
     sys = exp.system
     kappa, gamma, kappa_B = exp.kappa, exp.gamma, sys.kappa_B
     n = max(sys.n_x, sys.n_u)
-    G_c, alpha, beta, proc = exp.g_c, exp.alpha, exp.beta, exp.noise
+    G_c, alpha, beta, proc = exp.cost.g_c, exp.cost.alpha, exp.cost.beta, exp.noise
     sw = _finite("sigma_w", lambda: max(population_sigma_w(proc), population_sigma_w4(proc)))
     sw_sub = population_sigma_w(proc)
     sigma_lower = population_sigma_lower(proc)
@@ -458,10 +456,12 @@ def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool) -> li
     loop, and measure regret; one result dict per seed. Opens no file: with
     trace, each live cell's dict carries its per-step JSONL text."""
     sys = exp.system
-    base = int(exp.noise_cfg["seed"])
-    procs = [_noise_from_cfg(exp.noise_cfg, sys.n_x, seed=mix_seed(base, seed))
-             for seed in seeds]
-    schedules = [_cost_schedule(exp.cost_cfg, sys.n_x, sys.n_u, T, seed) for seed in seeds]
+    procs = [replace(exp.noise, seed=mix_seed(exp.noise.seed, seed)) for seed in seeds]
+    if exp.cost_seed is None:  # a fixed (Q, R): every seed shares its stride-0 schedule
+        schedules = [constant_schedule(exp.cost, T)] * len(seeds)
+    else:
+        schedules = [adversarial_convex_schedule(mix_seed(exp.cost_seed, seed), T, sys.n_x,
+                                                 sys.n_u) for seed in seeds]
     outcomes = run_episode(sys, exp.K, exp.cert, schedules, procs, exp.lr_schedule,
                            T, x0=exp.x0)
     results = [{"T": T, "seed": seed, "diverged": False, "step": None,
@@ -560,16 +560,9 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
         horizons=exp.horizons, seeds=exp.seeds,
         schedule_kind=exp.schedule_kind,
     )
-    if trace:
-        trace_dir = os.path.join(out_dir, "traces")
-        os.makedirs(trace_dir, exist_ok=True)
-        for r in results:
-            if r["trace"] is not None:
-                with open(os.path.join(trace_dir, f"T{r['T']}_seed{r['seed']}.jsonl"),
-                          "w") as fp:
-                    fp.write(r["trace"])
     if out_dir is not None:
-        write_outputs(report, out_dir)
+        write_outputs(report, out_dir, {f"traces/T{r['T']}_seed{r['seed']}.jsonl": r["trace"]
+                                        for r in results if r["trace"] is not None})
     return report
 
 
@@ -579,49 +572,29 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def write_outputs(report: ScalingReport, out_dir: str) -> dict:
-    """Write scaling.csv, report.json, and the plot series; return paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "scaling.csv")
-    lines = ["T,seed_count,regret_q25,regret_median,regret_q75,regret_q90,"
-             "bound_value,slope"]
-    for r in report.rows:
-        lines.append(",".join([
-            str(r["T"]), str(r["seed_count"]), _fmt(r["regret_q25"]),
-            _fmt(r["regret_median"]), _fmt(r["regret_q75"]),
-            _fmt(r["regret_q90"]), _fmt(r["bound_value"]),
-            _fmt(report.slope),
-        ]))
-    with open(csv_path, "w") as fp:
-        fp.write("\n".join(lines) + "\n")
+def write_outputs(report: ScalingReport, out_dir: str, traces: Optional[dict] = None) -> None:
+    """Write a batch's files into out_dir, the one place that writes them:
+    the traces ({relative path: JSONL text}), scaling.csv, the plot series
+    median_regret.dat and theory_bound.dat, and report.json last, so its
+    presence marks a complete batch.
 
-    json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w") as fp:
-        json.dump(report.to_json_dict(), fp, sort_keys=True, indent=2)
-        fp.write("\n")
-
-    paths = emit_plotdata(report, out_dir)
-    paths.update({"csv": csv_path, "json": json_path})
-    return paths
-
-
-def emit_plotdata(report: ScalingReport, out_dir: str) -> dict:
-    """Two-column series for external plotting: T then value per line.
-
-    median_regret.dat holds (T, median regret); theory_bound.dat holds
-    (T, regret-bound value). The bound should dominate the medians in a
-    valid run, but that is reported rather than asserted since the
-    constants are conservative by orders of magnitude.
+    The .dat files hold two columns, T then the median regret or the
+    regret-bound value. The bound should dominate the medians in a valid
+    run, but that is reported rather than asserted since the constants are
+    conservative by orders of magnitude.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    med_path = os.path.join(out_dir, "median_regret.dat")
-    bnd_path = os.path.join(out_dir, "theory_bound.dat")
-    with open(med_path, "w") as fp:
-        fp.write("# T median_regret\n")
-        for r in report.rows:
-            fp.write(f"{r['T']} {_fmt(r['regret_median'])}\n")
-    with open(bnd_path, "w") as fp:
-        fp.write("# T theory_bound\n")
-        for r in report.rows:
-            fp.write(f"{r['T']} {_fmt(r['bound_value'])}\n")
-    return {"median_regret": med_path, "theory_bound": bnd_path}
+    cols = ("regret_q25", "regret_median", "regret_q75", "regret_q90", "bound_value")
+    files = {**(traces or {}), "scaling.csv": "".join(
+        [f"T,seed_count,{','.join(cols)},slope\n"]
+        + [",".join([str(r["T"]), str(r["seed_count"]), *(_fmt(r[c]) for c in cols),
+                     _fmt(report.slope)]) + "\n" for r in report.rows])}
+    for name, key in (("median_regret", "regret_median"), ("theory_bound", "bound_value")):
+        files[f"{name}.dat"] = "".join([f"# T {name}\n"] + [
+            f"{r['T']} {_fmt(r[key])}\n" for r in report.rows])
+    files["report.json"] = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    paths = [os.path.join(out_dir, name) for name in files]
+    for folder in dict.fromkeys(map(os.path.dirname, paths)):
+        os.makedirs(folder, exist_ok=True)
+    for path, text in zip(paths, files.values()):
+        with open(path, "w") as fp:
+            fp.write(text)

@@ -31,7 +31,7 @@ from .noise import NoiseProcess, sample_episode
 from .policy import PolicyParams, control_input, horizon_H, project
 from .stability import StabilityCertificate, make_closed_loop
 from .surrogate import SurrogateKernel, _hankel
-from .system import LinearSystem, initial_state, recover_noise
+from .system import DIVERGENCE_LIMIT, LinearSystem, initial_state, recover_noise
 
 class EpisodeDivergedError(RuntimeError):
     """State norm blew past the divergence guard."""
@@ -93,9 +93,6 @@ class EpisodeRecord:
     M_final: PolicyParams
     noise_hash: str
 
-    def cum_costs(self) -> np.ndarray:
-        return np.cumsum(self.costs)
-
     def write_jsonl(self, fp: IO[str]) -> None:
         """One JSON object per step: {t, x, u, w, cost, eta, grad_frob, M_frob}."""
         for t in range(self.T):
@@ -126,7 +123,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
                 noise_proc: NoiseProcess | Sequence[NoiseProcess],
                 lr_schedule: LearningRateSchedule, T: int, *,
                 H: int | None = None, x0: np.ndarray | None = None,
-                divergence_limit: float = 1e12) -> EpisodeRecord | list:
+                divergence_limit: float = DIVERGENCE_LIMIT) -> EpisodeRecord | list:
     """Run projected OGD for T steps and return the trace.
 
     The stage cost is revealed only through cost_schedule.reveal(t, u_t),
@@ -176,7 +173,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     blocks = np.zeros((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
     flat = blocks.swapaxes(1, 2).reshape(S, -1)  # a view: blocks are updated in place
     flatT = flat.reshape(S, sys.n_u, -1).swapaxes(1, 2)  # (S, H n_x, n_u), as disturbance_action
-    x = np.repeat(initial_state(sys, x0)[None], S, axis=0)
+    x = np.repeat(initial_state(sys, x0, divergence_limit)[None], S, axis=0)
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
     # Recovered disturbances, most recent first: buf[s, T-1-r] holds seed s's

@@ -9,9 +9,12 @@ learner feeds to its policy and gradient computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 from typing import Any
 
 import numpy as np
+
+DIVERGENCE_LIMIT = 1e12  # an episode whose state norm exceeds this has diverged
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -44,25 +47,11 @@ def make_system(A: Any, B: Any) -> LinearSystem:
                         kappa_B=max(spectral_norm(B), 1.0))
 
 
-def system_from_json(doc: dict) -> LinearSystem:
-    """Build a system from a parsed JSON document {"A": [[...]], "B": [[...]]}.
-
-    Ragged rows are rejected by the array conversion.
-    """
-    for key in ("A", "B"):
-        if key not in doc:
-            raise ValueError(f"system document missing {key!r}")
-    try:
-        A = np.array(doc["A"], dtype=float)
-        B = np.array(doc["B"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"system matrices must be rectangular numeric arrays: {exc}") from None
-    return make_system(A, B)
-
-
-def initial_state(sys: LinearSystem, x0: np.ndarray | None = None) -> np.ndarray:
+def initial_state(sys: LinearSystem, x0: np.ndarray | None = None,
+                  limit: float = DIVERGENCE_LIMIT) -> np.ndarray:
     """State x_0. Default start is the origin; a nonzero start is opt-in
-    and must be a finite vector of shape (n_x,)."""
+    and must be a finite vector of shape (n_x,) whose norm lies within
+    the divergence guard `limit`."""
     if x0 is None:
         return np.zeros(sys.n_x)
     x = np.asarray(x0, dtype=float)
@@ -70,6 +59,9 @@ def initial_state(sys: LinearSystem, x0: np.ndarray | None = None) -> np.ndarray
         raise ValueError(f"x0 must have shape ({sys.n_x},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
+    if not (norm := hypot(*x)) <= limit:  # hypot does not overflow on the way
+        raise ValueError(f"x0 must lie within the divergence guard ||x0|| <= {limit:g}, "
+                         f"got ||x0|| = {norm:.3e}")
     return x
 
 

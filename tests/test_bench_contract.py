@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -94,6 +95,20 @@ def test_tracing_targets_resolve():
     assert "reveal" in CostSchedule.__dict__
 
 
+def _bench(monkeypatch):
+    """perfbench/bench.py, loaded by path with its sibling modules found
+    as `python perfbench/run.py` finds them, and unloaded again after."""
+    siblings = ("hostspeed", "tracing", "workloads")
+    new = [name for name in siblings if name not in sys.modules]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_bench", PERFBENCH / "bench.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    for name in new:  # bench keeps its own references
+        sys.modules.pop(name, None)
+    return mod
+
+
 @pytest.mark.parametrize("name,candidates,H", [("scalar-randcost-pool", 11, 19),
                                                ("mimo4-heavytail", 4, 31)])
 def test_setup_chain_on_the_workload_documents(name, candidates, H, perfbench_workloads):
@@ -121,6 +136,41 @@ def test_batch_regrets_match_the_benchmark_reference(name, perfbench_workloads):
     assert got.keys() == want.keys()
     for cell, regret in want.items():
         assert abs(got[cell] - regret) <= 1e-12 * abs(regret), (cell, got[cell], regret)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("workload_seed", [0, 3])
+@pytest.mark.parametrize("name", ["scalar-randcost-pool", "mimo4-heavytail"])
+def test_batch_episodes_run_the_benchmark_inputs(name, workload_seed, monkeypatch,
+                                                 perfbench_workloads):
+    """perfbench's us_per_step times direct episodes on inputs that
+    bench.episode_inputs builds apart from the batch: every (T, seed) cell
+    of a batch runs the same noise process, step sizes and Q and R stacks,
+    bit for bit."""
+    bench = _bench(monkeypatch)
+    exp = harness.build_experiment(perfbench_workloads[name].doc(workload_seed))
+    calls = []
+    run_episode = harness.run_episode
+
+    def spy(sys_, K, cert, schedules, procs, lr, T, **kwargs):
+        calls.append((T, schedules, procs, lr))
+        return run_episode(sys_, K, cert, schedules, procs, lr, T, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", spy)
+    harness.run_batch(exp)
+    assert sorted(T for T, *_ in calls) == sorted(exp.horizons)
+    for T, schedules, procs, lr in calls:
+        want = bench.episode_inputs(exp, T)
+        assert [seed for seed, *_ in want] == list(exp.seeds)
+        for schedule, proc, (_, want_proc, want_schedule, want_lr) in zip(
+                schedules, procs, want, strict=True):
+            assert repr(proc) == repr(want_proc)  # float reprs round-trip exactly
+            assert lr == want_lr
+            assert _same_bits(schedule.Q, want_schedule.Q), (T, "Q")
+            assert _same_bits(schedule.R, want_schedule.R), (T, "R")
 
 
 def _scalar_doc(cost):

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 import onlinectrl.harness as hz
 from onlinectrl.cli import main as cli_main
 from onlinectrl.harness import (build_experiment, compute_theory_constants,
-                                config_hash, emit_plotdata, load_config,
-                                run_batch, write_outputs)
+                                config_hash, load_config, run_batch, write_outputs)
 from onlinectrl.learner import EpisodeDivergedError
 from onlinectrl.stability import CertificationError
 
@@ -64,6 +63,19 @@ def test_build_experiment_accepts_base_config():
     (lambda d: d.update(delta=0.0), "delta"),
     (lambda d: d.update(delta=1.5), "delta"),
     (lambda d: d.update(m0=[[0.1]]), "m0"),
+    (lambda d: d["system"].pop("A"), "config system is missing 'A'"),
+    (lambda d: d["system"].update(A=[[0.1, 0.2], [0.3]], B=[[1.0], [1.0]]),
+     "system A must be a numeric array"),
+    (lambda d: d["system"].update(A=[[0.5, 0.1]]), "A must be square"),
+    (lambda d: d["system"].update(A=[[0.5, 0.1], [0.0, 0.3]]), "B must be 2 x n_u"),
+    (lambda d: d["system"].update(A=[["0.5"]]), "system A must hold only JSON numbers"),
+    (lambda d: d["system"].update(B=[[True]]), "system B must hold only JSON numbers"),
+    (lambda d: d["gain"].update(K=[["0.5"]]), "gain K must hold only JSON numbers"),
+    (lambda d: d["cost"].update(R=[[True]]), "cost R must hold only JSON numbers"),
+    (lambda d: d.update(x0=["  1.0 "]), "x0 must hold only JSON numbers"),
+    (lambda d: d.update(comparator={"candidates": [[[" 0.5 "]]]}),
+     "comparator candidate must hold only JSON numbers"),
+    (lambda d: d.update(x0=[1e300]), "x0 must lie within the divergence guard"),
 ])
 def test_build_experiment_rejects_bad_configs(mutate, needle):
     doc = _base_doc()
@@ -222,21 +234,35 @@ def test_theory_constants_delta_override():
 
 
 def test_theory_constants_rebuild_nothing(monkeypatch, perfbench_workloads):
-    """The constants read the cost family's constants and the noise process
-    that build_experiment made; they equal what rebuilding both gives."""
+    """The constants read exp.cost and exp.noise, which build_experiment
+    made; they equal what a rebuilt cost family and the noise process at
+    seed 0 give, since population moments do not depend on the seed."""
     docs = [_base_doc(), *(wl.doc(0) for wl in perfbench_workloads.values())]
     for doc in docs:
         exp = build_experiment(doc)
-        n_x, n_u = exp.system.n_x, exp.system.n_u
-        probe = hz._cost_schedule(exp.cost_cfg, n_x, n_u)
-        rebuilt = dataclasses.replace(
-            exp, noise=hz._noise_from_cfg(exp.noise_cfg, n_x, seed=0),
-            g_c=probe.g_c, alpha=probe.alpha, beta=probe.beta)
+        cost, _ = hz._cost_schedule(exp.cost_cfg, exp.system.n_x, exp.system.n_u)
+        rebuilt = dataclasses.replace(exp, cost=cost, noise=dataclasses.replace(exp.noise, seed=0))
         want = compute_theory_constants(rebuilt).to_json_dict()
         with monkeypatch.context() as m:
-            for name in ("_cost_schedule", "_noise_from_cfg"):
-                m.setattr(hz, name, None)  # a call would raise TypeError
+            m.setattr(hz, "_cost_schedule", None)  # a call would raise TypeError
             assert compute_theory_constants(exp).to_json_dict() == want
+
+
+@pytest.mark.parametrize("cost", [
+    {"family": "random_quadratic", "seed": 7},
+    {"family": "quadratic", "Q": [[1.0]], "R": [[2.0]]},
+], ids=["random", "fixed"])
+def test_batch_reads_no_json_after_build(monkeypatch, tmp_path, cost):
+    """Every field is parsed once, by build_experiment: a batch runs, with
+    the same outputs, when the JSON readers are gone afterwards."""
+    exp = build_experiment(_base_doc(cost=cost, x0=[0.25]))
+    want = run_batch(exp, out_dir=str(tmp_path / "want"), trace=True)
+    for name in ("_as_array", "_as_float", "_as_seed", "_as_int"):
+        monkeypatch.setattr(hz, name, None)  # a call would raise TypeError
+    got = run_batch(exp, out_dir=str(tmp_path / "got"), trace=True)
+    assert got.rows == want.rows
+    for name in ("report.json", "traces/T16_seed2.jsonl"):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
 @pytest.mark.parametrize("kappa,gamma,kind,needle", [
@@ -367,12 +393,11 @@ def test_trace_files_written(tmp_path):
         assert len(p.read_text().splitlines()) == 8
 
 
-def test_emit_plotdata_shape(tmp_path):
+def test_plot_series_shape(tmp_path):
     exp = build_experiment(_base_doc())
-    report = run_batch(exp)
-    paths = emit_plotdata(report, str(tmp_path))
-    med = open(paths["median_regret"]).read().splitlines()
-    bnd = open(paths["theory_bound"]).read().splitlines()
+    write_outputs(run_batch(exp), str(tmp_path))
+    med = (tmp_path / "median_regret.dat").read_text().splitlines()
+    bnd = (tmp_path / "theory_bound.dat").read_text().splitlines()
     assert med[0] == "# T median_regret"
     assert bnd[0] == "# T theory_bound"
     assert len(med) == len(bnd) == 1 + len(exp.horizons)
@@ -380,11 +405,25 @@ def test_emit_plotdata_shape(tmp_path):
     assert int(t) == 8 and float(v) >= 0.0
 
 
-def test_write_outputs_returns_paths(tmp_path):
+def test_write_outputs_writes_report_last(tmp_path, monkeypatch):
+    """write_outputs writes every file of a batch, the traces first and
+    report.json last, so a present report.json marks a complete batch."""
     report = run_batch(build_experiment(_base_doc(horizons=[8], seeds=[0])))
-    paths = write_outputs(report, str(tmp_path))
-    assert set(paths) == {"csv", "json", "median_regret", "theory_bound"}
-    blob = json.load(open(paths["json"]))
+    opened = []
+    real_open = open
+
+    def spy(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(os.path.relpath(path, tmp_path))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    assert write_outputs(report, str(tmp_path), {"traces/T8_seed0.jsonl": "{}\n"}) is None
+    monkeypatch.undo()
+    assert opened == [os.path.join("traces", "T8_seed0.jsonl"), "scaling.csv",
+                      "median_regret.dat", "theory_bound.dat", "report.json"]
+    assert (tmp_path / "traces" / "T8_seed0.jsonl").read_text() == "{}\n"
+    blob = json.loads((tmp_path / "report.json").read_text())
     assert blob["config_hash"] == report.config_hash
     assert blob["failed"] is False
 
@@ -489,6 +528,14 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
     (lambda d: d["comparator"].update(candidates=[[[0.45]]]),
      "comparator must give either 'candidates' or 'grid'"),
     (lambda d: d.update(horizons=[64, 64]), "horizons list has duplicates"),
+    (lambda d: d["system"].update(A=[["0.5"]]), "system A must hold only JSON numbers"),
+    (lambda d: d["system"].update(B=[[True]]), "system B must hold only JSON numbers"),
+    (lambda d: d["gain"].update(K=[["0.5"]]), "gain K must hold only JSON numbers"),
+    (lambda d: d["cost"].update(R=[[True]]), "cost R must hold only JSON numbers"),
+    (lambda d: d.update(x0=["  1.0 "]), "x0 must hold only JSON numbers"),
+    (lambda d: d.update(comparator={"candidates": [[[" 0.5 "]]]}),
+     "comparator candidate must hold only JSON numbers"),
+    (lambda d: d.update(x0=[1e300]), "x0 must lie within the divergence guard"),
 ], ids=["grid-without-max", "noise-without-family", "horizons-not-a-list",
         "quadratic-without-Q", "nan-noise-scale", "nan-x0", "nan-kappa",
         "comparator-not-an-object", "nested-horizon", "nested-seed",
@@ -497,7 +544,8 @@ def test_cli_run_rejects_zero_workers(tmp_path, capsys):
         "unknown-gain-key", "unknown-schedule-key", "unknown-root-key",
         "unknown-grid-key", "unknown-noise-key", "stale-quadratic-seed",
         "overflowing-noise-scale", "memory-longer-than-episode", "aliasing-seeds",
-        "candidates-and-grid", "duplicate-horizons"])
+        "candidates-and-grid", "duplicate-horizons", "string-A", "boolean-B", "string-K",
+        "boolean-R", "string-x0", "string-candidate", "x0-beyond-divergence-guard"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, mutate, needle):
     doc = _base_doc()
     mutate(doc)

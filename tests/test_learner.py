@@ -337,6 +337,18 @@ def test_divergence_guard_trips():
     assert exc.value.step == 0
 
 
+def test_start_beyond_the_divergence_guard_is_refused():
+    """The guard that checks every x_{t+1} checks x_0 too: a start past it
+    raises ValueError before any step, at the default limit and a given one."""
+    sys_, K, cert = _scalar_setup()
+    proc = NoiseProcess("gaussian", 1.0, dim=1, seed=3)
+    schedule = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), 10)
+    lr = LearningRateSchedule("constant_sqrtT")
+    for x0, limit in (([1e300], {}), ([0.5], {"divergence_limit": 0.25})):
+        with pytest.raises(ValueError, match="divergence guard"):
+            run_episode(sys_, K, cert, schedule, proc, lr, 10, x0=np.array(x0), **limit)
+
+
 def test_final_policy_admissible():
     sys_, K, cert = _scalar_setup()
     proc = NoiseProcess("student_t", 1.0, dim=1, seed=11, df=5.0)

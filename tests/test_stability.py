@@ -4,7 +4,7 @@ import pytest
 from onlinectrl.stability import (CertificationError, StabilityCertificate,
                                   _certify_stack, build_certificate, certify,
                                   make_closed_loop, power_decay_check)
-from onlinectrl.system import make_system, system_from_json
+from onlinectrl.system import make_system
 
 
 def _scalar_system():
@@ -186,7 +186,7 @@ def _stack_cases(workloads):
         # (system, gains, kappa, gamma, how many must certify)
         "c7-grid": (scalar, [[[v]] for v in np.linspace(0.4, 0.6, 11)], 1.0, 0.9, 11),
         "wide-grid": (scalar, [[[v]] for v in np.linspace(0.0, 1.0, 11)], 1.0, 0.9, 3),
-        "mimo4": (system_from_json(mimo4["system"]),
+        "mimo4": (make_system(mimo4["system"]["A"], mimo4["system"]["B"]),
                   [mimo4["gain"]["K"], *mimo4["comparator"]["candidates"]], 2.0, 0.55, 5),
         # loops with eigenvalues 0.5 - c +- 0.4i (|0.7 +- 0.4i| > 1 - gamma
         # fails) and one with a real spectrum, in one stack

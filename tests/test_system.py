@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from onlinectrl.system import (LinearSystem, initial_state, make_system,
-                               recover_noise, spectral_norm, system_from_json)
+from onlinectrl.system import (DIVERGENCE_LIMIT, initial_state, make_system,
+                               recover_noise, spectral_norm)
 
 
 def test_make_system_shapes_and_kappa_B():
@@ -66,17 +66,6 @@ def test_initial_state_default_and_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             initial_state(sys_, x0=np.array([bad]))
-
-
-def test_system_from_json_round_trip_and_rejections():
-    doc = {"A": [[0.5, 0.1], [0.0, 0.3]], "B": [[1.0], [0.5]]}
-    sys_ = system_from_json(doc)
-    assert isinstance(sys_, LinearSystem)
-    np.testing.assert_allclose(sys_.A, doc["A"])
-    np.testing.assert_allclose(sys_.B, doc["B"])
-    with pytest.raises(ValueError):
-        system_from_json({"A": [[0.5, 0.1]], "B": [[1.0]]})
-    with pytest.raises(ValueError):
-        system_from_json({"A": [[0.1, 0.2], [0.3]], "B": [[1.0], [1.0]]})
-    with pytest.raises(ValueError):
-        system_from_json({"B": [[1.0]]})
+    np.testing.assert_array_equal(initial_state(sys_, x0=[-DIVERGENCE_LIMIT]), [-1e12])
+    with pytest.raises(ValueError, match="divergence guard"):
+        initial_state(sys_, x0=[2.0], limit=1.0)
