@@ -173,6 +173,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     blocks = np.zeros((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
     flat = blocks.swapaxes(1, 2).reshape(S, -1)  # a view: blocks are updated in place
     flatT = flat.reshape(S, sys.n_u, -1).swapaxes(1, 2)  # (S, H n_x, n_u), as disturbance_action
+    views = [PolicyParams(b) for b in blocks]  # each seed's blocks, live
     x = np.repeat(initial_state(sys, x0, divergence_limit)[None], S, axis=0)
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
@@ -203,8 +204,9 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         np.add.reduce(np.square(flat), axis=1, out=m_sq[t])
         G *= step_sizes[t]
         blocks -= G
-        for s in range(S):
-            blocks[s] = project(PolicyParams(blocks[s]), kappa, gamma, kappa_B).blocks
+        for s, view in enumerate(views):
+            if (proj := project(view, kappa, gamma, kappa_B)) is not view:  # else none clipped
+                blocks[s] = proj.blocks
 
         every = x_next.ravel()  # no seed's norm exceeds the norm of all together
         if not sqrt(every.dot(every)) <= divergence_limit:  # also trips on NaN

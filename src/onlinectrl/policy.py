@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import ceil, log, sqrt
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh  # np.linalg.eigh's gufunc
 
 from .system import spectral_norm
 
@@ -71,8 +72,9 @@ def block_spectral_norms(M: PolicyParams) -> np.ndarray:
 
 def is_admissible(M: PolicyParams, kappa: float, gamma: float, kappa_B: float,
                   tol: float = 1e-9) -> bool:
+    """Every block's spectral norm within its radius, to a relative tol."""
     radii = admissible_radii(M.H, kappa, gamma, kappa_B)
-    return bool(np.all(block_spectral_norms(M) <= radii + tol))
+    return bool(np.all(block_spectral_norms(M) <= radii * (1.0 + tol)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -87,33 +89,39 @@ def _radii(H: int, kappa: float, gamma: float, kappa_B: float) -> tuple:
 
 def project(M_raw: PolicyParams, kappa: float, gamma: float,
             kappa_B: float) -> PolicyParams:
-    """Frobenius projection onto the admissible set.
+    """Frobenius projection onto the admissible set; M_raw is never written.
 
     The set is a product of per-block spectral-norm balls, so clipping
     each block's singular values at its radius r is the exact projection.
     On the Gram matrix G of the shorter side (M M', or M' M if tall),
     ||G||_F = (sum s_i^4)^(1/2) >= s_1^2: a block with ||G||_F <= r^2 is
-    returned bit-identical, the others become M + V diag(min(1, r /
-    sqrt(lam)) - 1) V' M with eigh(G) = V diag(lam) V'. As lam is exact to
-    about eps s_1^2, singular values below sqrt(eps) s_1 clip only to
-    within their own size. 1x1 blocks are clipped directly.
+    kept bit for bit, and M_raw itself is returned if all are. The others
+    become M + V diag(min(1, r / sqrt(lam)) - 1) V' M with eigh(G) = V
+    diag(lam) V', from np.linalg.eigh's LAPACK gufunc without its wrapper
+    (same bits; NaN and a RuntimeWarning where the wrapper would raise). As
+    lam is exact to about eps s_1^2, singular values below sqrt(eps) s_1
+    clip only to within their own size. 1x1 blocks are clipped directly.
     """
     blocks = M_raw.blocks
     radii, r4, low, high = _radii(M_raw.H, kappa, gamma, kappa_B)
     if blocks.shape[1] == 1 and blocks.shape[2] == 1:  # np.clip, without its wrapper's cost
-        return PolicyParams(np.minimum(np.maximum(blocks, low), high))
+        out = np.maximum(blocks, low)
+        return PolicyParams(np.minimum(out, high, out=out))
     wide = blocks if blocks.shape[1] <= blocks.shape[2] else blocks.transpose(0, 2, 1)
     gram = wide @ wide.transpose(0, 2, 1).copy()  # matmul is slower on a strided operand
-    big = np.einsum("hij,hij->h", gram, gram) > r4
-    if not big.any():
+    idx = (np.einsum("hij,hij->h", gram, gram) > r4).nonzero()[0]
+    if not idx.size:
         return M_raw
-    lam, V = np.linalg.eigh(gram[big])
-    root = np.maximum(np.sqrt(np.maximum(lam, 0.0)), 1e-300)
-    shrink = np.minimum(1.0, radii[big][:, None] / root) - 1.0
-    Mb = wide[big]
-    clipped = Mb + (V * shrink[:, None, :]) @ (V.transpose(0, 2, 1) @ Mb)
+    lam, V = _eigh(gram.take(idx, 0), signature="d->dd")
+    # in place, lam becomes the shrink min(1, r / max(sqrt(max(lam, 0)), 1e-300)) - 1
+    root = np.maximum(np.sqrt(np.maximum(lam, 0.0, out=lam), out=lam), 1e-300, out=lam)
+    np.minimum(1.0, np.divide(radii.take(idx)[:, None], root, out=lam), out=lam)
+    lam -= 1.0
+    Mb = wide.take(idx, 0)
+    VtM = V.transpose(0, 2, 1) @ Mb
+    V *= lam[:, None, :]
     out = blocks.copy()
-    out[big] = clipped if wide is blocks else clipped.transpose(0, 2, 1)
+    (out if wide is blocks else out.transpose(0, 2, 1))[idx] = Mb + V @ VtM
     return PolicyParams(out)
 
 

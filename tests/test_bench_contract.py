@@ -252,3 +252,37 @@ def test_episode_job_spans_carry_horizon_and_seeds(tmp_path):
     assert tracer.totals("harness.write_outputs")[0] == 1
     assert (tmp_path / "out" / "report.json").exists()
     assert tracing.leftover_wrappers() == []
+
+
+def test_project_is_traced_per_seed_in_lockstep(monkeypatch):
+    """Over a seed axis the tracer sees one project call per seed per step,
+    and counts each seed's blocks as they were before the projection: three
+    seeds in lockstep clip as many blocks as their solo runs do, counted
+    before each call. With A - B K = 0 and diagonal B and K, lockstep equals
+    solo bit for bit."""
+    tracing = _tracing()
+    B, K = np.diag([1.0, 0.5]), np.diag([0.3, 0.4])
+    sys_ = make_system(B @ K, B)
+    cert = certify(sys_, K, 1.5, 0.5)
+    T, H = 24, 5
+    schedule = constant_schedule(quadratic_cost(np.eye(2), np.eye(2)), T)
+    procs = [NoiseProcess("student_t", 1.0, dim=2, seed=s, df=5.0) for s in (2, 7, 11)]
+    lr = learner.LearningRateSchedule("strongly_convex", alpha_tilde=1.0)
+    with tracing.installed(tracing.Tracer()) as lockstep:
+        batch = learner.run_episode(sys_, K, cert, [schedule] * 3, procs, lr, T, H=H)
+    before = tracing.Tracer()
+    project = learner.project
+
+    def counted(*args):
+        before.count_clipped(args)
+        return project(*args)
+
+    monkeypatch.setattr(learner, "project", counted)
+    for proc, rec in zip(procs, batch):
+        alone = learner.run_episode(sys_, K, cert, schedule, proc, lr, T, H=H)
+        assert np.array_equal(rec.M_final.blocks, alone.M_final.blocks)
+    assert lockstep.totals("policy.project")[0] == T * 3
+    assert lockstep.counts["policy.project.blocks"] == T * 3 * H
+    clipped = before.counts["policy.project.clipped_blocks"]
+    assert lockstep.counts["policy.project.clipped_blocks"] == clipped > 0
+    assert tracing.leftover_wrappers() == []

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.linalg._umath_linalg import eigh_lo
 
 from onlinectrl.policy import (PolicyParams, admissible_radii,
                                block_spectral_norms, comparator_params,
@@ -45,6 +48,19 @@ def test_block_norms_and_admissibility():
     M0 = zero_policy(4, 2, 3)
     assert is_admissible(M0, KAPPA, GAMMA, KAPPA_B)
     assert M0.frob_norm() == 0.0
+
+
+@pytest.mark.parametrize("scale,admissible", [(1.0, True), (1.0 + 1e-12, True),
+                                              (1.0 + 1e-6, False), (10.0, False)])
+def test_is_admissible_tolerance_is_relative(scale, admissible):
+    """Radii 10 down to 1e-10: a block at scale times its radius is judged
+    the same at either end, so a 10x overshoot of a 1e-10 radius is caught."""
+    H, kappa, gamma, kappa_B = 12, 1.0, 0.9, 5.0
+    radii = admissible_radii(H, kappa, gamma, kappa_B)
+    for i in (0, H - 1):
+        blocks = np.zeros((H, 2, 2))
+        blocks[i] = scale * radii[i] * np.diag([1.0, 0.5])
+        assert is_admissible(PolicyParams(blocks), kappa, gamma, kappa_B) is admissible
 
 
 def test_project_into_set_and_fixed_point():
@@ -217,3 +233,96 @@ def test_sample_admissible_deterministic_per_seed():
     a = sample_admissible(np.random.default_rng(99), 3, 2, 2, KAPPA, GAMMA, KAPPA_B)
     b = sample_admissible(np.random.default_rng(99), 3, 2, 2, KAPPA, GAMMA, KAPPA_B)
     np.testing.assert_array_equal(a.blocks, b.blocks)
+
+
+def _project_reference(M_raw, kappa, gamma, kappa_B):
+    """The projection through np.linalg.eigh on boolean-masked copies: the
+    reference project is held to bit for bit."""
+    blocks = M_raw.blocks
+    radii = admissible_radii(M_raw.H, kappa, gamma, kappa_B)
+    if blocks.shape[1] == 1 and blocks.shape[2] == 1:
+        return PolicyParams(np.minimum(np.maximum(blocks, -radii[:, None, None]),
+                                       radii[:, None, None]))
+    wide = blocks if blocks.shape[1] <= blocks.shape[2] else blocks.transpose(0, 2, 1)
+    gram = wide @ wide.transpose(0, 2, 1).copy()
+    big = np.einsum("hij,hij->h", gram, gram) > radii ** 4
+    if not big.any():
+        return M_raw
+    lam, V = np.linalg.eigh(gram[big])
+    root = np.maximum(np.sqrt(np.maximum(lam, 0.0)), 1e-300)
+    shrink = np.minimum(1.0, radii[big][:, None] / root) - 1.0
+    Mb = wide[big]
+    clipped = Mb + (V * shrink[:, None, :]) @ (V.transpose(0, 2, 1) @ Mb)
+    out = blocks.copy()
+    out[big] = clipped if wide is blocks else clipped.transpose(0, 2, 1)
+    return PolicyParams(out)
+
+
+def _assert_project_matches_reference(raw, kappa, gamma, kappa_B):
+    """project equals the reference bit for bit, writes nothing into its
+    input and returns the input itself when no block clips."""
+    kept = raw.copy()
+    M, M_ref = PolicyParams(raw), PolicyParams(raw.copy())
+    got = project(M, kappa, gamma, kappa_B)
+    want = _project_reference(M_ref, kappa, gamma, kappa_B)
+    assert np.array_equal(got.blocks, want.blocks, equal_nan=True)
+    assert np.array_equal(raw, kept, equal_nan=True)
+    assert (got is M) == (want is M_ref)
+    return got
+
+
+@pytest.mark.parametrize("n_u,n_x", [(2, 4), (4, 2), (3, 3), (1, 3), (3, 1), (1, 1)],
+                         ids=["wide", "tall", "square", "row", "column", "scalar"])
+def test_project_matches_reference_bit_for_bit(n_u, n_x):
+    """Every SPECTRA case on every block, then random stacks where no block,
+    every block or some blocks clip, in C order and as the strided per-seed
+    view the learner passes."""
+    rng = np.random.default_rng(71 + 7 * n_u + n_x)
+    H, kappa, gamma, kappa_B = 12, 1.0, 0.9, 5.0
+    radii = admissible_radii(H, kappa, gamma, kappa_B)[:, None, None]
+    for name, units in SPECTRA.items():
+        s = np.zeros(min(n_u, n_x))
+        s[:min(len(units), len(s))] = units[:len(s)]
+        raw = np.stack([_block_with_spectrum(rng, n_u, n_x, r * s) for r in radii[:, 0, 0]])
+        _assert_project_matches_reference(raw, kappa, gamma, kappa_B)
+    for factor in (0.05, 3.0, None):
+        for _ in range(10):
+            scale = rng.choice([0.05, 3.0], size=(H, 1, 1)) if factor is None else factor
+            raw = scale * radii * rng.standard_normal((H, n_u, n_x)) / np.sqrt(n_u * n_x)
+            got = _assert_project_matches_reference(raw, kappa, gamma, kappa_B)
+            if factor == 0.05 and n_u * n_x > 1:
+                assert got.blocks is raw
+            seed_major = np.zeros((2, n_u, H, n_x)).swapaxes(1, 2)  # as in run_episode
+            seed_major[1] = raw
+            _assert_project_matches_reference(seed_major[1], kappa, gamma, kappa_B)
+
+
+def test_project_overflow_gives_the_reference_nans_and_warning():
+    """A 1e200 entry overflows the block's Gram matrix: the same NaN blocks
+    and the same RuntimeWarning as the reference."""
+    raw = np.tile(np.array([[1.0, 2.0, 0.5], [3.0, 4.0, -1.0]]), (4, 1, 1))
+    raw[1, 0, 1] = 1e200
+    results = []
+    for fn in (project, _project_reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn(PolicyParams(raw.copy()), KAPPA, GAMMA, KAPPA_B).blocks
+        results.append((out, [(w.category, str(w.message)) for w in caught]))
+    (got, got_warn), (want, want_warn) = results
+    assert np.isnan(got[1]).any() and not np.isnan(got[[0, 2, 3]]).any()
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got_warn == want_warn and got_warn
+    assert all(category is RuntimeWarning for category, _ in got_warn)
+
+
+def test_direct_eigh_gufunc_equals_np_linalg_eigh():
+    """project calls the gufunc behind np.linalg.eigh directly; a numpy that
+    moves or changes it fails here instead of changing results."""
+    rng = np.random.default_rng(83)
+    for n in range(1, 7):
+        for k in (1, 2, 5, 18, 40):
+            A = rng.standard_normal((k, n, n + int(rng.integers(0, 3))))
+            gram = A @ A.transpose(0, 2, 1)
+            lam, V = eigh_lo(gram, signature="d->dd")
+            want_lam, want_V = np.linalg.eigh(gram)
+            assert np.array_equal(lam, want_lam) and np.array_equal(V, want_V)
