@@ -29,7 +29,7 @@ import numpy as np
 from .costs import CostSchedule
 from .noise import NoiseProcess, sample_episode
 from .policy import PolicyParams, control_input, horizon_H, project
-from .stability import StabilityCertificate, make_closed_loop
+from .stability import StabilityCertificate
 from .surrogate import SurrogateKernel, _hankel
 from .system import DIVERGENCE_LIMIT, LinearSystem, initial_state, recover_noise
 
@@ -54,6 +54,8 @@ class LearningRateSchedule:
         if self.kind == "strongly_convex" and not (
                 self.alpha_tilde is not None and 0.0 < self.alpha_tilde < inf):
             raise ValueError("strongly_convex schedule needs a finite alpha_tilde > 0")
+        if self.kind == "constant_sqrtT" and self.alpha_tilde is not None:
+            raise ValueError("alpha_tilde applies only to the strongly_convex schedule")
 
     def etas(self, T: int) -> np.ndarray:
         """Step sizes eta_0, ..., eta_{T-1} of a T-step episode."""
@@ -137,9 +139,9 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     episode per seed in lockstep: states, blocks and the recovered-noise
     buffer gain a leading seed axis, and each per-step layer runs once per
     step for all seeds (project once per seed). The result lists per seed its
-    EpisodeRecord, equal to its solo run's to rounding but not bit for bit in
-    general (tests hold 1e-12 relative; bit for bit where A - B K = 0, as in
-    the acceptance and benchmark documents), or the EpisodeDivergedError its
+    EpisodeRecord, equal to its solo run's bit for bit for one seed, and where
+    A - B K = 0 with B and K diagonal; otherwise to within rounding (tests
+    hold 1e-12 relative). A diverged seed lists the EpisodeDivergedError its
     solo run raises.
     """
     solo = isinstance(cost_schedule, CostSchedule)
@@ -164,7 +166,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys.kappa_B
     H = horizon_H(T, gamma) if H is None else H
     K = np.asarray(K, dtype=float)
-    kern = SurrogateKernel(make_closed_loop(sys, K, i_max=H), sys.B, H)
+    kern = SurrogateKernel(sys, K, H)
 
     S = len(procs)
     step_sizes, A_T, B_T = etas.tolist(), sys.A.T, sys.B.T  # cheaper to use in the loop

@@ -20,6 +20,7 @@ from math import ceil, log, sqrt
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh  # np.linalg.eigh's gufunc
 
+from .stability import closed_loop_powers
 from .system import spectral_norm
 
 
@@ -160,17 +161,8 @@ def comparator_params(K: np.ndarray, K_star: np.ndarray, A: np.ndarray,
     that assumption the construction always lands in the admissible set,
     so a membership failure indicates an internal inconsistency.
     """
-    K = np.asarray(K, dtype=float)
-    K_star = np.asarray(K_star, dtype=float)
-    B = np.asarray(B, dtype=float)
-    A_star = np.asarray(A, dtype=float) - B @ K_star
-    diff = K - K_star
-    blocks = np.empty((H, K.shape[0], K.shape[1]))
-    P = np.eye(A_star.shape[0])
-    for i in range(H):
-        blocks[i] = diff @ P
-        P = P @ A_star
-    M = PolicyParams(blocks)
+    diff = np.asarray(K, dtype=float) - np.asarray(K_star, dtype=float)
+    M = PolicyParams(diff @ closed_loop_powers(A, B, K_star, H))
     kappa_B = max(spectral_norm(B), 1.0)
     if not is_admissible(M, kappa, gamma, kappa_B):
         raise RuntimeError("comparator construction left the admissible set; "

@@ -21,18 +21,19 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .policy import PolicyParams, disturbance_action
-from .stability import ClosedLoop
+from .stability import closed_loop_powers
+from .system import LinearSystem
 
 
-def _transfer_stack(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams],
+def _transfer_stack(pows: np.ndarray, B: np.ndarray, M_seq: Sequence[PolicyParams],
                     h: int, H: int) -> np.ndarray:
     """Every transfer matrix psi_{t,i,h} of `psi`, for i = 0..H+h, stacked
-    along axis 0. The indicators of the formula become slice bounds: A_K^i
-    fills rows 0..h, and A_K^j B M_{t-j}^[m] lands in row j+m+1.
+    along axis 0, from the powers A_K^0..A_K^h. The indicators of the formula
+    become slice bounds: A_K^i fills rows 0..h, and A_K^j B M_{t-j}^[m] lands
+    in row j+m+1.
     """
     if len(M_seq) != h + 1:
         raise ValueError(f"M_seq must hold h+1={h + 1} policies, got {len(M_seq)}")
-    pows = cl.power_stack(h + 1)
     stack = np.zeros((H + h + 1,) + pows.shape[1:])
     stack[:h + 1] = pows
     # terms[j, m] = A_K^j B M_{t-j}^[m]; M_seq runs oldest first
@@ -43,23 +44,21 @@ def _transfer_stack(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams]
     return stack
 
 
-def psi(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams], t: int,
+def psi(sys: LinearSystem, K: np.ndarray, M_seq: Sequence[PolicyParams], t: int,
         i: int, h: int, H: int) -> np.ndarray:
     """Transfer matrix: the coefficient of w_{t-i} when x_{t+1} is expanded
     from x_{t-h} under the policy window M_seq = (M_{t-h}, ..., M_t).
 
         psi = A_K^i [i <= h] + sum_{j=0}^{h} A_K^j B M_{t-j}^[i-j-1] [1 <= i-j <= H]
-
-    The closed loop's power cache must reach A_K^h.
     """
     if h < 0 or h > t:
         raise ValueError(f"need 0 <= h <= t, got h={h}, t={t}")
     if not 0 <= i <= H + h:
         raise ValueError(f"need 0 <= i <= H+h={H + h}, got i={i}")
-    return _transfer_stack(cl, B, M_seq, h, H)[i]
+    return _transfer_stack(closed_loop_powers(sys.A, sys.B, K, h + 1), sys.B, M_seq, h, H)[i]
 
 
-def state_expansion(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams],
+def state_expansion(sys: LinearSystem, K: np.ndarray, M_seq: Sequence[PolicyParams],
                     noise: Sequence[np.ndarray], t: int, h: int, H: int) -> np.ndarray:
     """x_t rebuilt from x_{t-1-h} through the transfer matrices of `psi`:
 
@@ -68,20 +67,20 @@ def state_expansion(cl: ClosedLoop, B: np.ndarray, M_seq: Sequence[PolicyParams]
     M_seq holds M_0..M_{t-1} and noise holds w_0..w_{t-1}; terms with
     w_{t-1-i} before time zero vanish. The base state x_{t-1-h} is itself
     rebuilt by the full-depth expansion (x_0 = 0), so the result is
-    simulation-free. The closed loop's power cache must reach A_K^{h+1}
-    and A_K^{t-1-h}; reaching A_K^t covers every h.
+    simulation-free.
     """
     if t < 1:
         raise ValueError("state expansion needs t >= 1")
     if not 0 <= h <= t - 1:
         raise ValueError(f"need 0 <= h <= t-1, got h={h}, t={t}")
     s = t - 1 - h
-    x_base = state_expansion(cl, B, M_seq, noise, s, s - 1, H) if s else np.zeros(B.shape[0])
+    x_base = state_expansion(sys, K, M_seq, noise, s, s - 1, H) if s else np.zeros(sys.n_x)
 
-    stack = _transfer_stack(cl, B, M_seq[s:t], h, H)
+    pows = closed_loop_powers(sys.A, sys.B, K, h + 2)
+    stack = _transfer_stack(pows[:h + 1], sys.B, M_seq[s:t], h, H)
     count = min(H + h + 1, t)
     recent = np.asarray(noise[t - count:t], dtype=float)[::-1]  # w_{t-1}, w_{t-2}, ...
-    return cl.power(h + 1) @ x_base + np.einsum("ixy,iy->x", stack[:count], recent)
+    return pows[h + 1] @ x_base + np.einsum("ixy,iy->x", stack[:count], recent)
 
 
 def _hankel(A: np.ndarray, H: int, rows: int) -> np.ndarray:
@@ -105,14 +104,14 @@ class SurrogateKernel:
     the seeds' rows, which at these sizes cost about half a matmul call.
     """
 
-    def __init__(self, cl: ClosedLoop, B: np.ndarray, H: int):
+    def __init__(self, sys: LinearSystem, K: np.ndarray, H: int):
         if H < 1:
             raise ValueError("memory H must be >= 1")
-        B = np.asarray(B, dtype=float)
+        B = sys.B
         self.H = H
-        self.K = cl.K
+        self.K = np.asarray(K, dtype=float)
         self.n_x, self.n_u = B.shape
-        pows = cl.power_stack(H + 1)
+        pows = closed_loop_powers(sys.A, B, self.K, H + 1)
         # row a, column j*n + b holds A_K^j[a, b] and (A_K^j B)[a, b]; kept transposed
         self._pows_rowT = pows.transpose(1, 0, 2).reshape(self.n_x, -1).T
         self._PB_rowT = np.matmul(pows, B).transpose(1, 0, 2).reshape(self.n_x, -1).T

@@ -14,7 +14,7 @@ from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
                                 noise_fingerprint, run_episode)
 from onlinectrl.noise import NoiseProcess, sample
 from onlinectrl.policy import admissible_radii, is_admissible, zero_policy
-from onlinectrl.stability import build_certificate, certify, make_closed_loop
+from onlinectrl.stability import build_certificate, certify
 from onlinectrl.surrogate import SurrogateKernel
 from onlinectrl.system import make_system
 
@@ -72,6 +72,8 @@ def test_schedule_validation():
     for bad in (None, 0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha_tilde"):
             LearningRateSchedule("strongly_convex", alpha_tilde=bad)
+    with pytest.raises(ValueError, match="alpha_tilde applies only"):
+        LearningRateSchedule("constant_sqrtT", alpha_tilde=5.0)
 
 
 def test_alpha_tilde_hand_value():
@@ -84,7 +86,7 @@ def _naive_replay(sys_, K, cert, proc, cost, lr, T, H):
     """The projected-OGD loop with explicit bookkeeping: per-step noise
     draws, a window rebuilt from the list of past disturbances, and
     projection by full-SVD clipping of every block."""
-    kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
+    kern = SurrogateKernel(sys_, K, H)
     radii = admissible_radii(H, cert.kappa, cert.gamma, sys_.kappa_B)
     M = zero_policy(H, sys_.n_u, sys_.n_x).blocks
     past = []                      # most recent last

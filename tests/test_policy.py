@@ -220,6 +220,31 @@ def test_comparator_params_construction():
     assert is_admissible(M, 1.0, 0.5, 1.0)
 
 
+def _comparator_blocks_per_block(K, K_star, A, B, H):
+    """Reference construction: one product per block, powers by recurrence."""
+    A_star = A - B @ K_star
+    diff = K - K_star
+    blocks = np.empty((H, K.shape[0], K.shape[1]))
+    P = np.eye(A_star.shape[0])
+    for i in range(H):
+        blocks[i] = diff @ P
+        P = P @ A_star
+    return blocks
+
+
+def test_comparator_params_match_per_block_loop_bitwise():
+    rng = np.random.default_rng(41)
+    for n_x, n_u in [(1, 1), (1, 3), (3, 1), (2, 2), (4, 4), (3, 2)]:
+        B = rng.uniform(-1.0, 1.0, size=(n_x, n_u))
+        K_star = 0.3 * rng.standard_normal((n_u, n_x))
+        A = np.diag(rng.uniform(-0.8, 0.8, size=n_x)) + B @ K_star
+        K = K_star + 0.1 * rng.standard_normal((n_u, n_x))
+        for H in (1, 7, 31):
+            M = comparator_params(K, K_star, A, B, H, kappa=10.0, gamma=0.1)
+            assert M.blocks.tobytes() == _comparator_blocks_per_block(
+                K, K_star, A, B, H).tobytes(), (n_x, n_u, H)
+
+
 def test_comparator_params_rejects_inadmissible():
     # large gain gap: block 0 spectral norm exceeds 2 kappa_B kappa^3
     A = np.array([[0.0]])

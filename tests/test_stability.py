@@ -3,7 +3,7 @@ import pytest
 
 from onlinectrl.stability import (CertificationError, StabilityCertificate,
                                   _certify_stack, build_certificate, certify,
-                                  make_closed_loop, power_decay_check)
+                                  closed_loop_powers, power_decay_check)
 from onlinectrl.system import make_system
 
 
@@ -58,8 +58,7 @@ def test_manual_certificate_for_jordan_block():
     cert = build_certificate(kappa=5.0, gamma=0.35, P=P, Q=Q, A_K=A, K=K)
     assert not cert.diagonal
     np.testing.assert_array_equal(cert.Q_inv, np.linalg.inv(Q))
-    cl = make_closed_loop(sys_, K, i_max=200)
-    chk = power_decay_check(cl, cert, i_max=200)
+    chk = power_decay_check(sys_, K, cert, i_max=200)
     assert chk["ok"]
     assert np.all(chk["norms"] <= chk["bounds"] + 1e-9)
 
@@ -95,19 +94,17 @@ def test_closed_loop_powers_match_matrix_power():
     for _ in range(10):
         n = int(rng.integers(1, 4))
         A = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-        sys_ = make_system(A, np.eye(n))
         K = 0.1 * rng.standard_normal((n, n))
-        cl = make_closed_loop(sys_, K, i_max=12)
+        pows = closed_loop_powers(A, np.eye(n), K, 13)
+        assert pows.shape == (13, n, n)
         A_K = A - K
         for i in range(13):
-            np.testing.assert_allclose(cl.power(i),
-                                       np.linalg.matrix_power(A_K, i),
-                                       atol=1e-12)
-        with pytest.raises(ValueError):
-            cl.power(13)
-        stack = cl.power_stack(5)
-        assert stack.shape == (5, n, n)
-        np.testing.assert_allclose(stack[3], cl.power(3))
+            np.testing.assert_allclose(pows[i], np.linalg.matrix_power(A_K, i), atol=1e-12)
+        np.testing.assert_array_equal(closed_loop_powers(A, np.eye(n), K, 1), np.eye(n)[None])
+        with pytest.raises(ValueError, match="count"):
+            closed_loop_powers(A, np.eye(n), K, 0)
+        with pytest.raises(ValueError, match=r"K must have shape \(%d, %d\)" % (n, n)):
+            closed_loop_powers(A, np.eye(n), K[:, :n - 1] if n > 1 else K[None], 5)
 
 
 def test_random_certificates_satisfy_definition_and_decay():
@@ -127,8 +124,7 @@ def test_random_certificates_satisfy_definition_and_decay():
         cert = certify(sys_, K, kappa=1e3, gamma=gamma)
         # the issued witness passes the external-witness check as well
         build_certificate(cert.kappa, cert.gamma, cert.P, cert.Q, A_K, K, diagonal=True)
-        cl = make_closed_loop(sys_, K, i_max=int(np.ceil(10 / gamma)))
-        chk = power_decay_check(cl, cert, i_max=int(np.ceil(10 / gamma)))
+        chk = power_decay_check(sys_, K, cert, i_max=int(np.ceil(10 / gamma)))
         assert chk["ok"], f"trial {trial}: decay bound violated"
 
 

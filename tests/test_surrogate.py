@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from onlinectrl.policy import disturbance_action, sample_admissible
-from onlinectrl.stability import make_closed_loop
 from onlinectrl.surrogate import SurrogateKernel, _hankel, psi, state_expansion
 from onlinectrl.system import make_system
 
@@ -65,11 +64,10 @@ def test_state_expansion_equals_simulation_every_h():
                  for _ in range(T)]
         ws = [rng.standard_normal(n) for _ in range(T)]
         xs = _simulate(sys_, K, M_seq, ws)
-        cl = make_closed_loop(sys_, K, i_max=H + T + 1)
         noise = np.stack(ws)
         for t in range(1, T + 1):
             for h in range(t):
-                got = state_expansion(cl, sys_.B, M_seq, noise, t, h, H)
+                got = state_expansion(sys_, K, M_seq, noise, t, h, H)
                 np.testing.assert_allclose(got, xs[t], atol=1e-9,
                                            err_msg=f"t={t} h={h}")
 
@@ -77,19 +75,18 @@ def test_state_expansion_equals_simulation_every_h():
 def test_psi_validations():
     rng = np.random.default_rng(5)
     sys_, K, n, H = _random_instance(rng)
-    cl = make_closed_loop(sys_, K, i_max=2 * H + 8)
     M = [sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
          for _ in range(3)]
-    psi(cl, sys_.B, M[:3], t=5, i=0, h=2, H=H)
+    psi(sys_, K, M[:3], t=5, i=0, h=2, H=H)
     with pytest.raises(ValueError):
-        psi(cl, sys_.B, M[:3], t=1, i=0, h=2, H=H)   # h > t
+        psi(sys_, K, M[:3], t=1, i=0, h=2, H=H)   # h > t
     with pytest.raises(ValueError):
-        psi(cl, sys_.B, M[:3], t=5, i=H + 3, h=2, H=H)  # i > H + h
+        psi(sys_, K, M[:3], t=5, i=H + 3, h=2, H=H)  # i > H + h
     with pytest.raises(ValueError):
-        psi(cl, sys_.B, M[:2], t=5, i=0, h=2, H=H)   # window length mismatch
+        psi(sys_, K, M[:2], t=5, i=0, h=2, H=H)   # window length mismatch
     with pytest.raises(ValueError):
         # M_seq shorter than t leaves the outer window one policy short
-        state_expansion(cl, sys_.B, M[:2], np.zeros((3, n)), t=3, h=1, H=H)
+        state_expansion(sys_, K, M[:2], np.zeros((3, n)), t=3, h=1, H=H)
 
 
 def _frozen_replay(sys_, K, M, ws, t, H):
@@ -119,8 +116,7 @@ def test_point_matches_frozen_policy_replay():
         T = 2 * H + 6
         M = sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
         ws = [rng.standard_normal(n) for _ in range(T)]
-        cl = make_closed_loop(sys_, K, i_max=H)
-        kern = SurrogateKernel(cl, sys_.B, H)
+        kern = SurrogateKernel(sys_, K, H)
         for t in (H + 1, T - 1, T):
             y, v = kern.point(M.blocks, _window(ws, t, 2 * H + 1))
             y_expect, v_expect = _frozen_replay(sys_, K, M, ws, t, H)
@@ -135,7 +131,7 @@ def test_point_matches_frozen_policy_replay_non_square():
         T = 2 * H + 6
         M = sample_admissible(rng, H, n_u, n_x, KAPPA, GAMMA, KAPPA_B)
         ws = [rng.standard_normal(n_x) for _ in range(T)]
-        kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
+        kern = SurrogateKernel(sys_, K, H)
         for t in (1, H + 1, T - 1, T):
             y, v = kern.point(M.blocks, _window(ws, t, 2 * H + 1))
             y_expect, v_expect = _frozen_replay(sys_, K, M, ws, t, H)
@@ -151,8 +147,7 @@ def test_truncation_error_bounded_by_decay():
     M = sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
     ws = [rng.standard_normal(n) for _ in range(T)]
     xs = _simulate(sys_, K, [M] * T, ws)
-    cl = make_closed_loop(sys_, K, i_max=H)
-    kern = SurrogateKernel(cl, sys_.B, H)
+    kern = SurrogateKernel(sys_, K, H)
     y, _ = kern.point(M.blocks, _window(ws, T, 2 * H + 1))
     err = np.linalg.norm(xs[T] - y)
     bound = KAPPA ** 2 * (1 - GAMMA) ** (H + 1) * np.linalg.norm(xs[T - 1 - H])
@@ -186,7 +181,7 @@ def test_grad_matches_finite_differences():
     for _ in range(12):
         sys_, K, n, H = _random_instance(rng)
         cost = _random_cost(rng, n, n)
-        kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
+        kern = SurrogateKernel(sys_, K, H)
         W = rng.standard_normal((2 * H + 1, n))
         M = sample_admissible(rng, H, n, n, KAPPA, GAMMA, KAPPA_B)
         assert _grad_fd_error(kern, cost, M.blocks, W) <= 1e-6
@@ -197,7 +192,7 @@ def test_grad_matches_finite_differences_non_square():
     for _ in range(12):
         sys_, K, n_x, n_u, H = _non_square_instance(rng)
         cost = _random_cost(rng, n_x, n_u)
-        kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
+        kern = SurrogateKernel(sys_, K, H)
         W = rng.standard_normal((2 * H + 1, n_x))
         M = sample_admissible(rng, H, n_u, n_x, KAPPA, GAMMA, KAPPA_B)
         assert _grad_fd_error(kern, cost, M.blocks, W) <= 1e-6
@@ -227,7 +222,7 @@ def test_lockstep_grad_equals_single_window_calls(plant, H, S):
     rounding otherwise. point and value agree with its (y, v) bit for bit."""
     sys_, K = _plant(plant)
     n_x, n_u = sys_.n_x, sys_.n_u
-    kern = SurrogateKernel(make_closed_loop(sys_, K, i_max=H), sys_.B, H)
+    kern = SurrogateKernel(sys_, K, H)
     rng = np.random.default_rng(1000 * H + S)
     W = rng.standard_normal((S, 2 * H + 1, n_x))
     blocks = rng.standard_normal((S, H, n_u, n_x))
