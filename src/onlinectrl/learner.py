@@ -33,6 +33,9 @@ from .stability import StabilityCertificate
 from .surrogate import SurrogateKernel, _hankel
 from .system import DIVERGENCE_LIMIT, LinearSystem, initial_state, recover_noise
 
+_NORM_CHUNK_FLOATS = 2 ** 17  # floats per array of run_episode's norm scratch (1 MiB)
+
+
 class EpisodeDivergedError(RuntimeError):
     """State norm blew past the divergence guard."""
 
@@ -133,7 +136,9 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     revealed cost on the surrogate window, which ends at w_{t-1} and so
     is fully known once w_t has been recovered for the next step. The
     injected disturbances are drawn before the loop, with the values
-    sample(noise_proc, t) gives.
+    sample(noise_proc, t) gives. Each step squares the entries of G_t and M_t
+    into a scratch of L steps, summed once per chunk with the bits of per-step
+    sums; the scratch holds 2 MiB (or one step, if more) at any T.
 
     Equal-length sequences of cost schedules and noise processes run one
     episode per seed in lockstep: states, blocks and the recovered-noise
@@ -176,7 +181,8 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     flat = blocks.swapaxes(1, 2).reshape(S, -1)  # a view: blocks are updated in place
     flatT = flat.reshape(S, sys.n_u, -1).swapaxes(1, 2)  # (S, H n_x, n_u), as disturbance_action
     views = [PolicyParams(b) for b in blocks]  # each seed's blocks, live
-    x = np.repeat(initial_state(sys, x0, divergence_limit)[None], S, axis=0)
+    xs = np.empty((T + 1, S, sys.n_x))  # step-major; step t writes x_{t+1} into xs[t+1]
+    xs[0] = initial_state(sys, x0, divergence_limit)
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
     # Recovered disturbances, most recent first: buf[s, T-1-r] holds seed s's
@@ -184,28 +190,32 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     # window (window[m] = w_{t-1-m}) and its Hankel rows start at row T-t.
     buf = np.zeros((S, T + 2 * H + 1, sys.n_x))
     hanks = _hankel(buf, H, H + 2)
-    xs = np.empty((T + 1, S, sys.n_x))  # step-major
     us = np.empty((T, S, sys.n_u))
-    grad_sq, m_sq = np.empty((2, T, S))  # squared Frobenius norms
+    sq = np.empty((2, T, S))  # squared Frobenius norms of G_t and M_t, summed per chunk
+    L = min(max(_NORM_CHUNK_FLOATS // flat.size, 1), T)  # steps per chunk
+    chunk = np.empty((2, L) + flat.shape)
     outcome: list = [None] * S
 
     for t in range(T):
+        x = xs[t]
         hank = np.ascontiguousarray(hanks[:, T - t])
         dap = hank @ flatT  # disturbance_action(blocks, hank)
         u = control_input(K, x, dap[:, 0])
         cost = stage.reveal(t, u)
-        xs[t] = x
         us[t] = u
         Ax, Bu = x.dot(A_T), u.dot(B_T)  # shared by the step and the noise recovery
-        x_next = Ax + Bu
+        x_next = np.add(Ax, Bu, out=xs[t + 1])
         x_next += ws[t]
         buf[:, T - 1 - t] = recover_noise(x_next, Ax, Bu)
 
         G, _, _ = kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap)
-        np.add.reduce(np.square(G.swapaxes(1, 2).reshape(S, -1)), axis=1, out=grad_sq[t])
-        np.add.reduce(np.square(flat), axis=1, out=m_sq[t])
-        G *= step_sizes[t]
-        blocks -= G
+        Gf, c = G.swapaxes(1, 2).reshape(S, -1), t % L  # Gf: G's (S, n_u H n_x) view, as flat
+        np.square(Gf, out=chunk[0, c])
+        np.square(flat, out=chunk[1, c])
+        if c == L - 1 or t == T - 1:
+            np.add.reduce(chunk[:, :c + 1], axis=-1, out=sq[:, t - c:t + 1])
+        Gf *= step_sizes[t]
+        flat -= Gf
         for s, view in enumerate(views):
             if (proj := project(view, kappa, gamma, kappa_B)) is not view:  # else none clipped
                 blocks[s] = proj.blocks
@@ -219,17 +229,15 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
                     outcome[s] = outcome[s] or EpisodeDivergedError(step=t, norm=norm)
                     x_next[s], buf[s], blocks[s] = 0.0, 0.0, 0.0
             if None not in outcome:
-                break
-        x = x_next
+                break  # no record is built, so a partial chunk needs no flush
 
-    xs[T] = x
     for s in [s for s, done in enumerate(outcome) if done is None]:
         seed_xs, seed_us = np.ascontiguousarray(xs[:, s]), np.ascontiguousarray(us[:, s])
         costs = schedules[s].stage_values(seed_xs[:T], seed_us)  # the paid c_t(x_t, u_t)
         outcome[s] = EpisodeRecord(
             T=T, H=H, xs=seed_xs, us=seed_us, ws=noise[s],
             ws_recovered=buf[s, T - 1::-1].copy(), costs=costs, etas=etas,
-            grad_frobs=np.sqrt(grad_sq[:, s]), m_frobs=np.sqrt(m_sq[:, s]),
+            grad_frobs=np.sqrt(sq[0, :, s]), m_frobs=np.sqrt(sq[1, :, s]),
             cum_cost=float(costs.sum()), M_final=PolicyParams(blocks[s].copy()),
             noise_hash=noise_fingerprint(noise[s]),
         )

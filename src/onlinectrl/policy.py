@@ -42,10 +42,6 @@ class PolicyParams:
         return float(np.linalg.norm(self.blocks))
 
 
-def zero_policy(H: int, n_u: int, n_x: int) -> PolicyParams:
-    return PolicyParams(np.zeros((H, n_u, n_x)))
-
-
 def horizon_H(T: int, gamma: float) -> int:
     """Memory length H = ceil(2 ln(T) / gamma). Horizons below 3 are rejected."""
     if T < 3:

@@ -73,11 +73,16 @@ def state_expansion(sys: LinearSystem, K: np.ndarray, M_seq: Sequence[PolicyPara
         raise ValueError("state expansion needs t >= 1")
     if not 0 <= h <= t - 1:
         raise ValueError(f"need 0 <= h <= t-1, got h={h}, t={t}")
-    s = t - 1 - h
-    x_base = state_expansion(sys, K, M_seq, noise, s, s - 1, H) if s else np.zeros(sys.n_x)
+    pows = closed_loop_powers(sys.A, sys.B, K, max(h + 2, t - h))
+    return _expansion(pows, sys.B, M_seq, noise, t, h, H)
 
-    pows = closed_loop_powers(sys.A, sys.B, K, h + 2)
-    stack = _transfer_stack(pows[:h + 1], sys.B, M_seq[s:t], h, H)
+
+def _expansion(pows: np.ndarray, B: np.ndarray, M_seq: Sequence[PolicyParams],
+               noise: Sequence[np.ndarray], t: int, h: int, H: int) -> np.ndarray:
+    """state_expansion's body on powers A_K^0..A_K^k, k >= max(h + 1, t - h - 1)."""
+    s = t - 1 - h
+    x_base = _expansion(pows, B, M_seq, noise, s, s - 1, H) if s else np.zeros(B.shape[0])
+    stack = _transfer_stack(pows[:h + 1], B, M_seq[s:t], h, H)
     count = min(H + h + 1, t)
     recent = np.asarray(noise[t - count:t], dtype=float)[::-1]  # w_{t-1}, w_{t-2}, ...
     return pows[h + 1] @ x_base + np.einsum("ixy,iy->x", stack[:count], recent)

@@ -1,22 +1,25 @@
+import dataclasses
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from onlinectrl import costs
+from onlinectrl import costs, learner
 from onlinectrl.costs import (CostSchedule, adversarial_convex_schedule,
                               constant_schedule, quadratic_cost)
 from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
                                 LearningRateSchedule, alpha_tilde_from,
                                 noise_fingerprint, run_episode)
-from onlinectrl.noise import NoiseProcess, sample
-from onlinectrl.policy import admissible_radii, is_admissible, zero_policy
+from onlinectrl.noise import NoiseProcess, sample, sample_episode
+from onlinectrl.policy import (PolicyParams, admissible_radii, control_input, horizon_H,
+                               is_admissible, project)
 from onlinectrl.stability import build_certificate, certify
-from onlinectrl.surrogate import SurrogateKernel
-from onlinectrl.system import make_system
+from onlinectrl.surrogate import SurrogateKernel, _hankel
+from onlinectrl.system import DIVERGENCE_LIMIT, initial_state, make_system, recover_noise
 
 
 def _scalar_setup(A=0.6, B=1.0, K=0.4, kappa=1.0, gamma=0.8):
@@ -88,7 +91,7 @@ def _naive_replay(sys_, K, cert, proc, cost, lr, T, H):
     projection by full-SVD clipping of every block."""
     kern = SurrogateKernel(sys_, K, H)
     radii = admissible_radii(H, cert.kappa, cert.gamma, sys_.kappa_B)
-    M = zero_policy(H, sys_.n_u, sys_.n_x).blocks
+    M = np.zeros((H, sys_.n_u, sys_.n_x))
     past = []                      # most recent last
     x = np.zeros(sys_.n_x)
     steps = []
@@ -271,6 +274,179 @@ def test_lockstep_diverged_seed_stays_finite():
     assert not [w for w in caught if "invalid value" in str(w.message)]
     assert (batch[1].step, batch[1].norm) == (solo.value.step, solo.value.norm) == (0, math.inf)
     _assert_same_episode(batch[0], run_episode(sys_, K, cert, schedule, procs[0], lr, T, H=4))
+
+
+def _run_episode_per_step(sys_, K, cert, schedules, procs, lr, T, H=None,
+                          divergence_limit=DIVERGENCE_LIMIT):
+    """run_episode's lockstep loop in its per-step form: both squared norms
+    are summed every step, and x_{t+1} is copied into xs a step later. The
+    chunked loop must equal it bit for bit. Returns per seed its
+    EpisodeRecord or EpisodeDivergedError."""
+    etas = lr.etas(T)
+    Q, R = (learner._seed_axis([s.Q[:T] for s in schedules]),
+            learner._seed_axis([s.R[:T] for s in schedules]))
+    stage = CostSchedule(Q, R, schedules[0].g_c)
+    kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys_.kappa_B
+    H = horizon_H(T, gamma) if H is None else H
+    K = np.asarray(K, dtype=float)
+    kern = SurrogateKernel(sys_, K, H)
+    S = len(procs)
+    step_sizes, A_T, B_T = etas.tolist(), sys_.A.T, sys_.B.T
+    blocks = np.zeros((S, sys_.n_u, H, sys_.n_x)).swapaxes(1, 2)
+    flat = blocks.swapaxes(1, 2).reshape(S, -1)
+    flatT = flat.reshape(S, sys_.n_u, -1).swapaxes(1, 2)
+    views = [PolicyParams(b) for b in blocks]
+    x = np.repeat(initial_state(sys_, None, divergence_limit)[None], S, axis=0)
+    noise = [sample_episode(p, T) for p in procs]
+    ws = np.stack(noise, axis=1)
+    buf = np.zeros((S, T + 2 * H + 1, sys_.n_x))
+    hanks = _hankel(buf, H, H + 2)
+    xs = np.empty((T + 1, S, sys_.n_x))
+    us = np.empty((T, S, sys_.n_u))
+    grad_sq, m_sq = np.empty((2, T, S))
+    outcome = [None] * S
+
+    for t in range(T):
+        hank = np.ascontiguousarray(hanks[:, T - t])
+        dap = hank @ flatT
+        u = control_input(K, x, dap[:, 0])
+        cost = stage.reveal(t, u)
+        xs[t] = x
+        us[t] = u
+        Ax, Bu = x.dot(A_T), u.dot(B_T)
+        x_next = Ax + Bu
+        x_next += ws[t]
+        buf[:, T - 1 - t] = recover_noise(x_next, Ax, Bu)
+
+        G, _, _ = kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap)
+        np.add.reduce(np.square(G.swapaxes(1, 2).reshape(S, -1)), axis=1, out=grad_sq[t])
+        np.add.reduce(np.square(flat), axis=1, out=m_sq[t])
+        G *= step_sizes[t]
+        blocks -= G
+        for s, view in enumerate(views):
+            if (proj := project(view, kappa, gamma, kappa_B)) is not view:
+                blocks[s] = proj.blocks
+
+        every = x_next.ravel()
+        if not math.sqrt(every.dot(every)) <= divergence_limit:
+            for s, row in enumerate(x_next):
+                norm = math.sqrt(row.dot(row))
+                if not norm <= divergence_limit:
+                    outcome[s] = outcome[s] or EpisodeDivergedError(step=t, norm=norm)
+                    x_next[s], buf[s], blocks[s] = 0.0, 0.0, 0.0
+            if None not in outcome:
+                break
+        x = x_next
+
+    xs[T] = x
+    for s in [s for s, done in enumerate(outcome) if done is None]:
+        seed_xs, seed_us = np.ascontiguousarray(xs[:, s]), np.ascontiguousarray(us[:, s])
+        seed_costs = schedules[s].stage_values(seed_xs[:T], seed_us)
+        outcome[s] = EpisodeRecord(
+            T=T, H=H, xs=seed_xs, us=seed_us, ws=noise[s],
+            ws_recovered=buf[s, T - 1::-1].copy(), costs=seed_costs, etas=etas,
+            grad_frobs=np.sqrt(grad_sq[:, s]), m_frobs=np.sqrt(m_sq[:, s]),
+            cum_cost=float(seed_costs.sum()), M_final=PolicyParams(blocks[s].copy()),
+            noise_hash=noise_fingerprint(noise[s]),
+        )
+    return outcome
+
+
+def _assert_bitwise_equal(got, want):
+    """Every EpisodeRecord field holds the same bytes."""
+    assert isinstance(got, EpisodeRecord) and isinstance(want, EpisodeRecord)
+    for field in dataclasses.fields(EpisodeRecord):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, PolicyParams):
+            a, b = a.blocks, b.blocks
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def _chunk_to(monkeypatch, L, S, D):
+    """Shrink the norm scratch so an episode of S seeds and D = n_u H n_x
+    block entries reduces its norms every L steps."""
+    monkeypatch.setattr(learner, "_NORM_CHUNK_FLOATS", L * S * D)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("plant", ["scalar-random-costs", "3x2-student-t"])
+def test_chunked_norms_match_per_step_loop_bitwise(plant, S, monkeypatch):
+    """T = 3, L - 1, L, L + 1 and 2L + 5: a chunk cut short by T, one that
+    fills exactly at the last step, one step past it, and a partial chunk
+    after two full ones. H = 24 on the 3x2 plant puts D = 144 entries in
+    each norm, past the 128 at which numpy's pairwise sum splits a row."""
+    L = 6
+    if plant == "scalar-random-costs":
+        sys_, K, cert = _scalar_setup()
+        H, lr = 4, LearningRateSchedule("constant_sqrtT")
+    else:
+        sys_, K, cert = _plant_3x2()
+        H, lr = 24, LearningRateSchedule("strongly_convex", alpha_tilde=1.0)
+    _chunk_to(monkeypatch, L, S, sys_.n_u * H * sys_.n_x)
+    for T in (3, L - 1, L, L + 1, 2 * L + 5):
+        if plant == "scalar-random-costs":
+            schedules = [adversarial_convex_schedule(100 + s, T, 1, 1) for s in range(S)]
+            procs = [NoiseProcess("gaussian", 1.0, dim=1, seed=s) for s in range(S)]
+        else:
+            cost = quadratic_cost(np.diag([1.0, 2.0, 0.5]), np.diag([0.5, 1.0]))
+            schedules = [constant_schedule(cost, T)] * S
+            procs = [NoiseProcess("student_t", 1.0, dim=3, seed=19 + s, df=5.0)
+                     for s in range(S)]
+        want = _run_episode_per_step(sys_, K, cert, schedules, procs, lr, T, H)
+        got = (run_episode(sys_, K, cert, schedules, procs, lr, T, H=H) if S > 1 else
+               [run_episode(sys_, K, cert, schedules[0], procs[0], lr, T, H=H)])
+        for g, w in zip(got, want, strict=True):
+            _assert_bitwise_equal(g, w)
+
+
+def test_chunked_norms_with_a_seed_diverging_mid_chunk(monkeypatch):
+    """One seed of three diverges inside a chunk after the first: it lists
+    the error of the per-step loop, and its siblings' records, whose norms
+    are reduced at the chunk's end, equal that loop's bit for bit."""
+    sys_, K, cert, schedules, procs, lr, T, _ = _lockstep_case("scalar-random-costs")
+    free = run_episode(sys_, K, cert, schedules, procs, lr, T)
+    peaks = [float(np.max(np.linalg.norm(rec.xs[1:], axis=1))) for rec in free]
+    order = np.argsort(peaks)
+    limit = 0.5 * (peaks[order[-1]] + peaks[order[-2]])
+    want = _run_episode_per_step(sys_, K, cert, schedules, procs, lr, T,
+                                 divergence_limit=limit)
+    wild = int(order[-1])
+    step = want[wild].step
+    L = next(L for L in range(3, step) if 0 < step % L < L - 1)
+    _chunk_to(monkeypatch, L, len(procs), free[0].H)
+    got = run_episode(sys_, K, cert, schedules, procs, lr, T, divergence_limit=limit)
+    assert isinstance(got[wild], EpisodeDivergedError)
+    assert (got[wild].step, got[wild].norm) == (step, want[wild].norm)
+    for s in range(len(procs)):
+        if s != wild:
+            _assert_bitwise_equal(got[s], want[s])
+
+
+def test_norm_scratch_stays_bounded():
+    """n_x = n_u = 6, H = 40 and four seeds: the squared entries of every
+    step's G_t and M_t would take 71 MB, more than 10 times the bound, and
+    the whole episode peaks under it. The bound is three times the scratch's
+    two arrays, which leaves room for the episode's other arrays (1.6 MB)."""
+    n, H, S, T = 6, 40, 4, 768
+    bound = 3 * 2 * 8 * learner._NORM_CHUNK_FLOATS
+    assert 2 * T * S * n * H * n * 8 >= 10 * bound
+    sys_ = make_system(0.3 * np.eye(n), np.eye(n))
+    K = np.zeros((n, n))
+    cert = certify(sys_, K, 1.0, 0.5)
+    schedules = [constant_schedule(quadratic_cost(np.eye(n), np.eye(n)), T)] * S
+    procs = [NoiseProcess("gaussian", 1.0, dim=n, seed=s) for s in range(S)]
+    lr = LearningRateSchedule("constant_sqrtT")
+    tracemalloc.start()
+    try:
+        batch = run_episode(sys_, K, cert, schedules, procs, lr, T, H=H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(rec, EpisodeRecord) for rec in batch)
+    assert peak < bound, peak
 
 
 @pytest.mark.parametrize("name", ["3x2-student-t-clipping", "memory-reaches-past-start"])

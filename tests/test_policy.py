@@ -8,7 +8,7 @@ from onlinectrl.policy import (PolicyParams, admissible_radii,
                                block_spectral_norms, comparator_params,
                                control_input, disturbance_action, horizon_H, is_admissible,
                                policy_class_diameter, project,
-                               sample_admissible, zero_policy)
+                               sample_admissible)
 
 KAPPA, GAMMA, KAPPA_B = 1.0, 0.5, 1.0
 
@@ -45,7 +45,7 @@ def test_block_norms_and_admissibility():
         norms = block_spectral_norms(M)
         for i in range(H):
             assert np.isclose(norms[i], np.linalg.norm(blocks[i], 2))
-    M0 = zero_policy(4, 2, 3)
+    M0 = PolicyParams(np.zeros((4, 2, 3)))
     assert is_admissible(M0, KAPPA, GAMMA, KAPPA_B)
     assert M0.frob_norm() == 0.0
 
