@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import CostSchedule
 from .learner import EpisodeRecord, noise_fingerprint
-from .policy import PolicyParams, comparator_params, disturbance_action
+from .policy import comparator_params, disturbance_action
 from .surrogate import _hankel
 from .system import LinearSystem
 
@@ -40,6 +40,17 @@ def _realized(sys: LinearSystem, cost_schedule: CostSchedule,
                          f"got shape {ws.shape}")
     cost_schedule.require_horizon(ws.shape[0])
     return ws
+
+
+def _states(A_rows: np.ndarray, W_rows: np.ndarray) -> np.ndarray:
+    """States X[t, r] = x_t, t < T = len(W_rows), of the rows x_{t+1} = A_rows[r] x_t
+    + W_rows[t, r] from x_0 = 0; the one state recursion both comparators replay."""
+    X = np.empty(W_rows.shape)
+    X[:1] = 0.0
+    for t in range(W_rows.shape[0] - 1):
+        np.einsum("cxy,cy->cx", A_rows, X[t], out=X[t + 1])
+        X[t + 1] += W_rows[t]
+    return X
 
 
 def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
@@ -72,12 +83,7 @@ def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
 
     S, C = len(ws), Ks.shape[0]
     A_rows = np.tile(A_Ks, (S, 1, 1))  # row s * C + c: candidate c on seed s
-    W_rows = np.repeat(np.stack(ws, axis=1), C, axis=1)
-    X = np.empty((T, S * C, sys.n_x))  # X[t, r]: state of row r
-    X[:1] = 0.0
-    for t in range(T - 1):
-        np.einsum("cxy,cy->cx", A_rows, X[t], out=X[t + 1])
-        X[t + 1] += W_rows[t]
+    X = _states(A_rows, np.repeat(np.stack(ws, axis=1), C, axis=1))
 
     results = []
     for s, (schedule, w) in enumerate(zip(schedules, ws)):
@@ -97,24 +103,6 @@ def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
     return results[0] if solo else results
 
 
-def _rollout_dap(sys: LinearSystem, K: np.ndarray, M: PolicyParams,
-                 cost_schedule: CostSchedule, ws: np.ndarray) -> np.ndarray:
-    """Stage costs of a fixed disturbance-action policy on given noise."""
-    T = ws.shape[0]
-    # the noise most recent first, as the learner stores it: recent[T-1-r] = w_r and
-    # H zero rows after it, so step t's Hankel row starts at row T-t
-    recent = np.vstack([ws[::-1], np.zeros((M.H, sys.n_x))])
-    # dap[t] = sum_m M^[m] w_{t-1-m}; it does not depend on the state
-    dap = disturbance_action(M.blocks, _hankel(recent, M.H, 1)[T:0:-1])[:, 0]
-    xs = np.zeros((T + 1, sys.n_x))
-    us = np.empty((T, sys.n_u))
-    K_T, A_T, B_T = K.T, sys.A.T, sys.B.T  # 2-D dot products: no matmul dispatch per step
-    for t in range(T):
-        us[t] = dap[t] - xs[t].dot(K_T)
-        xs[t + 1] = xs[t].dot(A_T) + us[t].dot(B_T) + ws[t]
-    return cost_schedule.stage_values(xs[:T], us)
-
-
 def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
                   cost_schedule: CostSchedule, realized_noise: np.ndarray,
                   H: int, kappa: float, gamma: float) -> ComparatorResult:
@@ -128,14 +116,22 @@ def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
     ws = _realized(sys, cost_schedule, realized_noise)
     K = np.asarray(K, dtype=float)
     K_star = np.asarray(K_star, dtype=float)
-    M_star = comparator_params(K, K_star, sys.A, sys.B, H, kappa, gamma)
-    costs = _rollout_dap(sys, K, M_star, cost_schedule, ws)
+    M_star = comparator_params(sys, K, K_star, H, kappa, gamma)
+    T = ws.shape[0]
+    # the noise most recent first, as the learner stores it: recent[T-1-r] = w_r and
+    # H zero rows after it, so step t's Hankel row starts at row T-t
+    recent = np.vstack([ws[::-1], np.zeros((H, sys.n_x))])
+    # dap[t] = sum_m M^[m] w_{t-1-m}; it does not depend on the state, so
+    # u_t = dap[t] - K x_t is the gain K driven by the noise w_t + B dap[t]
+    dap = disturbance_action(M_star.blocks, _hankel(recent, H, 1)[T:0:-1])[:, 0]
+    X = _states((sys.A - sys.B @ K)[None], (ws + dap @ sys.B.T)[:, None])[:, 0]
+    costs = cost_schedule.stage_values(X, dap - X @ K.T)
     return ComparatorResult(
         kind="mstar",
         cumulative_cost=float(costs.sum()),
         per_step_costs=costs,
         descriptor={"K": K.tolist(), "K_star": K_star.tolist(), "H": H},
-        search_meta={"M_star_frob": float(M_star.frob_norm())},
+        search_meta={"M_star_frob": float(np.linalg.norm(M_star.blocks))},
         noise_hash=noise_fingerprint(ws),
     )
 

@@ -71,7 +71,6 @@ class CostSchedule:
     g_c: float
     alpha: Optional[float] = None
     beta: Optional[float] = None
-    family: str = "custom"
 
     def __post_init__(self):
         _check_psd_stack(self.Q, "Q")
@@ -119,15 +118,14 @@ def quadratic_cost(Qmat: np.ndarray, Rmat: np.ndarray) -> CostSchedule:
     alpha, beta = (float(v) if v > 0.0 else None for v in (eig.min(), eig.max()))
     return CostSchedule(Q=Q[None], R=R[None],  # which checks symmetry and PSD
                         g_c=max(2.0 * spectral_norm(Q), 2.0 * spectral_norm(R), 1.0),
-                        alpha=alpha, beta=beta, family="quadratic")
+                        alpha=alpha, beta=beta)
 
 
 def constant_schedule(cost: CostSchedule, T: int) -> CostSchedule:
     """Step 0 of cost at every step; Q and R are stride-0 views of its matrices."""
     return CostSchedule(Q=np.broadcast_to(cost.Q[:1], (T,) + cost.Q.shape[1:]),
                         R=np.broadcast_to(cost.R[:1], (T,) + cost.R.shape[1:]),
-                        g_c=cost.g_c, alpha=cost.alpha, beta=cost.beta,
-                        family="quadratic")
+                        g_c=cost.g_c, alpha=cost.alpha, beta=cost.beta)
 
 
 def _random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -164,8 +162,7 @@ def adversarial_convex_schedule(seed: int, T: int, n_x: int, n_u: int) -> CostSc
         words = keyed_blocks(seed, STREAM_COST, np.arange(T, dtype=np.uint64))[:, :2]
         Q[:, 0, 0], R[:, 0, 0] = (0.1 + (1.0 - 0.1) * ((words >> np.uint64(11)) * 2.0 ** -53)).T
     alpha = 0.2 if (n_x == 1 and n_u == 1) else None
-    return CostSchedule(Q=Q, R=R, g_c=2.0, alpha=alpha, beta=2.0,
-                        family="random_quadratic")
+    return CostSchedule(Q=Q, R=R, g_c=2.0, alpha=alpha, beta=2.0)
 
 
 def materialize(schedule: CostSchedule) -> CostSchedule:

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh  # np.linalg.eigh's gufunc
 
 from .stability import closed_loop_powers
-from .system import spectral_norm
+from .system import LinearSystem
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,6 @@ class PolicyParams:
     @property
     def H(self) -> int:
         return self.blocks.shape[0]
-
-    def frob_norm(self) -> float:
-        return float(np.linalg.norm(self.blocks))
 
 
 def horizon_H(T: int, gamma: float) -> int:
@@ -61,17 +58,12 @@ def policy_class_diameter(n: int, kappa: float, gamma: float, kappa_B: float) ->
     return 4.0 * kappa_B * kappa ** 3 * sqrt(n) / gamma
 
 
-def block_spectral_norms(M: PolicyParams) -> np.ndarray:
-    if M.blocks.shape[1] == 1 and M.blocks.shape[2] == 1:
-        return np.abs(M.blocks[:, 0, 0])
-    return np.linalg.svd(M.blocks, compute_uv=False)[:, 0]
-
-
 def is_admissible(M: PolicyParams, kappa: float, gamma: float, kappa_B: float,
                   tol: float = 1e-9) -> bool:
     """Every block's spectral norm within its radius, to a relative tol."""
     radii = admissible_radii(M.H, kappa, gamma, kappa_B)
-    return bool(np.all(block_spectral_norms(M) <= radii * (1.0 + tol)))
+    norms = np.linalg.svd(M.blocks, compute_uv=False)[:, 0]
+    return bool(np.all(norms <= radii * (1.0 + tol)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -147,9 +139,8 @@ def control_input(K: np.ndarray, x: np.ndarray, dap: np.ndarray) -> np.ndarray:
     return dap - x.dot(K.T)
 
 
-def comparator_params(K: np.ndarray, K_star: np.ndarray, A: np.ndarray,
-                      B: np.ndarray, H: int, kappa: float,
-                      gamma: float) -> PolicyParams:
+def comparator_params(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
+                      H: int, kappa: float, gamma: float) -> PolicyParams:
     """Blocks M^[i] = (K - K*) (A - B K*)^i that make the K-based policy
     imitate the gain K* up to H-step truncation.
 
@@ -158,9 +149,8 @@ def comparator_params(K: np.ndarray, K_star: np.ndarray, A: np.ndarray,
     so a membership failure indicates an internal inconsistency.
     """
     diff = np.asarray(K, dtype=float) - np.asarray(K_star, dtype=float)
-    M = PolicyParams(diff @ closed_loop_powers(A, B, K_star, H))
-    kappa_B = max(spectral_norm(B), 1.0)
-    if not is_admissible(M, kappa, gamma, kappa_B):
+    M = PolicyParams(diff @ closed_loop_powers(sys.A, sys.B, K_star, H))
+    if not is_admissible(M, kappa, gamma, sys.kappa_B):
         raise RuntimeError("comparator construction left the admissible set; "
                            "gains are not certified for a shared (kappa, gamma)")
     return M

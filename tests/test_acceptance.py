@@ -221,7 +221,7 @@ def test_criterion_06_comparator_params_admissible_and_gap_shrinks():
         sys_ = make_system(A, B)
         certify(sys_, K, kappa, gamma)
         certify(sys_, K_star, kappa, gamma)
-        M_star = comparator_params(K, K_star, A, B, 12, kappa, gamma)
+        M_star = comparator_params(sys_, K, K_star, 12, kappa, gamma)
         assert is_admissible(M_star, kappa, gamma, sys_.kappa_B)
 
     # 1-D gap study: imitation error decays geometrically with the memory H

@@ -15,7 +15,7 @@ def _stage_cost(sched, t, x, u):
 
 def test_quadratic_metadata():
     cost = quadratic_cost(np.eye(2), np.eye(1))
-    assert (cost.horizon, cost.family) == (1, "quadratic")
+    assert cost.horizon == 1
     assert cost.g_c == 2.0
     assert np.isclose(cost.alpha, 2.0)
     assert np.isclose(cost.beta, 2.0)
@@ -54,7 +54,6 @@ def test_reveal_bounds_and_constant_schedule():
     cost = quadratic_cost(np.eye(1), np.eye(1))
     sched = constant_schedule(cost, 5)
     assert sched.horizon == 5
-    assert sched.family == "quadratic"
     u = np.zeros(1)
     for t in (0, 4):
         Q_t, R_t = sched.reveal(t, u)

@@ -561,7 +561,7 @@ def test_zero_noise_episode_is_identically_zero():
                       LearningRateSchedule("constant_sqrtT"), 20)
     assert np.all(rec.xs == 0) and np.all(rec.us == 0)
     assert np.all(rec.costs == 0) and np.all(rec.grad_frobs == 0)
-    assert rec.M_final.frob_norm() == 0.0
+    assert not rec.M_final.blocks.any()
 
 
 def test_trace_jsonl_roundtrip():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.linalg._umath_linalg import eigh_lo
 
-from onlinectrl.policy import (PolicyParams, admissible_radii,
-                               block_spectral_norms, comparator_params,
+from onlinectrl.policy import (PolicyParams, admissible_radii, comparator_params,
                                control_input, disturbance_action, horizon_H, is_admissible,
                                policy_class_diameter, project,
                                sample_admissible)
+from onlinectrl.system import make_system
 
 KAPPA, GAMMA, KAPPA_B = 1.0, 0.5, 1.0
 
@@ -41,13 +41,11 @@ def test_block_norms_and_admissibility():
     for _ in range(20):
         H, n_u, n_x = (int(rng.integers(1, 5)) for _ in range(3))
         blocks = rng.standard_normal((H, n_u, n_x))
-        M = PolicyParams(blocks)
-        norms = block_spectral_norms(M)
+        norms = np.linalg.svd(blocks, compute_uv=False)[:, 0]
         for i in range(H):
             assert np.isclose(norms[i], np.linalg.norm(blocks[i], 2))
     M0 = PolicyParams(np.zeros((4, 2, 3)))
     assert is_admissible(M0, KAPPA, GAMMA, KAPPA_B)
-    assert M0.frob_norm() == 0.0
 
 
 @pytest.mark.parametrize("scale,admissible", [(1.0, True), (1.0 + 1e-12, True),
@@ -213,7 +211,7 @@ def test_comparator_params_construction():
     K = np.array([[0.5]])
     K_star = np.array([[0.3]])
     H = 6
-    M = comparator_params(K, K_star, A, B, H, kappa=1.0, gamma=0.5)
+    M = comparator_params(make_system(A, B), K, K_star, H, kappa=1.0, gamma=0.5)
     for i in range(H):
         # (K - K*) (A - B K*)^i
         np.testing.assert_allclose(M.blocks[i], 0.2 * 0.2 ** i, atol=1e-14)
@@ -240,7 +238,7 @@ def test_comparator_params_match_per_block_loop_bitwise():
         A = np.diag(rng.uniform(-0.8, 0.8, size=n_x)) + B @ K_star
         K = K_star + 0.1 * rng.standard_normal((n_u, n_x))
         for H in (1, 7, 31):
-            M = comparator_params(K, K_star, A, B, H, kappa=10.0, gamma=0.1)
+            M = comparator_params(make_system(A, B), K, K_star, H, kappa=10.0, gamma=0.1)
             assert M.blocks.tobytes() == _comparator_blocks_per_block(
                 K, K_star, A, B, H).tobytes(), (n_x, n_u, H)
 
@@ -250,7 +248,7 @@ def test_comparator_params_rejects_inadmissible():
     A = np.array([[0.0]])
     B = np.array([[1.0]])
     with pytest.raises(RuntimeError):
-        comparator_params(np.array([[2.4]]), np.array([[-0.3]]), A, B, 4,
+        comparator_params(make_system(A, B), np.array([[2.4]]), np.array([[-0.3]]), 4,
                           kappa=1.0, gamma=0.5)
 
 
