@@ -25,9 +25,12 @@ family and the noise process at the config's noise seed; each job builds
 its seeds' inputs from those two, mixing the family seed with the episode
 seed. A batch runs one job per horizon, which learns all seeds in
 lockstep, so its outputs are byte-identical across invocations and worker
-counts. The jobs open no file: write_outputs writes every file once all
-jobs have finished, report.json last, so a failed batch writes nothing
-and a present report.json marks a complete batch.
+counts. Each job hands back its horizon's regrets, divergences and traces
+in ascending seed order, so each report row lists its regrets in that
+order whatever the config's seed order. The jobs open no file:
+write_outputs writes every file once all jobs have finished, report.json
+last, so a failed batch writes nothing and a present report.json marks a
+complete batch.
 Theory constants are pure functions of the config; they are
 astronomically conservative (growing as kappa^18) and are reported for
 the shape of the bound, not tightness.
@@ -58,15 +61,14 @@ from .costs import (CostSchedule, adversarial_convex_schedule,
                     constant_schedule, quadratic_cost)
 from .learner import (EpisodeDivergedError, LearningRateSchedule,
                       alpha_tilde_from, run_episode)
-from .noise import (NoiseProcess, population_sigma_lower, population_sigma_w,
-                    population_sigma_w4)
+from .noise import (SUBGAUSSIAN_FAMILIES, NoiseProcess, population_sigma_lower,
+                    population_sigma_w, population_sigma_w4)
 from .policy import horizon_H, policy_class_diameter
 from .rng import mix_seed
 from .stability import CertificationError, StabilityCertificate, _certify_stack
 from .stability import certify  # noqa: F401  (perfbench's tests read harness.certify)
 from .system import LinearSystem, initial_state, make_system
 
-_SUBGAUSSIAN_FAMILIES = ("gaussian", "scaled_bernoulli", "zero")
 _ROOT_KEYS = ("system", "gain", "cost", "noise", "schedule", "horizons", "seeds",
               "comparator", "delta", "x0", "m0")
 
@@ -79,14 +81,14 @@ class ExperimentConfig:
     kappa: float
     gamma: float
     cert: StabilityCertificate
-    cost_cfg: dict
-    noise_cfg: dict
+    cost_cfg: dict              # the raw sections, read after the build only
+    noise_cfg: dict             # by perfbench's bench.episode_inputs
     cost: CostSchedule          # the validated family: one step of a fixed (Q, R),
     cost_seed: Optional[int]    # or zero steps of the random one and its seed
     noise: NoiseProcess         # the family at the config's noise seed
     lr_schedule: LearningRateSchedule
-    horizons: tuple
-    seeds: tuple
+    horizons: tuple             # ascending
+    seeds: tuple                # in the config's order
     candidates: tuple
     delta: float
     x0: Optional[np.ndarray] = None
@@ -190,22 +192,22 @@ def _as_array(value, what: str) -> np.ndarray:
     return arr
 
 
-def _cost_schedule(cost_cfg: dict, n_x: int, n_u: int) -> tuple[CostSchedule, Optional[int]]:
+def _cost_schedule(section: dict, n_x: int, n_u: int) -> tuple[CostSchedule, Optional[int]]:
     """The configured cost family, validated, with the family constants
     g_c, alpha and beta: the one-step quadratic_cost of a fixed (Q, R), or
     the zero-step random schedule and its seed. Nothing is drawn."""
-    family = _require(cost_cfg, "family", "cost")
+    family = _require(section, "family", "cost")
     if family == "quadratic":
-        _no_unknown(cost_cfg, ("family", "Q", "R"), "cost")
-        Q = _as_array(_require(cost_cfg, "Q", "cost"), "cost Q")
-        R = _as_array(_require(cost_cfg, "R", "cost"), "cost R")
+        _no_unknown(section, ("family", "Q", "R"), "cost")
+        Q = _as_array(_require(section, "Q", "cost"), "cost Q")
+        R = _as_array(_require(section, "R", "cost"), "cost R")
         if Q.shape != (n_x, n_x) or R.shape != (n_u, n_u):
             raise ValueError(f"cost Q must be ({n_x}, {n_x}) and R ({n_u}, {n_u}), "
                              f"got {Q.shape} and {R.shape}")
         return quadratic_cost(Q, R), None
     if family == "random_quadratic":
-        _no_unknown(cost_cfg, ("family", "seed"), "cost")
-        seed = _as_seed(_require(cost_cfg, "seed", "cost"), "cost seed")
+        _no_unknown(section, ("family", "seed"), "cost")
+        seed = _as_seed(_require(section, "seed", "cost"), "cost seed")
         return adversarial_convex_schedule(seed, 0, n_x, n_u), seed
     raise ValueError(f"unknown cost family {family!r}")
 
@@ -373,7 +375,7 @@ def compute_theory_constants(exp: ExperimentConfig) -> TheoryConstants:
     sw = _finite("sigma_w", lambda: max(population_sigma_w(proc), population_sigma_w4(proc)))
     sw_sub = population_sigma_w(proc)
     sigma_lower = population_sigma_lower(proc)
-    subgaussian = exp.noise_cfg["family"] in _SUBGAUSSIAN_FAMILIES
+    subgaussian = proc.family in SUBGAUSSIAN_FAMILIES
 
     D = _finite("D", lambda: policy_class_diameter(n, kappa, gamma, kappa_B))
     C = _finite("C_delta", lambda: 65724.0 * max(sw, sw ** 4) * n ** 2 * G_c ** 2
@@ -421,8 +423,8 @@ class ScalingReport:
     failed: bool
     config_hash: str
     constants: TheoryConstants
-    horizons: tuple
-    seeds: tuple
+    horizons: tuple             # ascending
+    seeds: tuple                # in the config's order
     schedule_kind: str
 
     def to_json_dict(self) -> dict:
@@ -450,11 +452,13 @@ class ScalingReport:
         }
 
 
-def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool) -> list:
+def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool) -> tuple:
     """Every (T, seed) cell of horizon T: learn all seeds in lockstep, replay
     the comparator on every seed that did not diverge in one more lockstep
-    loop, and measure regret; one result dict per seed. Opens no file: with
-    trace, each live cell's dict carries its per-step JSONL text."""
+    loop, and measure regret. Returns (regrets, divergences, traces) in
+    ascending seed order: the live cells' regrets, a {T, seed, step} dict
+    per diverged cell, and with trace each live cell's per-step JSONL text
+    under its output path. Opens no file."""
     sys = exp.system
     procs = [replace(exp.noise, seed=mix_seed(exp.noise.seed, seed)) for seed in seeds]
     if exp.cost_seed is None:  # a fixed (Q, R): every seed shares its stride-0 schedule
@@ -464,30 +468,22 @@ def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool) -> li
                                                  sys.n_u) for seed in seeds]
     outcomes = run_episode(sys, exp.K, exp.cert, schedules, procs, exp.lr_schedule,
                            T, x0=exp.x0)
-    results = [{"T": T, "seed": seed, "diverged": False, "step": None,
-                "regret": None, "learner_cost": None, "comparator_cost": None,
-                "comparator_index": None, "trace": None} for seed in seeds]
-    live = []
-    for i, record in enumerate(outcomes):
-        if isinstance(record, EpisodeDivergedError):
-            results[i]["diverged"] = True
-            results[i]["step"] = record.step
-        else:
-            live.append(i)
-    comps = best_fixed_K(sys, list(exp.candidates), [schedules[i] for i in live],
-                         [outcomes[i].ws for i in live]) if live else []
-    for i, comp in zip(live, comps):
-        out, record = results[i], outcomes[i]
-        curve = regret(record, comp)
-        out["regret"] = float(curve.regret_final)
-        out["learner_cost"] = float(record.cum_cost)
-        out["comparator_cost"] = float(comp.cumulative_cost)
-        out["comparator_index"] = comp.descriptor["index"]
+    live = [i for i, record in enumerate(outcomes)
+            if not isinstance(record, EpisodeDivergedError)]
+    comps = dict(zip(live, best_fixed_K(sys, list(exp.candidates), [schedules[i] for i in live],
+                                        [outcomes[i].ws for i in live]) if live else []))
+    regrets, divergences, traces = [], [], {}
+    for seed, i in sorted(zip(seeds, range(len(seeds)))):
+        record = outcomes[i]
+        if i not in comps:
+            divergences.append({"T": T, "seed": seed, "step": record.step})
+            continue
+        regrets.append(float(regret(record, comps[i]).regret_final))
         if trace:
             text = io.StringIO()
             record.write_jsonl(text)
-            out["trace"] = text.getvalue()
-    return results
+            traces[f"traces/T{T}_seed{seed}.jsonl"] = text.getvalue()
+    return regrets, divergences, traces
 
 
 def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
@@ -497,49 +493,38 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
     One job runs all seeds of one horizon in lockstep, so a seed's numbers
     depend on the config's seed list but not on the worker count. With
     workers > 1 the jobs fan out to a process pool, largest T first, of at
-    most one process per horizon; a single horizon runs in-process.
-    Results are re-sorted by (T, seed) before aggregation, so the report
-    does not depend on scheduling. Diverged episodes are dropped from the
-    quantiles; once more than 20% of cells diverge the whole batch is
-    marked failed. The theory constants come first, so overflowing ones
-    reject the config before any episode runs. The jobs open no file:
-    out_dir, its traces and its outputs are written only after every job
-    has finished, so a failed batch writes nothing, and an unusable
-    out_dir raises OSError only then.
+    most one process per horizon; a single horizon runs in-process. Each
+    job hands back its horizon's cells in ascending seed order, so every
+    row lists its regrets, and the report its divergences, in that order
+    whatever the config's order or the scheduling. Diverged episodes are
+    dropped from the quantiles; once more than 20% of cells diverge the
+    whole batch is marked failed. The theory constants come first, so
+    overflowing ones reject the config before any episode runs. The jobs
+    open no file: out_dir, its traces and its outputs are written only
+    after every job has finished, so a failed batch writes nothing, and an
+    unusable out_dir raises OSError only then.
     """
     constants = compute_theory_constants(exp)
     trace = trace and out_dir is not None
-    jobs = [(exp, T, exp.seeds, trace) for T in sorted(exp.horizons, reverse=True)]
+    jobs = [(exp, T, exp.seeds, trace) for T in reversed(exp.horizons)]
     workers = min(workers, len(jobs))  # a worker past one per job would idle
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_episode_job, *zip(*jobs)))
     else:
         done = [_episode_job(*job) for job in jobs]
-    results = sorted((r for job in done for r in job), key=lambda r: (r["T"], r["seed"]))
 
-    rows = []
-    divergences = []
-    for T in exp.horizons:
-        cell = [r for r in results if r["T"] == T]
-        regrets = [r["regret"] for r in cell if not r["diverged"]]
-        divergences += [{"T": T, "seed": r["seed"], "step": r["step"]}
-                        for r in cell if r["diverged"]]
-        if regrets:
-            arr = np.array(regrets)
-            q25, med, q75, q90 = (float(np.quantile(arr, q))
-                                  for q in (0.25, 0.5, 0.75, 0.9))
-        else:
-            q25 = med = q75 = q90 = float("nan")
-        rows.append({
-            "T": T, "seed_count": len(regrets),
-            "regret_q25": q25, "regret_median": med,
-            "regret_q75": q75, "regret_q90": q90,
-            "bound_value": float(constants.bound_curve[T]),
-            "regrets": regrets,
-        })
+    rows, divergences, traces = [], [], {}
+    for T, (regrets, diverged, texts) in zip(exp.horizons, reversed(done)):
+        divergences += diverged
+        traces.update(texts)
+        q25, med, q75, q90 = (np.quantile(regrets, (0.25, 0.5, 0.75, 0.9)).tolist()
+                              if regrets else [float("nan")] * 4)
+        rows.append({"T": T, "seed_count": len(regrets), "regret_q25": q25,
+                     "regret_median": med, "regret_q75": q75, "regret_q90": q90,
+                     "bound_value": float(constants.bound_curve[T]), "regrets": regrets})
 
-    failed = len(divergences) > 0.2 * len(results)
+    failed = len(divergences) > 0.2 * len(exp.horizons) * len(exp.seeds)
 
     fit_rows = [r for r in rows
                 if r["seed_count"] > 0 and r["regret_median"] > 0.0]
@@ -561,8 +546,7 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
         schedule_kind=exp.schedule_kind,
     )
     if out_dir is not None:
-        write_outputs(report, out_dir, {f"traces/T{r['T']}_seed{r['seed']}.jsonl": r["trace"]
-                                        for r in results if r["trace"] is not None})
+        write_outputs(report, out_dir, traces)
     return report
 
 

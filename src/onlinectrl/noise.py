@@ -24,6 +24,8 @@ import numpy as np
 from .rng import STREAM_NOISE, keyed_steps
 
 _FAMILIES = ("gaussian", "laplace", "student_t", "scaled_bernoulli", "zero")
+# the families under which the logarithmic-regret assumptions hold
+SUBGAUSSIAN_FAMILIES = ("gaussian", "scaled_bernoulli", "zero")
 
 
 @dataclass(frozen=True)

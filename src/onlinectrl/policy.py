@@ -23,6 +23,8 @@ from numpy.linalg._umath_linalg import eigh_lo as _eigh  # np.linalg.eigh's gufu
 from .stability import closed_loop_powers
 from .system import LinearSystem
 
+_ADMISSIBLE_RTOL = 1e-9  # is_admissible's slack, relative to each block's radius
+
 
 @dataclass(frozen=True)
 class PolicyParams:
@@ -58,12 +60,11 @@ def policy_class_diameter(n: int, kappa: float, gamma: float, kappa_B: float) ->
     return 4.0 * kappa_B * kappa ** 3 * sqrt(n) / gamma
 
 
-def is_admissible(M: PolicyParams, kappa: float, gamma: float, kappa_B: float,
-                  tol: float = 1e-9) -> bool:
-    """Every block's spectral norm within its radius, to a relative tol."""
+def is_admissible(M: PolicyParams, kappa: float, gamma: float, kappa_B: float) -> bool:
+    """Every block's spectral norm within its radius, to the relative _ADMISSIBLE_RTOL."""
     radii = admissible_radii(M.H, kappa, gamma, kappa_B)
     norms = np.linalg.svd(M.blocks, compute_uv=False)[:, 0]
-    return bool(np.all(norms <= radii * (1.0 + tol)))
+    return bool(np.all(norms <= radii * (1.0 + _ADMISSIBLE_RTOL)))
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -17,6 +17,7 @@ from onlinectrl.cli import main as cli_main
 from onlinectrl.harness import (build_experiment, compute_theory_constants,
                                 config_hash, load_config, run_batch, write_outputs)
 from onlinectrl.learner import EpisodeDivergedError
+from onlinectrl.rng import mix_seed
 from onlinectrl.stability import CertificationError
 
 
@@ -253,12 +254,16 @@ def test_theory_constants_rebuild_nothing(monkeypatch, perfbench_workloads):
     {"family": "quadratic", "Q": [[1.0]], "R": [[2.0]]},
 ], ids=["random", "fixed"])
 def test_batch_reads_no_json_after_build(monkeypatch, tmp_path, cost):
-    """Every field is parsed once, by build_experiment: a batch runs, with
-    the same outputs, when the JSON readers are gone afterwards."""
+    """Every field is parsed once, by build_experiment: the constants and a
+    batch come out the same when the JSON readers are gone afterwards and
+    the raw cost and noise sections are dropped from the experiment."""
     exp = build_experiment(_base_doc(cost=cost, x0=[0.25]))
+    constants = compute_theory_constants(exp).to_json_dict()
     want = run_batch(exp, out_dir=str(tmp_path / "want"), trace=True)
     for name in ("_as_array", "_as_float", "_as_seed", "_as_int"):
         monkeypatch.setattr(hz, name, None)  # a call would raise TypeError
+    exp = dataclasses.replace(exp, noise_cfg=None, cost_cfg=None)
+    assert compute_theory_constants(exp).to_json_dict() == constants
     got = run_batch(exp, out_dir=str(tmp_path / "got"), trace=True)
     assert got.rows == want.rows
     for name in ("report.json", "traces/T16_seed2.jsonl"):
@@ -382,6 +387,44 @@ def test_divergent_batch_is_flagged(monkeypatch):
     assert all(r["seed_count"] == 0 for r in report.rows)
     assert report.slope is None
     assert all(math.isnan(r["regret_median"]) for r in report.rows)
+
+
+@pytest.mark.parametrize("workers,diverge", [(1, True), (2, False)],
+                         ids=["one-worker-seed-9-diverges", "two-workers"])
+def test_unsorted_seeds_give_the_sorted_batch(monkeypatch, tmp_path, workers, diverge):
+    """Rows list their regrets, and the report its divergences, in ascending
+    seed order whatever the config's order. On the criterion-7 plant
+    A - BK = 0, so lockstep seeds equal their solo runs bit for bit and the
+    order of the seed list changes nothing else."""
+    if diverge:
+        run_episode = hz.run_episode
+
+        def seed_9_diverges(sys_, K, cert, schedules, procs, *args, **kwargs):
+            records = run_episode(sys_, K, cert, schedules, procs, *args, **kwargs)
+            return [EpisodeDivergedError(step=3, norm=math.inf)
+                    if proc.seed == mix_seed(1234, 9) else record
+                    for proc, record in zip(procs, records)]
+
+        monkeypatch.setattr(hz, "run_episode", seed_9_diverges)
+    reports = {}
+    for name, seeds in (("sorted", [2, 5, 9]), ("unsorted", [9, 2, 5])):
+        doc = _base_doc(cost={"family": "random_quadratic", "seed": 7},
+                        noise={"family": "gaussian", "scale": 1.0, "seed": 1234}, seeds=seeds)
+        reports[name] = run_batch(build_experiment(doc), out_dir=str(tmp_path / name),
+                                  trace=True, workers=workers)
+    want, got = reports["sorted"], reports["unsorted"]
+    assert got.rows == want.rows
+    assert got.divergences == want.divergences
+    live = (2, 5) if diverge else (2, 5, 9)
+    assert [row["seed_count"] for row in got.rows] == [len(live)] * 2
+    assert got.divergences == ([{"T": T, "seed": 9, "step": 3} for T in (8, 16)]
+                               if diverge else [])
+    traces = sorted(p.name for p in (tmp_path / "sorted" / "traces").iterdir())
+    assert traces == sorted(f"T{T}_seed{s}.jsonl" for T in (8, 16) for s in live)
+    assert sorted(p.name for p in (tmp_path / "unsorted" / "traces").iterdir()) == traces
+    for name in traces:
+        assert ((tmp_path / "unsorted" / "traces" / name).read_bytes()
+                == (tmp_path / "sorted" / "traces" / name).read_bytes()), name
 
 
 def test_trace_files_written(tmp_path):
