@@ -4,7 +4,9 @@ sample(proc, t) is a pure function of (proc.seed, t): each step keys its
 own counter-based generator, so episodes replay bit-identically and any
 window of steps can be regenerated without generating its past.
 sample_episode(proc, T) draws w_0..w_{T-1} in one call with the same
-values, resetting one generator instead of keying one per step.
+values. Gaussian rows of every step are computed at once from the steps'
+Philox words with numpy's ziggurat rule; the other families reset one
+generator per step.
 
 Families cover the regimes the regret guarantees care about: gaussian
 (sub-Gaussian, the logarithmic-regret assumptions hold), laplace (finite
@@ -21,11 +23,16 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import STREAM_NOISE, keyed_steps
+from ._ziggurat import KI, WI
+from .rng import STREAM_NOISE, keyed_blocks, keyed_steps
 
 _FAMILIES = ("gaussian", "laplace", "student_t", "scaled_bernoulli", "zero")
 # the families under which the logarithmic-regret assumptions hold
 SUBGAUSSIAN_FAMILIES = ("gaussian", "scaled_bernoulli", "zero")
+# the ziggurat tables indexed by a word's low 9 bits: strip idx and sign bit
+_SIGNED_WI = np.concatenate([WI, -WI])
+_SIGNED_KI = np.concatenate([KI, KI])
+_RABS_MASK = (1 << 52) - 1
 
 
 @dataclass(frozen=True)
@@ -55,10 +62,33 @@ def _silent(proc: NoiseProcess) -> bool:
     return proc.family == "zero" or proc.scale == 0.0
 
 
+def _standard_normal_rows(seed: int, first: int, out: np.ndarray) -> None:
+    """Row i of out becomes keyed_rng(seed, STREAM_NOISE, first + i)
+    .standard_normal(dim), bit for bit.
+
+    While a step's components take numpy's ziggurat fast path (see
+    _ziggurat), component j reads word j of the step's Philox stream alone,
+    so the rule runs on every step's words at once. A step where some
+    component leaves the fast path reads more words; only its row is
+    redrawn from its own generator.
+    """
+    count, dim = out.shape
+    steps = np.uint64(first % 2**64) + np.arange(count, dtype=np.uint64)  # wraps mod 2^64
+    words = keyed_blocks(seed, STREAM_NOISE, steps, -(-dim // 4))[:, :dim]
+    strip = (words & 0x1ff).astype(np.intp)
+    rabs = (words >> 9) & _RABS_MASK
+    np.multiply(rabs, _SIGNED_WI[strip], out=out)
+    misses = np.flatnonzero((rabs >= _SIGNED_KI[strip]).any(axis=1))
+    redraws = keyed_steps(seed, STREAM_NOISE, (first + int(i) for i in misses))
+    for i, rng in zip(misses, redraws):
+        rng.standard_normal(out=out[i])
+
+
 def _keyed_rows(proc: NoiseProcess, first: int, count: int) -> np.ndarray:
     """w_t for the count steps from t = first as a (count, dim) array; row i
     is drawn from keyed_rng(proc.seed, STREAM_NOISE, first + i). The one
-    keyed path and family switch: one generator is reset per step, and
+    keyed path and family switch: Gaussian rows come from the steps' Philox
+    words all at once, the other families reset one generator per step, and
     Gaussian, Student-t and Bernoulli rows are scaled once at the end."""
     ws = np.zeros((count, proc.dim))
     if _silent(proc):
@@ -69,8 +99,7 @@ def _keyed_rows(proc: NoiseProcess, first: int, count: int) -> np.ndarray:
             ws[t] = rng.laplace(0.0, proc.scale, proc.dim)
         return ws
     if proc.family == "gaussian":
-        for row, rng in zip(ws, rngs):
-            rng.standard_normal(out=row)
+        _standard_normal_rows(proc.seed, first, ws)
     elif proc.family == "student_t":
         for t, rng in enumerate(rngs):
             ws[t] = rng.standard_t(proc.df, proc.dim)

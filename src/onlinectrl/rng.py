@@ -67,16 +67,19 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, np.uint64(m) * x
 
 
-def keyed_blocks(seed: int, stream: int, steps: np.ndarray) -> np.ndarray:
-    """Row i is keyed_rng(seed, stream, steps[i]).bit_generator.random_raw(4).
+def keyed_blocks(seed: int, stream: int, steps: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """Row i is keyed_rng(seed, stream, steps[i]).bit_generator.random_raw(4 * blocks).
 
-    numpy's Philox bumps its counter before each block, so a step's first
-    block is Philox4x64-10 of counter (1, 0, stream, t) under the key
+    numpy's Philox bumps its counter before each block, so block k of a
+    step is Philox4x64-10 of counter (k + 1, 0, stream, t) under the key
     (seed mod 2^64, (seed >> 64) mod 2^64): integer arithmetic computed
-    here for every step at once, bit for bit.
+    here for every block of every step at once, bit for bit.
     """
-    t = np.asarray(steps, dtype=np.uint64)
-    x = [np.ones_like(t), np.zeros_like(t), np.full_like(t, stream & _MASK64), t]
+    t = np.asarray(steps, dtype=np.uint64)[:, None]
+    block_ids = np.arange(1, blocks + 1, dtype=np.uint64)
+    shape = (t.shape[0], blocks)
+    x = [np.broadcast_to(block_ids, shape), np.zeros(shape, np.uint64),
+         np.full(shape, stream & _MASK64, np.uint64), np.broadcast_to(t, shape)]
     k0, k1 = seed & _MASK64, (seed >> 64) & _MASK64
     with np.errstate(over="ignore"):
         for _ in range(10):
@@ -84,7 +87,7 @@ def keyed_blocks(seed: int, stream: int, steps: np.ndarray) -> np.ndarray:
             hi1, lo1 = _mulhilo(_PHILOX_M[1], x[2])
             x = [hi1 ^ x[1] ^ np.uint64(k0), lo1, hi0 ^ x[3] ^ np.uint64(k1), lo0]
             k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-    return np.stack(x, axis=-1)
+    return np.stack(x, axis=-1).reshape(t.shape[0], 4 * blocks)
 
 
 def mix_seed(base: int, k: int) -> int:

@@ -8,7 +8,7 @@ from onlinectrl.comparator import (ComparatorResult, best_fixed_K, mstar_rollout
 from onlinectrl.costs import (adversarial_convex_schedule, constant_schedule,
                               quadratic_cost)
 from onlinectrl.learner import LearningRateSchedule, run_episode
-from onlinectrl.noise import NoiseProcess, sample
+from onlinectrl.noise import NoiseProcess, sample_episode
 from onlinectrl.stability import certify
 from onlinectrl.system import make_system
 
@@ -17,10 +17,6 @@ RNG = np.random.default_rng
 
 def _scalar():
     return make_system(np.array([[0.5]]), np.array([[1.0]]))
-
-
-def _noise_matrix(proc, T):
-    return np.stack([sample(proc, t) for t in range(T)])
 
 
 def _stage_cost(cost_schedule, t, x, u):
@@ -244,7 +240,7 @@ def _seed_batch(plant, S, T=300):
         cands = [K, 0.5 * K, np.zeros((2, 3))]
         schedules = [adversarial_convex_schedule(60 + s, T, 3, 2) for s in range(S)]
         procs = [NoiseProcess("student_t", 1.0, dim=3, seed=s, df=5.0) for s in range(S)]
-    return sys_, cands, schedules, [_noise_matrix(p, T) for p in procs]
+    return sys_, cands, schedules, [sample_episode(p, T) for p in procs]
 
 
 @pytest.mark.parametrize("plant", ["scalar", "mimo4", "3x2-student-t"])

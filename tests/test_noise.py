@@ -4,9 +4,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from onlinectrl._ziggurat import KI, WI
 from onlinectrl.noise import (NoiseProcess, population_sigma_lower, population_sigma_w,
                               population_sigma_w4, sample, sample_episode)
-from onlinectrl.rng import STREAM_NOISE, keyed_rng
+from onlinectrl.rng import STREAM_NOISE, keyed_blocks, keyed_rng
 
 _ESTIMATION_STREAM = 3  # apart from the noise (1) and cost (2) streams
 
@@ -83,19 +84,70 @@ def test_sample_episode_equals_per_step_draws(family, scale, df):
 
 _DRAWING = [("gaussian", 1.3, None), ("laplace", 0.6, None), ("student_t", 0.5, 5.0),
             ("scaled_bernoulli", 0.9, None)]
+_ORACLE_SEED = 2**64 + 7
+
+
+def _first_misses(seed: int, dim: int, T: int) -> np.ndarray:
+    """Strip index (a word's low 8 bits) of the first component of each of
+    steps 0..T-1 that leaves numpy's ziggurat fast path, from the steps'
+    Philox words; -1 where every component takes it."""
+    words = keyed_blocks(seed, STREAM_NOISE, np.arange(T, dtype=np.uint64), -(-dim // 4))
+    words = words[:, :dim]
+    idx = (words & 0xff).astype(np.intp)
+    miss = ((words >> 9) & ((1 << 52) - 1)) >= KI[idx]
+    return np.where(miss.any(axis=1), idx[np.arange(T), miss.argmax(axis=1)], -1)
 
 
 @pytest.mark.parametrize("family,scale,df", _DRAWING)
 @pytest.mark.parametrize("dim", [1, 3, 8, 9])
 def test_sample_episode_equals_one_generator_per_step(family, scale, df, dim):
-    """Oracle: a fresh keyed generator per step, drawn through _draw."""
-    proc = NoiseProcess(family=family, scale=scale, dim=dim, seed=2**64 + 7, df=df)
+    """Oracle: a fresh keyed generator per step, drawn through _draw. The
+    Gaussian steps leave the normal's fast path both in a strip (idx > 0)
+    and in its tail (idx 0)."""
+    T = 40
+    if family == "gaussian":  # rows from Philox words: run to this seed's first tail at dim 1
+        T = 3090
+        firsts = _first_misses(_ORACLE_SEED, dim, T)
+        assert (firsts > 0).any() and (firsts == 0).any()
+    proc = NoiseProcess(family=family, scale=scale, dim=dim, seed=_ORACLE_SEED, df=df)
     oracle = np.stack([_draw(proc, keyed_rng(proc.seed, STREAM_NOISE, t), dim)
-                       for t in range(40)])
-    assert sample_episode(proc, 40).tobytes() == oracle.tobytes()
+                       for t in range(T)])
+    assert sample_episode(proc, T).tobytes() == oracle.tobytes()
     for t in (0, 39, 2**64 - 1, 2**64 + 3):  # the step counter wraps mod 2^64
         want = _draw(proc, keyed_rng(proc.seed, STREAM_NOISE, t), dim)
         assert sample(proc, t).tobytes() == want.tobytes()
+
+
+_NOR_R = 3.6541528853610088  # numpy's ziggurat_nor_r, where the tail strip begins
+
+
+def test_ziggurat_tables_equal_numpys():
+    """Fed one chosen word, numpy's standard_normal returns +-rabs * WI[idx]
+    from that word alone for rabs < KI[idx] and reads more at KI[idx]."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    bitgen.random_raw(1)  # words 1..3 of the buffer, read after a word that misses
+    fresh = bitgen.state
+
+    def draw(word: int) -> tuple[float, bool]:
+        """The draw when the next word is `word`, and whether it read only that word."""
+        state = dict(fresh, buffer=np.array([word, *fresh["buffer"][1:]], np.uint64),
+                     buffer_pos=0)
+        bitgen.state = state
+        x = gen.standard_normal()
+        after = bitgen.state
+        return x, after["buffer_pos"] == 1 and np.array_equal(after["state"]["counter"],
+                                                               fresh["state"]["counter"])
+
+    assert KI[1] == 0  # strip 1 never takes the fast path
+    for idx in range(256):
+        for sign in (0, 1):
+            for rabs in ((1, int(KI[idx]) - 1) if idx != 1 else ()):
+                x, one_word = draw(rabs << 9 | sign << 8 | idx)
+                assert one_word and x == (-1) ** sign * (rabs * WI[idx]), (idx, sign, rabs)
+            assert not draw(int(KI[idx]) << 9 | sign << 8 | idx)[1], (idx, sign)
+    tail, one_word = draw(int(KI[0]) << 9)  # idx 0 past KI[0]: a draw from the tail
+    assert not one_word and abs(tail) > _NOR_R
 
 
 def test_family_validation():
@@ -144,8 +196,8 @@ def test_population_moments_against_monte_carlo():
     ]
     for proc in cases:
         n = 200_000
-        X = np.stack([sample(proc, t) for t in range(2000)])
-        # streaming draws agree with the batched estimator
+        X = sample_episode(proc, 2000)
+        # the keyed draws agree with the one-generator estimator
         est = estimate_moments(proc, n_samples=n)
         norms4 = np.mean(np.linalg.norm(X, axis=1) ** 4) ** 0.25
         assert abs(norms4 - population_sigma_w4(proc)) \

@@ -9,11 +9,17 @@ _SEEDS = [0, 2**64 - 5, 2**64 + 7]
 _STREAMS = [1, 2, 2**64 - 1]
 
 
+# a step's first block on every stream, and its first two and three blocks
+_BLOCKS = [pytest.param(stream, blocks, id=f"{stream}" if blocks == 1 else f"{stream}x{blocks}")
+           for blocks in (1, 2, 3) for stream in _STREAMS]
+
+
 @pytest.mark.parametrize("seed", _SEEDS)
-@pytest.mark.parametrize("stream", _STREAMS)
-def test_keyed_blocks_equal_random_raw(seed, stream):
-    got = keyed_blocks(seed, stream, np.array(_STEPS, dtype=np.uint64))
-    want = np.array([keyed_rng(seed, stream, t).bit_generator.random_raw(4) for t in _STEPS])
+@pytest.mark.parametrize("stream,blocks", _BLOCKS)
+def test_keyed_blocks_equal_random_raw(seed, stream, blocks):
+    got = keyed_blocks(seed, stream, np.array(_STEPS, dtype=np.uint64), blocks)
+    want = np.array([keyed_rng(seed, stream, t).bit_generator.random_raw(4 * blocks)
+                     for t in _STEPS])
     assert got.dtype == np.uint64
     np.testing.assert_array_equal(got, want)
 
