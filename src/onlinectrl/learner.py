@@ -138,12 +138,15 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     injected disturbances are drawn before the loop, with the values
     sample(noise_proc, t) gives. Each step squares the entries of G_t and M_t
     into a scratch of L steps, summed once per chunk with the bits of per-step
-    sums; the scratch holds 2 MiB (or one step, if more) at any T.
+    sums; the scratch holds 2 MiB (or one step, if more) at any T. The step
+    M_t - eta_t G_t goes into a raw scratch laid out like the blocks, and its
+    projection is written straight into the live blocks.
 
     Equal-length sequences of cost schedules and noise processes run one
     episode per seed in lockstep: states, blocks and the recovered-noise
     buffer gain a leading seed axis, and each per-step layer runs once per
-    step for all seeds (project once per seed). The result lists per seed its
+    step for all seeds (project once per seed, from that seed's raw scratch
+    into its live blocks). The result lists per seed its
     EpisodeRecord, equal to its solo run's bit for bit for one seed, and where
     A - B K = 0 with B and K diagonal; otherwise to within rounding (tests
     hold 1e-12 relative). A diverged seed lists the EpisodeDivergedError its
@@ -180,7 +183,11 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     blocks = np.zeros((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
     flat = blocks.swapaxes(1, 2).reshape(S, -1)  # a view: blocks are updated in place
     flatT = flat.reshape(S, sys.n_u, -1).swapaxes(1, 2)  # (S, H n_x, n_u), as disturbance_action
-    views = [PolicyParams(b) for b in blocks]  # each seed's blocks, live
+    # M_t - eta_t G_t before projection, in the blocks' layout; each seed's
+    # projection of it is written straight into that seed's live blocks
+    raw = np.empty((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
+    raw_flat = raw.swapaxes(1, 2).reshape(S, -1)
+    pairs = [(PolicyParams(r), b) for r, b in zip(raw, blocks)]
     xs = np.empty((T + 1, S, sys.n_x))  # step-major; step t writes x_{t+1} into xs[t+1]
     xs[0] = initial_state(sys, x0, divergence_limit)
     noise = [sample_episode(p, T) for p in procs]
@@ -215,10 +222,9 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         if c == L - 1 or t == T - 1:
             np.add.reduce(chunk[:, :c + 1], axis=-1, out=sq[:, t - c:t + 1])
         Gf *= step_sizes[t]
-        flat -= Gf
-        for s, view in enumerate(views):
-            if (proj := project(view, kappa, gamma, kappa_B)) is not view:  # else none clipped
-                blocks[s] = proj.blocks
+        np.subtract(flat, Gf, out=raw_flat)
+        for view, live in pairs:
+            project(view, kappa, gamma, kappa_B, live)
 
         every = x_next.ravel()  # no seed's norm exceeds the norm of all together
         if not sqrt(every.dot(every)) <= divergence_limit:  # also trips on NaN

@@ -18,7 +18,13 @@ from functools import lru_cache
 from math import ceil, log, sqrt
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo as _eigh  # np.linalg.eigh's gufunc
+
+try:
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh  # np.linalg.eigh's gufunc
+except ImportError:  # a numpy without that private name: the public wrapper, same bits
+    # for finite input (it raises LinAlgError where the gufunc gives NaN)
+    def _eigh(a: np.ndarray, signature: str) -> tuple:
+        return np.linalg.eigh(a)
 
 from .stability import closed_loop_powers
 from .system import LinearSystem
@@ -77,8 +83,8 @@ def _radii(H: int, kappa: float, gamma: float, kappa_B: float) -> tuple:
     return table
 
 
-def project(M_raw: PolicyParams, kappa: float, gamma: float,
-            kappa_B: float) -> PolicyParams:
+def project(M_raw: PolicyParams, kappa: float, gamma: float, kappa_B: float,
+            out: np.ndarray | None = None) -> PolicyParams | np.ndarray:
     """Frobenius projection onto the admissible set; M_raw is never written.
 
     The set is a product of per-block spectral-norm balls, so clipping
@@ -91,17 +97,26 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float,
     (same bits; NaN and a RuntimeWarning where the wrapper would raise). As
     lam is exact to about eps s_1^2, singular values below sqrt(eps) s_1
     clip only to within their own size. 1x1 blocks are clipped directly.
+
+    Given an (H, n_u, n_x) array out, which may be strided (one seed's
+    blocks of a seed-major stack), the projection is written into it with
+    the same bits and out is returned: no PolicyParams and no copy of the
+    blocks are made, and M_raw is still never written.
     """
     blocks = M_raw.blocks
-    radii, r4, low, high = _radii(M_raw.H, kappa, gamma, kappa_B)
+    radii, r4, low, high = _radii(blocks.shape[0], kappa, gamma, kappa_B)
     if blocks.shape[1] == 1 and blocks.shape[2] == 1:  # np.clip, without its wrapper's cost
-        out = np.maximum(blocks, low)
-        return PolicyParams(np.minimum(out, high, out=out))
+        if out is not None:
+            return np.minimum(np.maximum(blocks, low, out=out), high, out=out)
+        clipped = np.maximum(blocks, low)
+        return PolicyParams(np.minimum(clipped, high, out=clipped))
     wide = blocks if blocks.shape[1] <= blocks.shape[2] else blocks.transpose(0, 2, 1)
     gram = wide @ wide.transpose(0, 2, 1).copy()  # matmul is slower on a strided operand
     idx = (np.einsum("hij,hij->h", gram, gram) > r4).nonzero()[0]
+    if out is not None:
+        np.copyto(out, blocks)  # the kept blocks; the clipped ones are overwritten below
     if not idx.size:
-        return M_raw
+        return M_raw if out is None else out
     lam, V = _eigh(gram.take(idx, 0), signature="d->dd")
     # in place, lam becomes the shrink min(1, r / max(sqrt(max(lam, 0)), 1e-300)) - 1
     root = np.maximum(np.sqrt(np.maximum(lam, 0.0, out=lam), out=lam), 1e-300, out=lam)
@@ -110,9 +125,9 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float,
     Mb = wide.take(idx, 0)
     VtM = V.transpose(0, 2, 1) @ Mb
     V *= lam[:, None, :]
-    out = blocks.copy()
-    (out if wide is blocks else out.transpose(0, 2, 1))[idx] = Mb + V @ VtM
-    return PolicyParams(out)
+    result = blocks.copy() if out is None else out
+    (result if wide is blocks else result.transpose(0, 2, 1))[idx] = Mb + V @ VtM
+    return PolicyParams(result) if out is None else out
 
 
 def sample_admissible(rng: np.random.Generator, H: int, n_u: int, n_x: int,

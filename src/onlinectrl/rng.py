@@ -22,7 +22,11 @@ STREAM_COST = 2
 # Philox4x64-10 round multipliers and key (Weyl) increments
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
+_ROUNDS = 10
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# both multipliers as a (2, 1, 1) column, whole and in 32-bit halves
+_M = np.array(_PHILOX_M, dtype=np.uint64)[:, None, None]
+_M_HI, _M_LO = _M >> _SHIFT32, _M & _LOW32
 
 
 def _counter(stream: int, step: int) -> np.ndarray:
@@ -57,14 +61,20 @@ def keyed_steps(seed: int, stream: int,
         yield rng
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, the high one from 32-bit halves."""
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
-    x_hi, x_lo = x >> np.uint64(32), x & _LOW32
-    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    carry = ((lo_lo >> np.uint64(32)) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> np.uint64(32)
-    hi = m_hi * x_hi + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32)) + carry
-    return hi, np.uint64(m) * x
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products _M * x, the high one from
+    32-bit halves. The middle sum (m_lo x_lo >> 32) + (m_lo x_hi mod 2^32)
+    + m_hi x_lo stays below 2^64, so it needs no carry word."""
+    x_hi, x_lo = x >> _SHIFT32, x & _LOW32
+    lo_hi = _M_LO * x_hi
+    mid = _M_LO * x_lo
+    mid >>= _SHIFT32
+    mid += lo_hi & _LOW32
+    mid += _M_HI * x_lo
+    hi = _M_HI * x_hi
+    hi += lo_hi >> _SHIFT32
+    hi += mid >> _SHIFT32
+    return hi, _M * x
 
 
 def keyed_blocks(seed: int, stream: int, steps: np.ndarray, blocks: int = 1) -> np.ndarray:
@@ -73,21 +83,27 @@ def keyed_blocks(seed: int, stream: int, steps: np.ndarray, blocks: int = 1) -> 
     numpy's Philox bumps its counter before each block, so block k of a
     step is Philox4x64-10 of counter (k + 1, 0, stream, t) under the key
     (seed mod 2^64, (seed >> 64) mod 2^64): integer arithmetic computed
-    here for every block of every step at once, bit for bit.
+    here for every block of every step at once, bit for bit. A round's two
+    multiplies run as one (2, steps, blocks) array: mul holds the words
+    (x0, x2) that are multiplied, other the words (x1, x3) that are not.
     """
-    t = np.asarray(steps, dtype=np.uint64)[:, None]
-    block_ids = np.arange(1, blocks + 1, dtype=np.uint64)
-    shape = (t.shape[0], blocks)
-    x = [np.broadcast_to(block_ids, shape), np.zeros(shape, np.uint64),
-         np.full(shape, stream & _MASK64, np.uint64), np.broadcast_to(t, shape)]
+    t = np.asarray(steps, dtype=np.uint64)
+    mul = np.empty((2, t.shape[0], blocks), np.uint64)
+    other = np.zeros_like(mul)
+    mul[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    mul[1] = stream & _MASK64
+    other[1] = t[:, None]
     k0, k1 = seed & _MASK64, (seed >> 64) & _MASK64
-    with np.errstate(over="ignore"):
-        for _ in range(10):
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], x[0])
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], x[2])
-            x = [hi1 ^ x[1] ^ np.uint64(k0), lo1, hi0 ^ x[3] ^ np.uint64(k1), lo0]
-            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-    return np.stack(x, axis=-1).reshape(t.shape[0], 4 * blocks)
+    keys = np.array([[(k0 + r * _PHILOX_W[0]) & _MASK64, (k1 + r * _PHILOX_W[1]) & _MASK64]
+                     for r in range(_ROUNDS)], dtype=np.uint64)[:, :, None, None]
+    for key in keys:
+        hi, lo = _mulhilo(mul)
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+        hi = hi[::-1]
+        hi ^= other
+        hi ^= key
+        mul, other = hi, lo[::-1]
+    return np.stack([mul, other], axis=-1).transpose(1, 2, 0, 3).reshape(t.shape[0], 4 * blocks)
 
 
 def mix_seed(base: int, k: int) -> int:

@@ -311,7 +311,7 @@ def test_criterion_07_sqrt_schedule_scaling(crit7_run):
     report, _, elapsed = crit7_run
     med = _medians(report)
     print(f"criterion 7: medians {med}, slope={report.slope:.4f}, "
-          f"{elapsed:.0f}s")
+          f"{elapsed:.2f}s")
     assert elapsed < 300.0
     assert report.slope is not None
     assert report.slope <= 0.85

@@ -1,14 +1,26 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.linalg._umath_linalg import eigh_lo
 
+from onlinectrl import policy
 from onlinectrl.policy import (PolicyParams, admissible_radii, comparator_params,
                                control_input, disturbance_action, horizon_H, is_admissible,
                                policy_class_diameter, project,
                                sample_admissible)
 from onlinectrl.system import make_system
+
+try:
+    from numpy.linalg._umath_linalg import eigh_lo
+except ImportError:  # project falls back to np.linalg.eigh
+    eigh_lo = None
 
 KAPPA, GAMMA, KAPPA_B = 1.0, 0.5, 1.0
 
@@ -283,7 +295,9 @@ def _project_reference(M_raw, kappa, gamma, kappa_B):
 
 def _assert_project_matches_reference(raw, kappa, gamma, kappa_B):
     """project equals the reference bit for bit, writes nothing into its
-    input and returns the input itself when no block clips."""
+    input and returns the input itself when no block clips. Written into
+    out, a fresh array or one seed's strided blocks of a seed-major stack
+    as run_episode passes them, it gives the same bits."""
     kept = raw.copy()
     M, M_ref = PolicyParams(raw), PolicyParams(raw.copy())
     got = project(M, kappa, gamma, kappa_B)
@@ -291,6 +305,13 @@ def _assert_project_matches_reference(raw, kappa, gamma, kappa_B):
     assert np.array_equal(got.blocks, want.blocks, equal_nan=True)
     assert np.array_equal(raw, kept, equal_nan=True)
     assert (got is M) == (want is M_ref)
+    H, n_u, n_x = raw.shape
+    seed_major = np.full((3, n_u, H, n_x), 7.0).swapaxes(1, 2)
+    for out in (np.empty_like(raw), seed_major[1]):
+        assert project(M, kappa, gamma, kappa_B, out) is out
+        assert np.array_equal(out, want.blocks, equal_nan=True)
+        assert np.array_equal(raw, kept, equal_nan=True)
+    assert np.all(seed_major[[0, 2]] == 7.0)
     return got
 
 
@@ -322,22 +343,26 @@ def test_project_matches_reference_bit_for_bit(n_u, n_x):
 
 def test_project_overflow_gives_the_reference_nans_and_warning():
     """A 1e200 entry overflows the block's Gram matrix: the same NaN blocks
-    and the same RuntimeWarning as the reference."""
+    and the same RuntimeWarning as the reference, with or without out."""
     raw = np.tile(np.array([[1.0, 2.0, 0.5], [3.0, 4.0, -1.0]]), (4, 1, 1))
     raw[1, 0, 1] = 1e200
     results = []
-    for fn in (project, _project_reference):
+    for fn in (project, _project_reference,
+               lambda M, *radius: project(M, *radius, np.empty_like(raw))):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = fn(PolicyParams(raw.copy()), KAPPA, GAMMA, KAPPA_B).blocks
-        results.append((out, [(w.category, str(w.message)) for w in caught]))
-    (got, got_warn), (want, want_warn) = results
+            out = fn(PolicyParams(raw.copy()), KAPPA, GAMMA, KAPPA_B)
+        results.append((getattr(out, "blocks", out),
+                        [(w.category, str(w.message)) for w in caught]))
+    (got, got_warn), (want, want_warn), (into, into_warn) = results
     assert np.isnan(got[1]).any() and not np.isnan(got[[0, 2, 3]]).any()
     assert np.array_equal(got, want, equal_nan=True)
-    assert got_warn == want_warn and got_warn
+    assert np.array_equal(into, want, equal_nan=True)
+    assert got_warn == want_warn == into_warn and got_warn
     assert all(category is RuntimeWarning for category, _ in got_warn)
 
 
+@pytest.mark.skipif(eigh_lo is None, reason="this numpy has no eigh_lo gufunc")
 def test_direct_eigh_gufunc_equals_np_linalg_eigh():
     """project calls the gufunc behind np.linalg.eigh directly; a numpy that
     moves or changes it fails here instead of changing results."""
@@ -349,3 +374,36 @@ def test_direct_eigh_gufunc_equals_np_linalg_eigh():
             lam, V = eigh_lo(gram, signature="d->dd")
             want_lam, want_V = np.linalg.eigh(gram)
             assert np.array_equal(lam, want_lam) and np.array_equal(V, want_V)
+
+
+_CLIPPING_STACKS = textwrap.dedent("""
+    import numpy as np
+    from onlinectrl.policy import PolicyParams, project
+    rng = np.random.default_rng(89)
+    for shape in ((12, 3, 3), (12, 2, 4)):
+        raw = PolicyParams(30.0 * rng.standard_normal(shape))
+        print(project(raw, 1.0, 0.9, 5.0).blocks.tobytes().hex())
+""")
+
+
+@pytest.mark.skipif(eigh_lo is None, reason="every test here already runs the fallback")
+def test_project_falls_back_to_np_linalg_eigh_without_the_gufunc():
+    """A numpy without the private eigh_lo still imports the package, and
+    project on clipping 3x3 and 2x4 stacks gives the in-process bits."""
+    src = str(Path(policy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # the name is gone while onlinectrl imports, and back for np.linalg.eigh
+    removed = ("import numpy.linalg._umath_linalg as gufuncs\n"
+               "eigh_lo = gufuncs.eigh_lo\n"
+               "del gufuncs.eigh_lo\n"
+               "import onlinectrl.policy\n"
+               "gufuncs.eigh_lo = eigh_lo\n"
+               "assert onlinectrl.policy._eigh is not eigh_lo\n")
+    run = subprocess.run([sys.executable, "-c", removed + _CLIPPING_STACKS], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_CLIPPING_STACKS, {})
+    assert len(here.getvalue().split()) == 2 and run.stdout == here.getvalue()
