@@ -53,6 +53,59 @@ def _states(A_rows: np.ndarray, W_rows: np.ndarray) -> np.ndarray:
     return X
 
 
+def rollout_gains(sys: LinearSystem, candidates: Sequence[np.ndarray],
+                  cost_schedules: Sequence[CostSchedule],
+                  realized_noise: Sequence[np.ndarray]) -> list:
+    """Every candidate gain u = -Kx replayed on every seed's noise in one
+    loop: per seed, the (C, T) per-step costs of the C candidates. Step t's
+    costs read only the noise before step t and the schedule's step t, so
+    their first T' columns are those of a T'-step replay, bit for bit."""
+    if not cost_schedules or len(realized_noise) != len(cost_schedules):
+        raise ValueError("pass one cost schedule and one noise array, "
+                         "or equal-length sequences of both")
+    if len(candidates) == 0:
+        raise ValueError("candidate set is empty")
+    ws = [_realized(sys, schedule, w) for schedule, w in zip(cost_schedules, realized_noise)]
+    T = ws[0].shape[0]
+    if any(w.shape[0] != T for w in ws):
+        raise ValueError(f"every seed's realized noise must cover the first seed's {T} steps")
+    Ks = np.stack([np.asarray(K, dtype=float) for K in candidates])
+    if Ks.shape[1:] != (sys.n_u, sys.n_x):
+        raise ValueError(f"candidate gains must be ({sys.n_u}, {sys.n_x})")
+    A_Ks = sys.A[None, :, :] - np.matmul(sys.B, Ks)
+
+    S, C = len(ws), Ks.shape[0]
+    A_rows = np.tile(A_Ks, (S, 1, 1))  # row s * C + c: candidate c on seed s
+    X = _states(A_rows, np.repeat(np.stack(ws, axis=1), C, axis=1))
+    costs = []
+    for s, schedule in enumerate(cost_schedules):
+        X_s = np.ascontiguousarray(X[:, s * C:(s + 1) * C])  # laid out as a solo call's X
+        U = -np.einsum("cux,tcx->tcu", Ks, X_s)
+        costs.append(np.ascontiguousarray(schedule.stage_values(X_s, U).T))
+    return costs
+
+
+def select_gain(candidates: Sequence[np.ndarray], costs: np.ndarray,
+                realized_noise: np.ndarray, T: int) -> ComparatorResult:
+    """The cheapest candidate over the first T steps of one seed's rollout,
+    given its (C, >= T) per-step costs and its noise; ties go to the first
+    index. Each row's first T costs are summed in the same pairwise order as
+    a T-column array's, so the result equals best_fixed_K on the T-step
+    inputs bit for bit."""
+    if not 1 <= T <= costs.shape[1]:
+        raise ValueError(f"prefix length must lie in [1, {costs.shape[1]}], got {T}")
+    totals = costs[:, :T].sum(axis=1)
+    best = int(np.argmin(totals))
+    return ComparatorResult(
+        kind="fixed_gain",
+        cumulative_cost=float(totals[best]),
+        per_step_costs=costs[best, :T],
+        descriptor={"K": np.asarray(candidates[best], dtype=float).tolist(), "index": best},
+        search_meta={"candidate_costs": totals.tolist()},
+        noise_hash=noise_fingerprint(np.asarray(realized_noise, dtype=float)[:T]),
+    )
+
+
 def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
                  cost_schedule: CostSchedule | Sequence[CostSchedule],
                  realized_noise: np.ndarray | Sequence[np.ndarray]) -> ComparatorResult | list:
@@ -67,39 +120,8 @@ def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
     solo = isinstance(cost_schedule, CostSchedule)
     schedules = [cost_schedule] if solo else list(cost_schedule)
     noises = [realized_noise] if solo else list(realized_noise)
-    if not schedules or len(noises) != len(schedules):
-        raise ValueError("pass one cost schedule and one noise array, "
-                         "or equal-length sequences of both")
-    if len(candidates) == 0:
-        raise ValueError("candidate set is empty")
-    ws = [_realized(sys, schedule, w) for schedule, w in zip(schedules, noises)]
-    T = ws[0].shape[0]
-    if any(w.shape[0] != T for w in ws):
-        raise ValueError(f"every seed's realized noise must cover the first seed's {T} steps")
-    Ks = np.stack([np.asarray(K, dtype=float) for K in candidates])
-    if Ks.shape[1:] != (sys.n_u, sys.n_x):
-        raise ValueError(f"candidate gains must be ({sys.n_u}, {sys.n_x})")
-    A_Ks = sys.A[None, :, :] - np.matmul(sys.B, Ks)
-
-    S, C = len(ws), Ks.shape[0]
-    A_rows = np.tile(A_Ks, (S, 1, 1))  # row s * C + c: candidate c on seed s
-    X = _states(A_rows, np.repeat(np.stack(ws, axis=1), C, axis=1))
-
-    results = []
-    for s, (schedule, w) in enumerate(zip(schedules, ws)):
-        X_s = np.ascontiguousarray(X[:, s * C:(s + 1) * C])  # laid out as a solo call's X
-        U = -np.einsum("cux,tcx->tcu", Ks, X_s)
-        costs = np.ascontiguousarray(schedule.stage_values(X_s, U).T)
-        totals = costs.sum(axis=1)
-        best = int(np.argmin(totals))
-        results.append(ComparatorResult(
-            kind="fixed_gain",
-            cumulative_cost=float(totals[best]),
-            per_step_costs=costs[best],
-            descriptor={"K": Ks[best].tolist(), "index": best},
-            search_meta={"candidate_costs": totals.tolist()},
-            noise_hash=noise_fingerprint(w),
-        ))
+    costs = rollout_gains(sys, candidates, schedules, noises)
+    results = [select_gain(candidates, c, w, c.shape[1]) for c, w in zip(costs, noises)]
     return results[0] if solo else results
 
 

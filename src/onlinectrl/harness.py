@@ -23,14 +23,17 @@ schedule, horizons, seeds, and the comparator gain set:
 build_experiment reads the document once, keeping the validated cost
 family and the noise process at the config's noise seed; each job builds
 its seeds' inputs from those two, mixing the family seed with the episode
-seed. A batch runs one job per horizon, which learns all seeds in
-lockstep, so its outputs are byte-identical across invocations and worker
-counts. Each job hands back its horizon's regrets, divergences and traces
-in ascending seed order, so each report row lists its regrets in that
-order whatever the config's seed order. The jobs open no file:
-write_outputs writes every file once all jobs have finished, report.json
-last, so a failed batch writes nothing and a present report.json marks a
-complete batch.
+seed. A batch runs one learner job per horizon, which learns all seeds in
+lockstep, and one comparator replay at the largest horizon: noise and
+costs are drawn per step, so each horizon selects its best fixed gain from
+the replay's first T steps. In process the largest horizon's job replays
+on its learner's noise; in a process pool the replay is a job of its own,
+started right after that learner. Outputs are byte-identical across
+invocations and worker counts, and each report row lists its regrets in
+ascending seed order whatever the config's seed order. The jobs open no
+file: write_outputs writes every file once all jobs have finished,
+report.json last, so a failed batch writes nothing and a present
+report.json marks a complete batch.
 Theory constants are pure functions of the config; they are
 astronomically conservative (growing as kappa^18) and are reported for
 the shape of the bound, not tightness.
@@ -56,13 +59,14 @@ from typing import Optional
 
 import numpy as np
 
-from .comparator import best_fixed_K, regret
+from .comparator import best_fixed_K  # noqa: F401  (perfbench's tests read harness.best_fixed_K)
+from .comparator import rollout_gains, select_gain
 from .costs import (CostSchedule, adversarial_convex_schedule,
                     constant_schedule, quadratic_cost)
 from .learner import (EpisodeDivergedError, LearningRateSchedule,
                       alpha_tilde_from, run_episode)
 from .noise import (SUBGAUSSIAN_FAMILIES, NoiseProcess, population_sigma_lower,
-                    population_sigma_w, population_sigma_w4)
+                    population_sigma_w, population_sigma_w4, sample_episode)
 from .policy import horizon_H, policy_class_diameter
 from .rng import mix_seed
 from .stability import CertificationError, StabilityCertificate, _certify_stack
@@ -452,13 +456,19 @@ class ScalingReport:
         }
 
 
-def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool) -> tuple:
-    """Every (T, seed) cell of horizon T: learn all seeds in lockstep, replay
-    the comparator on every seed that did not diverge in one more lockstep
-    loop, and measure regret. Returns (regrets, divergences, traces) in
-    ascending seed order: the live cells' regrets, a {T, seed, step} dict
-    per diverged cell, and with trace each live cell's per-step JSONL text
-    under its output path. Opens no file."""
+def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool,
+                 learn: bool = True, compare: tuple = ()) -> tuple:
+    """Horizon T's work for seeds, on the inputs of their first T steps,
+    drawn once. With learn, it learns every seed in lockstep. For each
+    horizon in compare (each <= T) it selects every seed's best candidate
+    gain on that horizon's prefix of one replay at T; the replay reuses the
+    learner's noise and redraws only the seeds that diverged, which may be
+    live at a shorter horizon. Returns (learned, best, traces): by horizon
+    and seed, each learned cell's cost and noise hash, or the step where it
+    diverged, and the comparator's cost and its prefix's noise hash; and
+    with trace each live cell's per-step JSONL text under its output path.
+    A cost is its last cumulative sum, so two costs differ by regret()'s
+    regret_final. Opens no file."""
     sys = exp.system
     procs = [replace(exp.noise, seed=mix_seed(exp.noise.seed, seed)) for seed in seeds]
     if exp.cost_seed is None:  # a fixed (Q, R): every seed shares its stride-0 schedule
@@ -466,58 +476,87 @@ def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool) -> tu
     else:
         schedules = [adversarial_convex_schedule(mix_seed(exp.cost_seed, seed), T, sys.n_x,
                                                  sys.n_u) for seed in seeds]
-    outcomes = run_episode(sys, exp.K, exp.cert, schedules, procs, exp.lr_schedule,
-                           T, x0=exp.x0)
-    live = [i for i, record in enumerate(outcomes)
-            if not isinstance(record, EpisodeDivergedError)]
-    comps = dict(zip(live, best_fixed_K(sys, list(exp.candidates), [schedules[i] for i in live],
-                                        [outcomes[i].ws for i in live]) if live else []))
-    regrets, divergences, traces = [], [], {}
-    for seed, i in sorted(zip(seeds, range(len(seeds)))):
-        record = outcomes[i]
-        if i not in comps:
-            divergences.append({"T": T, "seed": seed, "step": record.step})
-            continue
-        regrets.append(float(regret(record, comps[i]).regret_final))
-        if trace:
-            text = io.StringIO()
-            record.write_jsonl(text)
-            traces[f"traces/T{T}_seed{seed}.jsonl"] = text.getvalue()
-    return regrets, divergences, traces
+    learned, best, traces = {}, {}, {}
+    ws = [None] * len(seeds)
+    if learn:
+        outcomes = run_episode(sys, exp.K, exp.cert, schedules, procs, exp.lr_schedule,
+                               T, x0=exp.x0)
+        learned[T] = {}
+        for i, (seed, record) in enumerate(zip(seeds, outcomes)):
+            if isinstance(record, EpisodeDivergedError):
+                learned[T][seed] = record.step
+                continue
+            ws[i] = record.ws
+            learned[T][seed] = (np.cumsum(record.costs)[-1], record.noise_hash)
+            if trace:
+                text = io.StringIO()
+                record.write_jsonl(text)
+                traces[f"traces/T{T}_seed{seed}.jsonl"] = text.getvalue()
+    if compare:
+        ws = [sample_episode(p, T) if w is None else w for p, w in zip(procs, ws)]
+        costs = rollout_gains(sys, exp.candidates, schedules, ws)
+        for T_c in compare:
+            best[T_c] = {}
+            for seed, c, w in zip(seeds, costs, ws):
+                comp = select_gain(exp.candidates, c, w, T_c)
+                best[T_c][seed] = (np.cumsum(comp.per_step_costs)[-1], comp.noise_hash)
+    return learned, best, traces
 
 
 def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
               trace: bool = False, workers: int = 1) -> ScalingReport:
     """Run every (T, seed) cell and aggregate regret quantiles per T.
 
-    One job runs all seeds of one horizon in lockstep, so a seed's numbers
-    depend on the config's seed list but not on the worker count. With
-    workers > 1 the jobs fan out to a process pool, largest T first, of at
-    most one process per horizon; a single horizon runs in-process. Each
-    job hands back its horizon's cells in ascending seed order, so every
-    row lists its regrets, and the report its divergences, in that order
-    whatever the config's order or the scheduling. Diverged episodes are
-    dropped from the quantiles; once more than 20% of cells diverge the
-    whole batch is marked failed. The theory constants come first, so
-    overflowing ones reject the config before any episode runs. The jobs
-    open no file: out_dir, its traces and its outputs are written only
-    after every job has finished, so a failed batch writes nothing, and an
-    unusable out_dir raises OSError only then.
+    One learner job per horizon runs all its seeds in lockstep, so a seed's
+    numbers depend on the config's seed list but not on the worker count.
+    One comparator replay per batch, at the largest horizon T_max, gives
+    every horizon's best gain from its first T steps. In process (one
+    worker, or one horizon) the T_max job learns and then replays on its
+    learner's noise. With workers > 1 the jobs go to a process pool of at
+    most one process per horizon: the T_max learner, the replay as a job of
+    its own that draws its own inputs, then the other horizons, largest
+    first. Regrets are assembled here in ascending seed order, so every row
+    lists its regrets, and the report its divergences, in that order
+    whatever the config's order or the scheduling; a cell whose learner and
+    comparator saw different noise is refused. Diverged episodes are dropped
+    from the quantiles; once more than 20% of cells diverge the whole batch
+    is marked failed. The theory constants come first, so overflowing ones
+    reject the config before any episode runs. The jobs open no file:
+    out_dir, its traces and its outputs are written only after every job
+    has finished, so a failed batch writes nothing, and an unusable out_dir
+    raises OSError only then.
     """
     constants = compute_theory_constants(exp)
     trace = trace and out_dir is not None
-    jobs = [(exp, T, exp.seeds, trace) for T in reversed(exp.horizons)]
-    workers = min(workers, len(jobs))  # a worker past one per job would idle
+    T_max, seeds = exp.horizons[-1], exp.seeds
+    shorter = [(exp, T, seeds, trace, True, ()) for T in reversed(exp.horizons[:-1])]
+    workers = min(workers, len(exp.horizons))  # a worker past one per horizon would idle
     if workers > 1:
+        jobs = [(exp, T_max, seeds, trace, True, ()),
+                (exp, T_max, seeds, False, False, exp.horizons), *shorter]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_episode_job, *zip(*jobs)))
     else:
+        jobs = [(exp, T_max, seeds, trace, True, exp.horizons), *shorter]
         done = [_episode_job(*job) for job in jobs]
 
-    rows, divergences, traces = [], [], {}
-    for T, (regrets, diverged, texts) in zip(exp.horizons, reversed(done)):
-        divergences += diverged
-        traces.update(texts)
+    learned, best, traces = {}, {}, {}
+    for job_learned, job_best, job_traces in done:
+        learned.update(job_learned)
+        best.update(job_best)
+        traces.update(job_traces)
+    rows, divergences = [], []
+    for T in exp.horizons:
+        regrets = []
+        for seed in sorted(seeds):
+            cell = learned[T][seed]
+            if isinstance(cell, int):  # the step where the episode diverged
+                divergences.append({"T": T, "seed": seed, "step": cell})
+                continue
+            (cost, noise_hash), (best_cost, best_hash) = cell, best[T][seed]
+            if noise_hash != best_hash:
+                raise ValueError("comparator was run on a different noise realization")
+            regrets.append(float(cost - best_cost))
         q25, med, q75, q90 = (np.quantile(regrets, (0.25, 0.5, 0.75, 0.9)).tolist()
                               if regrets else [float("nan")] * 4)
         rows.append({"T": T, "seed_count": len(regrets), "regret_q25": q25,

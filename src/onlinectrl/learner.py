@@ -99,18 +99,19 @@ class EpisodeRecord:
     noise_hash: str
 
     def write_jsonl(self, fp: IO[str]) -> None:
-        """One JSON object per step: {t, x, u, w, cost, eta, grad_frob, M_frob}."""
-        for t in range(self.T):
-            fp.write(json.dumps({
-                "t": t,
-                "x": self.xs[t].tolist(),
-                "u": self.us[t].tolist(),
-                "w": self.ws[t].tolist(),
-                "cost": float(self.costs[t]),
-                "eta": float(self.etas[t]),
-                "grad_frob": float(self.grad_frobs[t]),
-                "M_frob": float(self.m_frobs[t]),
-            }, separators=(",", ":")) + "\n")
+        """One JSON object per step: {t, x, u, w, cost, eta, grad_frob, M_frob}.
+        Each column is encoded once and split into its steps' texts; the
+        encoder writes a float the same way in a list as alone."""
+        def steps(column: np.ndarray) -> list:
+            text = json.dumps(column.tolist(), separators=(",", ":"))
+            return text[2:-2].split("],[") if column.ndim == 2 else text[1:-1].split(",")
+
+        fp.write("".join(
+            f'{{"t":{t},"x":[{x}],"u":[{u}],"w":[{w}],"cost":{c},"eta":{e},'
+            f'"grad_frob":{g},"M_frob":{m}}}\n'
+            for t, (x, u, w, c, e, g, m) in enumerate(zip(*map(steps, (
+                self.xs[:self.T], self.us, self.ws, self.costs, self.etas, self.grad_frobs,
+                self.m_frobs))))))
 
 
 def _seed_axis(stacks: list) -> np.ndarray:

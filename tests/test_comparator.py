@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from onlinectrl.comparator import (ComparatorResult, best_fixed_K, mstar_rollout,
-                                   regret)
+                                   regret, rollout_gains, select_gain)
 from onlinectrl.costs import (adversarial_convex_schedule, constant_schedule,
                               quadratic_cost)
 from onlinectrl.learner import LearningRateSchedule, run_episode
@@ -255,6 +255,30 @@ def test_best_fixed_k_over_seeds_equals_per_seed_calls(plant, S):
         assert got.search_meta == want.search_meta  # every candidate's total, bit for bit
         assert (got.cumulative_cost, got.descriptor, got.noise_hash) == (
             want.cumulative_cost, want.descriptor, want.noise_hash)
+
+
+@pytest.mark.parametrize("plant", ["scalar", "3x2-student-t"])
+def test_selection_on_a_prefix_equals_the_shorter_replay(plant):
+    """Selecting at T from a T_max rollout gives best_fixed_K on the T-step
+    inputs bit for bit, as a batch selects every horizon's comparator from
+    one replay at its largest horizon. At T = 1 every candidate costs 0
+    (x_0 = 0), a tie that goes to index 0."""
+    T_max = 300
+    sys_, cands, schedules, ws = _seed_batch(plant, 2, T_max)
+    costs = rollout_gains(sys_, cands, schedules, ws)
+    assert [c.shape for c in costs] == [(len(cands), T_max)] * 2
+    for T in (1, 37, 128, T_max - 1, T_max):
+        _, _, short_schedules, short_ws = _seed_batch(plant, 2, T)
+        for c, w, want in zip(costs, ws, best_fixed_K(sys_, cands, short_schedules, short_ws)):
+            got = select_gain(cands, c, w, T)
+            assert got.per_step_costs.tobytes() == want.per_step_costs.tobytes()
+            assert got.cumulative_cost == want.cumulative_cost
+            assert got.descriptor == want.descriptor
+            assert got.search_meta["candidate_costs"] == want.search_meta["candidate_costs"]
+            assert got.noise_hash == want.noise_hash
+    for T in (0, T_max + 1):  # a prefix the rollout does not hold
+        with pytest.raises(ValueError, match=rf"prefix length must lie in \[1, {T_max}\]"):
+            select_gain(cands, costs[0], ws[0], T)
 
 
 def test_best_fixed_k_rejects_unequal_or_empty_seed_lists():

@@ -119,6 +119,20 @@ def test_scalar_schedule_equals_per_step_draws_at_full_horizon(seed):
     assert sched.R.tobytes() == np.ascontiguousarray(draws[:, 1]).tobytes()
 
 
+@pytest.mark.parametrize("n_x,n_u", [(1, 1), (3, 2)], ids=["scalar", "matrix"])
+def test_schedule_prefix_is_the_shorter_schedule(n_x, n_u):
+    """Each step's costs come from that step's keyed draws alone, so the
+    first T steps of a T_max-step schedule are the T-step schedule bit for
+    bit, on the scalar (Philox blocks) and the matrix (per-step generator)
+    paths."""
+    T_max = 300
+    full = adversarial_convex_schedule(2**64 + 7, T_max, n_x, n_u)
+    for T in (1, 2, 77, T_max - 1, T_max):
+        sched = adversarial_convex_schedule(2**64 + 7, T, n_x, n_u)
+        assert sched.Q.tobytes() == full.Q[:T].tobytes(), T
+        assert sched.R.tobytes() == full.R[:T].tobytes(), T
+
+
 @pytest.mark.parametrize("n_x,n_u", [(1, 1), (2, 1)])
 def test_empty_schedule_draws_nothing(n_x, n_u, monkeypatch):
     def no_draws(*args):

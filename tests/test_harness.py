@@ -13,10 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onlinectrl.harness as hz
+import onlinectrl.learner as learner
 from onlinectrl.cli import main as cli_main
+from onlinectrl.comparator import best_fixed_K, regret
+from onlinectrl.costs import adversarial_convex_schedule
 from onlinectrl.harness import (build_experiment, compute_theory_constants,
                                 config_hash, load_config, run_batch, write_outputs)
 from onlinectrl.learner import EpisodeDivergedError
+from onlinectrl.noise import sample_episode
 from onlinectrl.rng import mix_seed
 from onlinectrl.stability import CertificationError
 
@@ -425,6 +429,114 @@ def test_unsorted_seeds_give_the_sorted_batch(monkeypatch, tmp_path, workers, di
     for name in traces:
         assert ((tmp_path / "unsorted" / "traces" / name).read_bytes()
                 == (tmp_path / "sorted" / "traces" / name).read_bytes()), name
+
+
+def _per_horizon_batch(exp, run_episode):
+    """Each row's regrets, and the divergences, as every horizon once computed
+    them on its own: learn the horizon's seeds in lockstep, replay every
+    candidate gain on each live seed's own T-step inputs with best_fixed_K,
+    and take regret()'s regret_final, in ascending seed order."""
+    rows, divergences = [], []
+    for T in exp.horizons:
+        procs = [dataclasses.replace(exp.noise, seed=mix_seed(exp.noise.seed, s))
+                 for s in exp.seeds]
+        schedules = [adversarial_convex_schedule(mix_seed(exp.cost_seed, s), T, 1, 1)
+                     for s in exp.seeds]
+        records = run_episode(exp.system, exp.K, exp.cert, schedules, procs, exp.lr_schedule,
+                              T, x0=exp.x0)
+        regrets = []
+        for seed, schedule, record in sorted(zip(exp.seeds, schedules, records),
+                                             key=lambda cell: cell[0]):
+            if isinstance(record, EpisodeDivergedError):
+                divergences.append({"T": T, "seed": seed, "step": record.step})
+                continue
+            comp = best_fixed_K(exp.system, list(exp.candidates), schedule, record.ws)
+            regrets.append(regret(record, comp).regret_final)
+        rows.append((T, regrets))
+    return rows, divergences
+
+
+def test_one_comparator_replay_equals_the_per_horizon_replays(monkeypatch, tmp_path):
+    """A batch replays the candidate gains once, at its largest horizon, and
+    selects each horizon's best gain from that replay's first T steps; rows
+    and divergences equal the per-horizon replays bit for bit. Seed 4
+    diverges at the largest horizon only, so the in-process replay redraws
+    its noise for the shorter horizons, where it is live. Without the
+    divergence, `onlinectrl run --trace` writes the same tree at 1, 2 and
+    3 workers, whose rows equal the per-horizon ones."""
+    doc = _base_doc(cost={"family": "random_quadratic", "seed": 7}, horizons=[40, 16, 64],
+                    seeds=[4, 0, 2])
+    exp = build_experiment(doc)
+    run_episode = hz.run_episode
+
+    def seed_4_diverges_at_64(sys_, K, cert, schedules, procs, lr, T, **kwargs):
+        records = run_episode(sys_, K, cert, schedules, procs, lr, T, **kwargs)
+        return [EpisodeDivergedError(step=5, norm=math.inf)
+                if T == 64 and proc.seed == mix_seed(42, 4) else record
+                for proc, record in zip(procs, records)]
+
+    with monkeypatch.context() as m:
+        m.setattr(hz, "run_episode", seed_4_diverges_at_64)
+        report = run_batch(exp)
+        rows, divergences = _per_horizon_batch(exp, seed_4_diverges_at_64)
+    assert [(row["T"], row["regrets"]) for row in report.rows] == rows
+    assert report.divergences == divergences == [{"T": 64, "seed": 4, "step": 5}]
+    assert [len(regrets) for _, regrets in rows] == [3, 3, 2]
+
+    rows, _ = _per_horizon_batch(exp, run_episode)
+    cfg = _write_cfg(tmp_path, doc)
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert cli_main(["run", "--config", cfg, "--trace", "--workers", str(workers),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [(row["T"], row["regrets"]) for row in report["rows"]] == rows
+        assert report["divergences"] == []
+    files = sorted(p.relative_to(tmp_path / "w1") for p in (tmp_path / "w1").rglob("*")
+                   if p.is_file())
+    assert len(files) == 4 + 9  # four batch files and a trace per cell
+    for workers in (2, 3):
+        out = tmp_path / f"w{workers}"
+        assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+        for name in files:
+            assert (out / name).read_bytes() == (tmp_path / "w1" / name).read_bytes(), name
+
+
+def test_batch_refuses_a_comparator_replayed_on_other_noise(monkeypatch):
+    """Each horizon's comparator comes from the first T rows of a replay at
+    the largest horizon; if those rows were not the learner's T-step noise,
+    the batch refuses the pairing. Every seed diverges at T = 16, so the
+    replay redraws their noise, here scaled by 2."""
+    run_episode = hz.run_episode
+
+    def all_diverge_at_16(sys_, K, cert, schedules, procs, lr, T, **kwargs):
+        records = run_episode(sys_, K, cert, schedules, procs, lr, T, **kwargs)
+        return [EpisodeDivergedError(step=2, norm=math.inf) if T == 16 else record
+                for record in records]
+
+    monkeypatch.setattr(hz, "run_episode", all_diverge_at_16)
+    monkeypatch.setattr(hz, "sample_episode", lambda proc, T: 2.0 * sample_episode(proc, T))
+    with pytest.raises(ValueError, match="comparator was run on a different noise realization"):
+        run_batch(build_experiment(_base_doc()))
+
+
+def test_in_process_batch_draws_each_seed_once_per_horizon(monkeypatch):
+    """In process, the largest horizon's job replays the comparator on its
+    learner's noise, so no seed is drawn twice: a one-horizon batch draws
+    each seed once, at any worker count."""
+    calls = []
+
+    def counted(proc, T):
+        calls.append(T)
+        return sample_episode(proc, T)
+
+    monkeypatch.setattr(learner, "sample_episode", counted)
+    monkeypatch.setattr(hz, "sample_episode", counted)
+    for horizons, workers, want in (([16], 1, [16] * 3), ([16], 3, [16] * 3),
+                                    ([8, 16], 1, [16] * 3 + [8] * 3)):
+        calls.clear()
+        run_batch(build_experiment(_base_doc(horizons=horizons)), workers=workers)
+        assert calls == want, (horizons, workers)
 
 
 def test_trace_files_written(tmp_path):

@@ -580,3 +580,32 @@ def test_trace_jsonl_roundtrip():
         np.testing.assert_allclose(row["x"], rec.xs[t])
         np.testing.assert_allclose(row["w"], rec.ws[t])
 
+
+def _jsonl_per_step(rec: EpisodeRecord) -> str:
+    """The trace as one dict and one json.dumps per step: the reference the
+    column-wise writer must match byte for byte."""
+    return "".join(json.dumps({
+        "t": t, "x": rec.xs[t].tolist(), "u": rec.us[t].tolist(), "w": rec.ws[t].tolist(),
+        "cost": float(rec.costs[t]), "eta": float(rec.etas[t]),
+        "grad_frob": float(rec.grad_frobs[t]), "M_frob": float(rec.m_frobs[t]),
+    }, separators=(",", ":")) + "\n" for t in range(rec.T))
+
+
+@pytest.mark.parametrize("plant", ["scalar", "3x2"])
+def test_trace_jsonl_equals_per_step_dumps(plant):
+    """Each column is encoded once and split per step, with the bytes of one
+    json.dumps per step, for scalar and vector rows and for non-finite
+    entries, which the encoder writes alike in a list and alone."""
+    sys_, K, cert = _scalar_setup() if plant == "scalar" else _plant_3x2()
+    T = 40
+    schedule = adversarial_convex_schedule(5, T, sys_.n_x, sys_.n_u)
+    proc = NoiseProcess("student_t", 1.0, dim=sys_.n_x, seed=3, df=5.0)
+    rec = run_episode(sys_, K, cert, schedule, proc, LearningRateSchedule("constant_sqrtT"), T)
+    odd = dataclasses.replace(rec, xs=rec.xs.copy(), costs=rec.costs.copy())
+    odd.xs[2, 0], odd.xs[T, 0], odd.costs[[0, 7]] = -math.inf, math.nan, (math.nan, math.inf)
+    for record in (rec, odd):
+        buf = io.StringIO()
+        record.write_jsonl(buf)
+        assert buf.getvalue() == _jsonl_per_step(record)
+    assert "NaN" in _jsonl_per_step(odd) and "-Infinity" in _jsonl_per_step(odd)
+

@@ -118,6 +118,23 @@ def test_sample_episode_equals_one_generator_per_step(family, scale, df, dim):
         assert sample(proc, t).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("family,scale,df", _DRAWING + [("zero", 1.0, None)])
+@pytest.mark.parametrize("dim", [1, 4])
+def test_sample_episode_prefix_is_the_shorter_episode(family, scale, df, dim):
+    """Every step keys its own draws, so the first T rows of a T_max-step
+    episode are the T-step episode bit for bit. A batch selects each horizon's
+    comparator from a prefix of one T_max replay and relies on this. The
+    Gaussian prefixes end on the first row that leaves the ziggurat's fast
+    path and run past it."""
+    T_max = 700
+    proc = NoiseProcess(family=family, scale=scale, dim=dim, seed=_ORACLE_SEED, df=df)
+    full = sample_episode(proc, T_max)
+    misses = np.flatnonzero(_first_misses(_ORACLE_SEED, dim, T_max) >= 0)
+    assert misses.size >= 2 and misses[0] > 0
+    for T in (1, int(misses[0]) + 1, int(misses[1]) + 2, T_max - 1, T_max):
+        assert sample_episode(proc, T).tobytes() == full[:T].tobytes(), T
+
+
 _NOR_R = 3.6541528853610088  # numpy's ziggurat_nor_r, where the tail strip begins
 
 
