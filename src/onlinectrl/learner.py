@@ -28,7 +28,8 @@ import numpy as np
 
 from .costs import CostSchedule
 from .noise import NoiseProcess, sample_episode
-from .policy import PolicyParams, control_input, horizon_H, project
+from .policy import (PolicyParams, control_input, horizon_H, project, project_scalar_stack,
+                     scalar_stack_bounds)
 from .stability import StabilityCertificate
 from .surrogate import SurrogateKernel, _hankel
 from .system import DIVERGENCE_LIMIT, LinearSystem, initial_state, recover_noise
@@ -146,12 +147,13 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     Equal-length sequences of cost schedules and noise processes run one
     episode per seed in lockstep: states, blocks and the recovered-noise
     buffer gain a leading seed axis, and each per-step layer runs once per
-    step for all seeds (project once per seed, from that seed's raw scratch
-    into its live blocks). The result lists per seed its
-    EpisodeRecord, equal to its solo run's bit for bit for one seed, and where
-    A - B K = 0 with B and K diagonal; otherwise to within rounding (tests
-    hold 1e-12 relative). A diverged seed lists the EpisodeDivergedError its
-    solo run raises.
+    step for all seeds. On a scalar plant one project_scalar_stack call
+    clips every seed's blocks; otherwise project runs once per seed, from
+    that seed's raw scratch into its live blocks. The result lists per seed
+    its EpisodeRecord, equal to its solo run's bit for bit for one seed, and
+    where A - B K = 0 with B and K diagonal; otherwise to within rounding
+    (tests hold 1e-12 relative). A diverged seed lists the
+    EpisodeDivergedError its solo run raises.
     """
     solo = isinstance(cost_schedule, CostSchedule)
     schedules = [cost_schedule] if solo else list(cost_schedule)
@@ -184,11 +186,15 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     blocks = np.zeros((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
     flat = blocks.swapaxes(1, 2).reshape(S, -1)  # a view: blocks are updated in place
     flatT = flat.reshape(S, sys.n_u, -1).swapaxes(1, 2)  # (S, H n_x, n_u), as disturbance_action
-    # M_t - eta_t G_t before projection, in the blocks' layout; each seed's
-    # projection of it is written straight into that seed's live blocks
+    # M_t - eta_t G_t before projection, in the blocks' layout; its
+    # projection is written straight into the live blocks
     raw = np.empty((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
     raw_flat = raw.swapaxes(1, 2).reshape(S, -1)
-    pairs = [(PolicyParams(r), b) for r, b in zip(raw, blocks)]
+    scalar = sys.n_x == sys.n_u == 1
+    if scalar:  # one clip per step for all seeds, on bounds shaped like the blocks
+        low, high = scalar_stack_bounds(S, H, kappa, gamma, kappa_B)
+    else:
+        pairs = [(PolicyParams(r), b) for r, b in zip(raw, blocks)]
     xs = np.empty((T + 1, S, sys.n_x))  # step-major; step t writes x_{t+1} into xs[t+1]
     xs[0] = initial_state(sys, x0, divergence_limit)
     noise = [sample_episode(p, T) for p in procs]
@@ -224,8 +230,11 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
             np.add.reduce(chunk[:, :c + 1], axis=-1, out=sq[:, t - c:t + 1])
         Gf *= step_sizes[t]
         np.subtract(flat, Gf, out=raw_flat)
-        for view, live in pairs:
-            project(view, kappa, gamma, kappa_B, live)
+        if scalar:
+            project_scalar_stack(raw, low, high, blocks)
+        else:
+            for view, live in pairs:
+                project(view, kappa, gamma, kappa_B, live)
 
         every = x_next.ravel()  # no seed's norm exceeds the norm of all together
         if not sqrt(every.dot(every)) <= divergence_limit:  # also trips on NaN

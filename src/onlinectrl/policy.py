@@ -8,7 +8,10 @@ on the last H observed disturbances:
 The admissible set M is a product of spectral-norm balls, one per block:
 ||M^[i]|| <= 2 kappa_B kappa^3 (1-gamma)^i. Projection onto it therefore
 factorizes into per-block singular-value clipping, which is exact for
-the Frobenius metric on the stacked blocks.
+the Frobenius metric on the stacked blocks. For 1x1 blocks it is an
+elementwise clip, so project_scalar_stack clips every seed's blocks of a
+lockstep episode in one call, against bounds that scalar_stack_bounds
+builds once per episode; project serves one seed's blocks of any shape.
 """
 
 from __future__ import annotations
@@ -128,6 +131,24 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float, kappa_B: float,
     result = blocks.copy() if out is None else out
     (result if wide is blocks else result.transpose(0, 2, 1))[idx] = Mb + V @ VtM
     return PolicyParams(result) if out is None else out
+
+
+def scalar_stack_bounds(S: int, H: int, kappa: float, gamma: float,
+                        kappa_B: float) -> tuple:
+    """-r and r for S seeds' 1x1 blocks, as contiguous (S, H, 1, 1) arrays:
+    the bounds of project_scalar_stack, built once per episode."""
+    return tuple(np.tile(b, (S, 1, 1, 1)) for b in _radii(H, kappa, gamma, kappa_B)[2:])
+
+
+def project_scalar_stack(raw: np.ndarray, low: np.ndarray, high: np.ndarray,
+                         out: np.ndarray) -> np.ndarray:
+    """project of every seed's 1x1 blocks at once: raw, low, high and out are
+    (S, H, 1, 1), low and high from scalar_stack_bounds. Each entry gets the
+    bits of project(PolicyParams(raw[s]), ..., out=out[s]), since the same
+    ufuncs clip it in the same order; only out is written, and returned.
+    Operands of one shape, all contiguous, keep numpy on its elementwise
+    fast path: bounds broadcast over the seed axis are slower even at S = 1."""
+    return np.minimum(np.maximum(raw, low, out=out), high, out=out)
 
 
 def sample_admissible(rng: np.random.Generator, H: int, n_u: int, n_x: int,

@@ -229,6 +229,48 @@ def test_lockstep_seeds_match_solo_episodes(name):
                           >= radii * (1 - 1e-9)) for rec in batch)
 
 
+@pytest.mark.parametrize("plant", ["scalar", "2x2"])
+def test_scalar_lockstep_clips_all_seeds_in_one_call(plant, monkeypatch):
+    """On a scalar plant every step makes one project_scalar_stack call for
+    all seeds and no project call; a 2x2 plant still calls project once per
+    seed per step. The scalar run clips, and keeps the per-seed oracle's bits."""
+    calls = {"project": 0, "project_scalar_stack": 0, "clipped": 0}
+
+    def spy(name):
+        fn = getattr(learner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            if name == "project_scalar_stack":
+                raw, _, high = args[:3]
+                calls["clipped"] += int(np.count_nonzero(np.abs(raw) > high))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(learner, name, counted)
+
+    T, S = 30, 3
+    if plant == "scalar":
+        sys_, K, cert = _scalar_setup()
+        schedules = [adversarial_convex_schedule(7 + s, T, 1, 1) for s in range(S)]
+    else:
+        B, K = np.diag([1.0, 0.5]), np.diag([0.3, 0.4])
+        sys_ = make_system(B @ K, B)
+        cert = certify(sys_, K, 1.5, 0.5)
+        schedules = [constant_schedule(quadratic_cost(np.eye(2), np.eye(2)), T)] * S
+    procs = [NoiseProcess("laplace", 2.0, dim=sys_.n_x, seed=s) for s in range(S)]
+    lr = LearningRateSchedule("strongly_convex", alpha_tilde=0.37)
+    want = _run_episode_per_step(sys_, K, cert, schedules, procs, lr, T, H=5)
+    spy("project")
+    spy("project_scalar_stack")
+    got = run_episode(sys_, K, cert, schedules, procs, lr, T, H=5)
+    if plant == "scalar":
+        assert (calls["project"], calls["project_scalar_stack"]) == (0, T)
+        assert calls["clipped"] > 0
+    else:
+        assert (calls["project"], calls["project_scalar_stack"]) == (T * S, 0)
+    for g, w in zip(got, want, strict=True):
+        _assert_bitwise_equal(g, w)
+
+
 def test_lockstep_drops_a_diverging_seed():
     """A limit between the seeds' largest states trips one seed mid-episode:
     it reports the step and norm its solo run raises, and the others equal

@@ -13,8 +13,8 @@ import pytest
 from onlinectrl import policy
 from onlinectrl.policy import (PolicyParams, admissible_radii, comparator_params,
                                control_input, disturbance_action, horizon_H, is_admissible,
-                               policy_class_diameter, project,
-                               sample_admissible)
+                               policy_class_diameter, project, project_scalar_stack,
+                               sample_admissible, scalar_stack_bounds)
 from onlinectrl.system import make_system
 
 try:
@@ -94,7 +94,50 @@ def test_project_scalar_equals_clip():
         raw = 4.0 * rng.standard_normal((6, 1, 1))
         proj = project(PolicyParams(raw), KAPPA, GAMMA, KAPPA_B)
         clipped = np.clip(raw[:, 0, 0], -radii, radii)
-        np.testing.assert_allclose(proj.blocks[:, 0, 0], clipped, atol=1e-14)
+        assert proj.blocks[:, 0, 0].tobytes() == clipped.tobytes()
+
+
+def _scalar_entries(rng, S, radii):
+    """(S, H, 1, 1) blocks; every seed holds, at shuffled blocks, entries
+    inside and outside the block's radius r, exactly +-r, +-inf, NaN and -0.0."""
+    H = radii.size
+    kinds = np.hstack([np.outer(radii, [0.3, -0.7, 2.5, -3.0, 1.0, -1.0]),
+                       np.tile([np.inf, -np.inf, np.nan, -0.0], (H, 1))])  # (H, 10)
+    raw = np.empty((S, H, 1, 1))
+    for s in range(S):
+        raw[s, :, 0, 0] = kinds[np.arange(H), rng.permutation(H) % kinds.shape[1]]
+    return raw
+
+
+@pytest.mark.parametrize("S", [1, 2, 20])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_project_scalar_stack_equals_per_seed_project(S, layout):
+    """One clip of a seed stack writes, bit for bit, what project(..., out=)
+    writes seed by seed, and writes nothing but out: not raw, not the bounds,
+    and not the memory around a strided out."""
+    rng = np.random.default_rng(53 + S)
+    H = 20
+    radii = admissible_radii(H, KAPPA, GAMMA, KAPPA_B)
+    raw = _scalar_entries(rng, S, radii)
+    if layout == "strided":  # every other block of a larger stack
+        raw = np.repeat(raw, 2, axis=1)[:, ::2]
+    want = np.full((S, H, 1, 1), 7.0)
+    for s in range(S):
+        project(PolicyParams(raw[s]), KAPPA, GAMMA, KAPPA_B, out=want[s])
+    low, high = scalar_stack_bounds(S, H, KAPPA, GAMMA, KAPPA_B)
+    assert low.shape == high.shape == (S, H, 1, 1)
+    assert low.flags.c_contiguous and high.flags.c_contiguous
+    assert high.tobytes() == np.tile(radii, S).tobytes()
+    assert low.tobytes() == np.tile(-radii, S).tobytes()
+    around = np.full((S, H + 2, 1, 1), 7.0)
+    out = around[:, 1:-1] if layout == "strided" else np.full((S, H, 1, 1), 7.0)
+    before = [a.tobytes() for a in (raw, low, high)]
+    assert project_scalar_stack(raw, low, high, out) is out
+    assert out.tobytes() == want.tobytes()
+    assert [a.tobytes() for a in (raw, low, high)] == before
+    if layout == "strided":
+        assert np.all(around[:, [0, -1]] == 7.0)
+    assert np.isnan(out).any() and np.signbit(out[out == 0.0]).any()
 
 
 def test_project_is_closest_point():
