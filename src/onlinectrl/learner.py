@@ -138,11 +138,15 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     revealed cost on the surrogate window, which ends at w_{t-1} and so
     is fully known once w_t has been recovered for the next step. The
     injected disturbances are drawn before the loop, with the values
-    sample(noise_proc, t) gives. Each step squares the entries of G_t and M_t
-    into a scratch of L steps, summed once per chunk with the bits of per-step
-    sums; the scratch holds 2 MiB (or one step, if more) at any T. The step
-    M_t - eta_t G_t goes into a raw scratch laid out like the blocks, and its
-    projection is written straight into the live blocks.
+    sample(noise_proc, t) gives. recover_noise writes w_t straight into the
+    recovered-noise buffer, and grad writes G_t, in the blocks' flattened
+    layout, straight into the first half of one (2, S, n_u H n_x) array whose
+    second half holds the live blocks M_t. One square of that array per step
+    fills a row of an (L, 2, S, n_u H n_x) scratch of L steps, summed once per
+    chunk with the bits of per-step sums; the scratch holds 2 MiB (or one
+    step, if more) at any T. The step M_t - eta_t G_t goes into a raw scratch
+    laid out like the blocks, and its projection is written straight into the
+    live blocks.
 
     Equal-length sequences of cost schedules and noise processes run one
     episode per seed in lockstep: states, blocks and the recovered-noise
@@ -181,10 +185,14 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
 
     S = len(procs)
     step_sizes, A_T, B_T = etas.tolist(), sys.A.T, sys.B.T  # cheaper to use in the loop
-    # zero start, as an (S, H, n_u, n_x) view of (S, n_u, H, n_x) memory: the
-    # flattened blocks' and G's layout
-    blocks = np.zeros((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
-    flat = blocks.swapaxes(1, 2).reshape(S, -1)  # a view: blocks are updated in place
+    # G_t and the live blocks M_t side by side, each (S, n_u H n_x): the blocks'
+    # flattened layout, which grad writes into. One np.square per step fills a
+    # norm-scratch row of both. The blocks start at zero, as an (S, H, n_u, n_x)
+    # view of the second half, updated in place.
+    GM = np.zeros((2, S, sys.n_u * H * sys.n_x))
+    Gf, flat = GM
+    G_out = Gf.reshape(S, sys.n_u, -1)
+    blocks = flat.reshape(S, sys.n_u, H, sys.n_x).swapaxes(1, 2)
     flatT = flat.reshape(S, sys.n_u, -1).swapaxes(1, 2)  # (S, H n_x, n_u), as disturbance_action
     # M_t - eta_t G_t before projection, in the blocks' layout; its
     # projection is written straight into the live blocks
@@ -196,6 +204,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     else:
         pairs = [(PolicyParams(r), b) for r, b in zip(raw, blocks)]
     xs = np.empty((T + 1, S, sys.n_x))  # step-major; step t writes x_{t+1} into xs[t+1]
+    xrows = xs.reshape(T + 1, -1)  # all seeds' states of a step as one row, for the guard
     xs[0] = initial_state(sys, x0, divergence_limit)
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
@@ -205,9 +214,9 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     buf = np.zeros((S, T + 2 * H + 1, sys.n_x))
     hanks = _hankel(buf, H, H + 2)
     us = np.empty((T, S, sys.n_u))
-    sq = np.empty((2, T, S))  # squared Frobenius norms of G_t and M_t, summed per chunk
+    sq = np.empty((T, 2, S))  # squared Frobenius norms of G_t and M_t, summed per chunk
     L = min(max(_NORM_CHUNK_FLOATS // flat.size, 1), T)  # steps per chunk
-    chunk = np.empty((2, L) + flat.shape)
+    chunk = np.empty((L,) + GM.shape)
     outcome: list = [None] * S
 
     for t in range(T):
@@ -218,16 +227,14 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         cost = stage.reveal(t, u)
         us[t] = u
         Ax, Bu = x.dot(A_T), u.dot(B_T)  # shared by the step and the noise recovery
-        x_next = np.add(Ax, Bu, out=xs[t + 1])
-        x_next += ws[t]
-        buf[:, T - 1 - t] = recover_noise(x_next, Ax, Bu)
+        x_next = np.add(Ax + Bu, ws[t], out=xs[t + 1])  # not +=: slow on one element
+        recover_noise(x_next, Ax, Bu, out=buf[:, T - 1 - t])
 
-        G, _, _ = kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap)
-        Gf, c = G.swapaxes(1, 2).reshape(S, -1), t % L  # Gf: G's (S, n_u H n_x) view, as flat
-        np.square(Gf, out=chunk[0, c])
-        np.square(flat, out=chunk[1, c])
+        kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap, out=G_out)
+        c = t % L
+        np.square(GM, out=chunk[c])
         if c == L - 1 or t == T - 1:
-            np.add.reduce(chunk[:, :c + 1], axis=-1, out=sq[:, t - c:t + 1])
+            np.add.reduce(chunk[:c + 1], axis=-1, out=sq[t - c:t + 1])
         Gf *= step_sizes[t]
         np.subtract(flat, Gf, out=raw_flat)
         if scalar:
@@ -236,7 +243,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
             for view, live in pairs:
                 project(view, kappa, gamma, kappa_B, live)
 
-        every = x_next.ravel()  # no seed's norm exceeds the norm of all together
+        every = xrows[t + 1]  # no seed's norm exceeds the norm of all together
         if not sqrt(every.dot(every)) <= divergence_limit:  # also trips on NaN
             for s, row in enumerate(x_next):
                 norm = sqrt(row.dot(row))
@@ -253,7 +260,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         outcome[s] = EpisodeRecord(
             T=T, H=H, xs=seed_xs, us=seed_us, ws=noise[s],
             ws_recovered=buf[s, T - 1::-1].copy(), costs=costs, etas=etas,
-            grad_frobs=np.sqrt(sq[0, :, s]), m_frobs=np.sqrt(sq[1, :, s]),
+            grad_frobs=np.sqrt(sq[:, 0, s]), m_frobs=np.sqrt(sq[:, 1, s]),
             cum_cost=float(costs.sum()), M_final=PolicyParams(blocks[s].copy()),
             noise_hash=noise_fingerprint(noise[s]),
         )

@@ -106,7 +106,13 @@ class SurrogateKernel:
     point or a gradient is a few matrix products with the contiguous Hankel
     rows 0..H+1 of the disturbance window and the blocks flattened to
     (n_u, H n_x). Products with fixed matrices are 2-D ndarray.dot calls over
-    the seeds' rows, which at these sizes cost about half a matmul call.
+    the seeds' rows, which at these sizes cost about half a matmul call; the
+    one whose product fills a slice of grad's coefficient rows C is
+    np.matmul(out=), since ndarray.dot writes only into a contiguous out.
+    The seeds' own cost matrices meet their rows through np.matvec, which
+    needs no column axis and is cheaper than `@` on one. C is a scratch the
+    kernel owns, made again when the number of seeds changes, so one kernel
+    serves one thread.
     """
 
     def __init__(self, sys: LinearSystem, K: np.ndarray, H: int):
@@ -121,6 +127,7 @@ class SurrogateKernel:
         self._pows_rowT = pows.transpose(1, 0, 2).reshape(self.n_x, -1).T
         self._PB_rowT = np.matmul(pows, B).transpose(1, 0, 2).reshape(self.n_x, -1).T
         self._PB2_row, self._KT = 2.0 * self._PB_rowT.T, self.K.T  # doubling is exact
+        self._scratch = self._grad_scratch(0)
 
     def _check_window(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One window W, checked, and its contiguous Hankel rows (H+2, H n_x)."""
@@ -133,9 +140,16 @@ class SurrogateKernel:
     def _point(self, W: np.ndarray, dap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, v) as rows (S, n) from windows W (S, 2H+1, n_x) and their dap rows (S, H+2, n_u)."""
         S = len(W)
-        y = W[:, :self.H + 1].reshape(S, -1).dot(self._pows_rowT)
-        y += dap[:, 1:].reshape(S, -1).dot(self._PB_rowT)
+        # not y += ...: numpy takes its slow path for an in-place op on one element
+        y = (W[:, :self.H + 1].reshape(S, -1).dot(self._pows_rowT)
+             + dap[:, 1:].reshape(S, -1).dot(self._PB_rowT))
         return y, dap[:, 0] - y.dot(self._KT)
+
+    def _grad_scratch(self, S: int) -> tuple:
+        """grad's coefficient rows C (S, (H+2) n_u) and the views of C it
+        reads and writes: (C3 as (S, n_u, H+2), the g_u columns, the rest)."""
+        C = np.empty((S, (self.H + 2) * self.n_u))
+        return C.reshape(S, self.H + 2, self.n_u).swapaxes(1, 2), C[:, :self.n_u], C[:, self.n_u:]
 
     def point(self, blocks: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, v) with the whole policy window frozen at one parameter."""
@@ -150,26 +164,34 @@ class SurrogateKernel:
         return float(y @ Q @ y + v @ R @ v)
 
     def grad(self, cost: tuple, blocks: np.ndarray, W: np.ndarray,
-             hank: np.ndarray | None = None, dap: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gradient blocks, y, v): adjoint accumulation of the chain rule.
+             hank: np.ndarray | None = None, dap: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gradient, y, v): adjoint accumulation of the chain rule.
 
         Block r collects (A_K^j B)' (g_x - K' g_u) against w_{t-2-r-j} over
         j = 0..H, plus the direct input sensitivity g_u w_{t-1-r}'. A lockstep
         episode passes windows (S, 2H+1, n_x) with their contiguous Hankel rows
         hank, dap = disturbance_action(blocks, hank), shared with its control
-        input, and S costs (Q, R); one window W runs as a stack of one.
+        input, and S costs (Q, R); one window W runs as a stack of one. The
+        gradient comes back as blocks, (H, n_u, n_x) or (S, H, n_u, n_x);
+        given out of shape (S, n_u, H n_x), the blocks' flattened layout, it
+        is written there and out is returned in its place.
         """
         Q, R = cost
         solo = hank is None
         if solo:
             W, hank = self._check_window(W)
             W, hank, dap = W[None], hank[None], disturbance_action(blocks, hank)[None]
+        S = len(W)
         y, v = self._point(W, dap)
-        Rv = (R @ v[:, :, None])[:, :, 0]  # half the stage-cost gradient g_u = 2 R v
+        Rv = np.matvec(R, v)  # half the stage-cost gradient g_u = 2 R v
         # C = [g_u; (A_K^j B)' g_eff for j = 0..H], g_eff = 2 (Q y - K' R v) (doubled in _PB2_row)
-        g = (Q @ y[:, :, None])[:, :, 0] - Rv.dot(self.K)
-        C = np.concatenate([Rv + Rv, g.dot(self._PB2_row)], axis=1)
-        G = C.reshape(len(W), self.H + 2, self.n_u).swapaxes(1, 2) @ hank
-        G = G.reshape(G.shape[:2] + (self.H, self.n_x)).swapaxes(1, 2)
+        if len(self._scratch[0]) != S:
+            self._scratch = self._grad_scratch(S)
+        C3, C_u, C_x = self._scratch
+        np.add(Rv, Rv, out=C_u)
+        np.matmul(np.matvec(Q, y) - Rv.dot(self.K), self._PB2_row, out=C_x)
+        if out is not None:
+            return np.matmul(C3, hank, out=out), y, v
+        G = np.matmul(C3, hank).reshape(S, self.n_u, self.H, self.n_x).swapaxes(1, 2)
         return (G[0], y[0], v[0]) if solo else (G, y, v)

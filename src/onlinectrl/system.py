@@ -65,8 +65,11 @@ def initial_state(sys: LinearSystem, x0: np.ndarray | None = None,
     return x
 
 
-def recover_noise(x_next: np.ndarray, Ax: np.ndarray, Bu: np.ndarray) -> np.ndarray:
+def recover_noise(x_next: np.ndarray, Ax: np.ndarray, Bu: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Realized disturbance w_t = x_{t+1} - A x_t - B u_t, given the products
     A x_t and B u_t that the step forming x_{t+1} already computed; the
-    states and inputs may carry a leading seed axis."""
-    return x_next - Ax - Bu
+    states and inputs may carry a leading seed axis. Given out, the second
+    subtraction writes into it and out is returned; the first makes a new
+    array, because numpy's in-place path is slower on a one-element array."""
+    return np.subtract(x_next - Ax, Bu, out=out)

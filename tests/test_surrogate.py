@@ -243,3 +243,32 @@ def test_lockstep_grad_equals_single_window_calls(plant, H, S):
         y_p, v_p = kern.point(blocks[s], W[s])
         assert y_p.tobytes() == y_s.tobytes() and v_p.tobytes() == v_s.tobytes()
         assert kern.value(cost, blocks[s], W[s]) == float(y_s @ Q[s] @ y_s + v_s @ R[s] @ v_s)
+
+
+@pytest.mark.parametrize("plant,H", [("scalar", 1), ("scalar", 19), ("3x2", 4), ("3x2", 11)])
+def test_grad_out_is_the_flat_layout_of_the_blocks_return(plant, H):
+    """grad(..., out=) writes the gradient in the blocks' flattened layout
+    (S, n_u, H n_x) and returns out with the (y, v) of a call without it, bit
+    for bit; one kernel serves stacks of 3, 1 and 3 seeds in turn, and no
+    call writes W, hank or dap."""
+    sys_, K = _plant(plant)
+    n_x, n_u = sys_.n_x, sys_.n_u
+    kern = SurrogateKernel(sys_, K, H)
+    rng = np.random.default_rng(7 * H + n_x)
+    for S in (3, 1, 3):
+        W = rng.standard_normal((S, 2 * H + 1, n_x))
+        blocks = rng.standard_normal((S, H, n_u, n_x))
+        Q, R = (np.stack(m) for m in zip(*[_random_cost(rng, n_x, n_u) for _ in range(S)]))
+        hank = np.ascontiguousarray(_hankel(W, H, H + 2)[:, 0])
+        dap = disturbance_action(blocks, hank)
+        inputs = [a.copy() for a in (W, hank, dap)]
+        out = np.full((S, n_u, H * n_x), np.nan)
+        got, y_o, v_o = kern.grad((Q, R), blocks, W, hank, dap, out=out)
+        G, y, v = kern.grad((Q, R), blocks, W, hank, dap)
+        assert got is out
+        assert out.tobytes() == G.swapaxes(1, 2).reshape(S, n_u, -1).tobytes()
+        assert y_o.tobytes() == y.tobytes() and v_o.tobytes() == v.tobytes()
+        if S == 1:
+            assert G[0].tobytes() == kern.grad((Q[0], R[0]), blocks[0], W[0])[0].tobytes()
+        for a, before in zip((W, hank, dap), inputs):
+            assert a.tobytes() == before.tobytes()

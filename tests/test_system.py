@@ -69,3 +69,27 @@ def test_initial_state_default_and_validation():
     np.testing.assert_array_equal(initial_state(sys_, x0=[-DIVERGENCE_LIMIT]), [-1e12])
     with pytest.raises(ValueError, match="divergence guard"):
         initial_state(sys_, x0=[2.0], limit=1.0)
+
+
+@pytest.mark.parametrize("n_x,n_u", [(1, 1), (3, 2), (4, 4)])
+def test_recover_noise_into_out_is_the_full_expression(n_x, n_u):
+    """recover_noise(..., out=) writes x_next - Ax - Bu, bit for bit, into
+    out and returns it: a plain array, or a strided column of an (S, L, n_x)
+    buffer whose other rows stay as they were."""
+    rng = np.random.default_rng(100 + n_x * 10 + n_u)
+    A, B = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_x, n_u))
+    for lead in [(), (5,)]:  # one state, or a seed axis
+        x, u = rng.standard_normal(lead + (n_x,)), rng.standard_normal(lead + (n_u,))
+        x_next = rng.standard_normal(lead + (n_x,))
+        Ax, Bu = x @ A.T, u @ B.T
+        want = (x_next - Ax - Bu).tobytes()
+        out = np.full(lead + (n_x,), np.nan)
+        assert recover_noise(x_next, Ax, Bu, out=out) is out
+        assert out.tobytes() == want
+        buf = rng.standard_normal((5, 7, n_x))
+        before = buf.copy()
+        col = buf[:, 3] if lead else buf[2, 3]
+        assert recover_noise(x_next, Ax, Bu, out=col) is col
+        assert col.tobytes() == want
+        col[...] = before[:, 3] if lead else before[2, 3]
+        assert buf.tobytes() == before.tobytes()
