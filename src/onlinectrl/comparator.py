@@ -23,7 +23,6 @@ from .system import LinearSystem
 
 @dataclass
 class ComparatorResult:
-    kind: str
     cumulative_cost: float
     per_step_costs: np.ndarray
     descriptor: dict
@@ -33,12 +32,12 @@ class ComparatorResult:
 
 def _realized(sys: LinearSystem, cost_schedule: CostSchedule,
               realized_noise: np.ndarray) -> np.ndarray:
-    """realized_noise as a (T, n_x) float array that cost_schedule covers."""
+    """realized_noise as a (T, n_x) float array; cost_schedule must cover it and fit sys."""
     ws = np.asarray(realized_noise, dtype=float)
     if ws.ndim != 2 or ws.shape[1] != sys.n_x:
         raise ValueError(f"realized noise must be a (T, n_x) = (T, {sys.n_x}) array, "
                          f"got shape {ws.shape}")
-    cost_schedule.require_horizon(ws.shape[0])
+    cost_schedule.require_horizon(ws.shape[0], sys.n_x, sys.n_u)
     return ws
 
 
@@ -61,8 +60,8 @@ def rollout_gains(sys: LinearSystem, candidates: Sequence[np.ndarray],
     costs read only the noise before step t and the schedule's step t, so
     their first T' columns are those of a T'-step replay, bit for bit."""
     if not cost_schedules or len(realized_noise) != len(cost_schedules):
-        raise ValueError("pass one cost schedule and one noise array, "
-                         "or equal-length sequences of both")
+        raise ValueError("rollout_gains takes equal-length, non-empty sequences "
+                         "of cost schedules and noise arrays")
     if len(candidates) == 0:
         raise ValueError("candidate set is empty")
     ws = [_realized(sys, schedule, w) for schedule, w in zip(cost_schedules, realized_noise)]
@@ -97,7 +96,6 @@ def select_gain(candidates: Sequence[np.ndarray], costs: np.ndarray,
     totals = costs[:, :T].sum(axis=1)
     best = int(np.argmin(totals))
     return ComparatorResult(
-        kind="fixed_gain",
         cumulative_cost=float(totals[best]),
         per_step_costs=costs[best, :T],
         descriptor={"K": np.asarray(candidates[best], dtype=float).tolist(), "index": best},
@@ -107,22 +105,15 @@ def select_gain(candidates: Sequence[np.ndarray], costs: np.ndarray,
 
 
 def best_fixed_K(sys: LinearSystem, candidates: Sequence[np.ndarray],
-                 cost_schedule: CostSchedule | Sequence[CostSchedule],
-                 realized_noise: np.ndarray | Sequence[np.ndarray]) -> ComparatorResult | list:
+                 cost_schedule: CostSchedule, realized_noise: np.ndarray) -> ComparatorResult:
     """Cheapest fixed linear gain u = -Kx over the candidate set.
 
     All candidates are rolled out in one batch on the shared noise; ties
-    go to the first index. Equal-length sequences of cost schedules and
-    noise arrays, one per seed, roll out every (seed, candidate) pair in
-    one loop and return a list with each seed's result, the same as its
-    solo call.
+    go to the first index. Several seeds go through rollout_gains and
+    select_gain, as a batch does.
     """
-    solo = isinstance(cost_schedule, CostSchedule)
-    schedules = [cost_schedule] if solo else list(cost_schedule)
-    noises = [realized_noise] if solo else list(realized_noise)
-    costs = rollout_gains(sys, candidates, schedules, noises)
-    results = [select_gain(candidates, c, w, c.shape[1]) for c, w in zip(costs, noises)]
-    return results[0] if solo else results
+    costs, = rollout_gains(sys, candidates, [cost_schedule], [realized_noise])
+    return select_gain(candidates, costs, realized_noise, costs.shape[1])
 
 
 def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
@@ -149,7 +140,6 @@ def mstar_rollout(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,
     X = _states((sys.A - sys.B @ K)[None], (ws + dap @ sys.B.T)[:, None])[:, 0]
     costs = cost_schedule.stage_values(X, dap - X @ K.T)
     return ComparatorResult(
-        kind="mstar",
         cumulative_cost=float(costs.sum()),
         per_step_costs=costs,
         descriptor={"K": K.tolist(), "K_star": K_star.tolist(), "H": H},

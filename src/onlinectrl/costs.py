@@ -82,10 +82,14 @@ class CostSchedule:
     def horizon(self) -> int:
         return self.Q.shape[0]
 
-    def require_horizon(self, T: int) -> None:
-        """The one coverage check for a consumer of T steps."""
+    def require_horizon(self, T: int, n_x: int, n_u: int) -> None:
+        """The one check for a consumer of T steps on an (n_x, n_u) plant:
+        the schedule covers them, with n_x x n_x costs Q and n_u x n_u costs R."""
         if self.horizon < T:
             raise ValueError(f"cost schedule covers {self.horizon} steps, need {T}")
+        if (self.Q.shape[-1], self.R.shape[-1]) != (n_x, n_u):
+            raise ValueError(f"cost schedule dimensions (n_x, n_u) = ({self.Q.shape[-1]}, "
+                             f"{self.R.shape[-1]}) must match the system's ({n_x}, {n_u})")
 
     def reveal(self, t: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Step t's cost (Q_t, R_t), given the committed input(s) u."""

@@ -144,20 +144,20 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     second half holds the live blocks M_t. One square of that array per step
     fills a row of an (L, 2, S, n_u H n_x) scratch of L steps, summed once per
     chunk with the bits of per-step sums; the scratch holds 2 MiB (or one
-    step, if more) at any T. The step M_t - eta_t G_t goes into a raw scratch
-    laid out like the blocks, and its projection is written straight into the
-    live blocks.
+    step, if more) at any T. The step M_t - eta_t G_t then overwrites G_t in
+    the first half, and its projection is written straight into the live
+    blocks.
 
     Equal-length sequences of cost schedules and noise processes run one
     episode per seed in lockstep: states, blocks and the recovered-noise
     buffer gain a leading seed axis, and each per-step layer runs once per
     step for all seeds. On a scalar plant one project_scalar_stack call
     clips every seed's blocks; otherwise project runs once per seed, from
-    that seed's raw scratch into its live blocks. The result lists per seed
-    its EpisodeRecord, equal to its solo run's bit for bit for one seed, and
-    where A - B K = 0 with B and K diagonal; otherwise to within rounding
-    (tests hold 1e-12 relative). A diverged seed lists the
-    EpisodeDivergedError its solo run raises.
+    that seed's step, viewed in the blocks' layout, into its live blocks.
+    The result lists per seed its EpisodeRecord, equal to its solo run's bit
+    for bit for one seed, and where A - B K = 0 with B and K diagonal;
+    otherwise to within rounding (tests hold 1e-12 relative). A diverged
+    seed lists the EpisodeDivergedError its solo run raises.
     """
     solo = isinstance(cost_schedule, CostSchedule)
     schedules = [cost_schedule] if solo else list(cost_schedule)
@@ -167,12 +167,10 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
                          "or equal-length sequences of both")
     etas = lr_schedule.etas(T)  # also rejects T < 3
     for schedule in schedules:
-        schedule.require_horizon(T)
+        schedule.require_horizon(T, sys.n_x, sys.n_u)
     # every seed's costs in one schedule of (T, S, n, n) stacks
     Q, R = (_seed_axis([s.Q[:T] for s in schedules]), _seed_axis([s.R[:T] for s in schedules]))
     stage = CostSchedule(Q, R, schedules[0].g_c)
-    if (Q.shape[2:], R.shape[2:]) != ((sys.n_x, sys.n_x), (sys.n_u, sys.n_u)):
-        raise ValueError("cost schedule dimensions must match the system")
     if any(p.dim != sys.n_x for p in procs):
         raise ValueError("noise dimension must match the state dimension")
     if lr_schedule.kind == "strongly_convex" and not cert.diagonal:
@@ -194,10 +192,10 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     G_out = Gf.reshape(S, sys.n_u, -1)
     blocks = flat.reshape(S, sys.n_u, H, sys.n_x).swapaxes(1, 2)
     flatT = flat.reshape(S, sys.n_u, -1).swapaxes(1, 2)  # (S, H n_x, n_u), as disturbance_action
-    # M_t - eta_t G_t before projection, in the blocks' layout; its
-    # projection is written straight into the live blocks
-    raw = np.empty((S, sys.n_u, H, sys.n_x)).swapaxes(1, 2)
-    raw_flat = raw.swapaxes(1, 2).reshape(S, -1)
+    # G_t is spent once its square is taken, so its half then holds the step
+    # M_t - eta_t G_t; raw views it in the blocks' layout, and its projection
+    # is written straight into the live blocks
+    raw = Gf.reshape(S, sys.n_u, H, sys.n_x).swapaxes(1, 2)
     scalar = sys.n_x == sys.n_u == 1
     if scalar:  # one clip per step for all seeds, on bounds shaped like the blocks
         low, high = scalar_stack_bounds(S, H, kappa, gamma, kappa_B)
@@ -236,7 +234,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         if c == L - 1 or t == T - 1:
             np.add.reduce(chunk[:c + 1], axis=-1, out=sq[t - c:t + 1])
         Gf *= step_sizes[t]
-        np.subtract(flat, Gf, out=raw_flat)
+        np.subtract(flat, Gf, out=Gf)
         if scalar:
             project_scalar_stack(raw, low, high, blocks)
         else:

@@ -179,9 +179,8 @@ def test_regret_against_own_costs_is_zero():
     rec = run_episode(sys_, K, cert, schedule, proc,
                       LearningRateSchedule("constant_sqrtT"), 24)
     self_comp = ComparatorResult(
-        kind="fixed_gain", cumulative_cost=rec.cum_cost,
-        per_step_costs=rec.costs, descriptor={}, search_meta={},
-        noise_hash=rec.noise_hash)
+        cumulative_cost=rec.cum_cost, per_step_costs=rec.costs, descriptor={},
+        search_meta={}, noise_hash=rec.noise_hash)
     curve = regret(rec, self_comp)
     assert curve.regret_final == 0.0
     assert all(v == 0.0 for v in curve.checkpoints.values())
@@ -219,6 +218,19 @@ def test_every_consumer_rejects_a_short_cost_schedule(caller, steps):
     call(sys_, K, cert, constant_schedule(quadratic_cost(np.eye(3), np.eye(2)), 50), ws)
 
 
+@pytest.mark.parametrize("caller", sorted(_HORIZON_CALLERS))
+@pytest.mark.parametrize("n_q,n_r", [(2, 2), (4, 2), (3, 1), (3, 3)])
+def test_every_consumer_rejects_a_mis_sized_cost_schedule(caller, n_q, n_r):
+    """Costs sized for another plant used to fail inside einsum in the
+    comparators, with numpy's broadcasting message."""
+    sys_, K, cert = _plant_3x2_certified()
+    ws = RNG(4).standard_normal((50, 3))
+    wrong = constant_schedule(quadratic_cost(np.eye(n_q), np.eye(n_r)), 50)
+    with pytest.raises(ValueError, match=rf"dimensions \(n_x, n_u\) = \({n_q}, {n_r}\) "
+                                         r"must match the system's \(3, 2\)"):
+        _HORIZON_CALLERS[caller](sys_, K, cert, wrong, ws)
+
+
 def _seed_batch(plant, S, T=300):
     """(system, candidates, cost schedules, noise arrays) of S seeds on one plant."""
     if plant == "scalar":
@@ -246,10 +258,13 @@ def _seed_batch(plant, S, T=300):
 @pytest.mark.parametrize("plant", ["scalar", "mimo4", "3x2-student-t"])
 @pytest.mark.parametrize("S", [1, 3])
 def test_best_fixed_k_over_seeds_equals_per_seed_calls(plant, S):
+    """One rollout_gains replay of every seed, each selected at full length,
+    gives every seed's own best_fixed_K call bit for bit."""
     sys_, cands, schedules, ws = _seed_batch(plant, S)
-    batch = best_fixed_K(sys_, cands, schedules, ws)
-    assert isinstance(batch, list) and len(batch) == S
-    for schedule, w, got in zip(schedules, ws, batch):
+    costs = rollout_gains(sys_, cands, schedules, ws)
+    assert len(costs) == S
+    for schedule, w, c in zip(schedules, ws, costs):
+        got = select_gain(cands, c, w, c.shape[1])
         want = best_fixed_K(sys_, cands, schedule, w)
         assert got.per_step_costs.tobytes() == want.per_step_costs.tobytes()
         assert got.search_meta == want.search_meta  # every candidate's total, bit for bit
@@ -269,8 +284,9 @@ def test_selection_on_a_prefix_equals_the_shorter_replay(plant):
     assert [c.shape for c in costs] == [(len(cands), T_max)] * 2
     for T in (1, 37, 128, T_max - 1, T_max):
         _, _, short_schedules, short_ws = _seed_batch(plant, 2, T)
-        for c, w, want in zip(costs, ws, best_fixed_K(sys_, cands, short_schedules, short_ws)):
+        for c, w, short_schedule, short_w in zip(costs, ws, short_schedules, short_ws):
             got = select_gain(cands, c, w, T)
+            want = best_fixed_K(sys_, cands, short_schedule, short_w)
             assert got.per_step_costs.tobytes() == want.per_step_costs.tobytes()
             assert got.cumulative_cost == want.cumulative_cost
             assert got.descriptor == want.descriptor
@@ -281,15 +297,18 @@ def test_selection_on_a_prefix_equals_the_shorter_replay(plant):
             select_gain(cands, costs[0], ws[0], T)
 
 
-def test_best_fixed_k_rejects_unequal_or_empty_seed_lists():
+def test_rollout_gains_rejects_unequal_or_empty_seed_lists():
     sys_, cands, schedules, ws = _seed_batch("scalar", 3)
     for bad in ((schedules[:2], ws), (schedules, ws[:2]), (schedules, ws[0]), ([], [])):
-        with pytest.raises(ValueError, match="equal-length sequences of both"):
-            best_fixed_K(sys_, cands, *bad)
+        with pytest.raises(ValueError, match="equal-length, non-empty sequences"):
+            rollout_gains(sys_, cands, *bad)
     with pytest.raises(ValueError, match=r"\(T, n_x\)"):
-        best_fixed_K(sys_, cands, schedules[0], ws)
+        rollout_gains(sys_, cands, [schedules[0]], [ws])
     with pytest.raises(ValueError, match="first seed's 300 steps"):
-        best_fixed_K(sys_, cands, schedules, [ws[0], ws[1][:200], ws[2]])
+        rollout_gains(sys_, cands, schedules, [ws[0], ws[1][:200], ws[2]])
+    mixed = [schedules[0], adversarial_convex_schedule(41, 300, 2, 1), schedules[2]]
+    with pytest.raises(ValueError, match=r"dimensions \(n_x, n_u\) = \(2, 1\)"):
+        rollout_gains(sys_, cands, mixed, ws)
 
 
 def _certified(plant):
@@ -301,7 +320,8 @@ def _certified(plant):
 
 _NOISE_CALLERS = {name: call for name, call in _HORIZON_CALLERS.items()
                   if name != "run_episode"}  # which draws its own noise
-_NOISE_CALLERS["best_fixed_K over seeds"] = lambda sys_, K, cert, sched, ws: best_fixed_K(
+# a batch's best fixed gain over seeds: one rollout_gains replay of them all
+_NOISE_CALLERS["best_fixed_K over seeds"] = lambda sys_, K, cert, sched, ws: rollout_gains(
     sys_, [K], [sched] * 2, [np.zeros((len(ws), sys_.n_x)), ws])
 
 

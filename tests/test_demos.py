@@ -16,6 +16,7 @@ def test_demo_exits_0(demo, tmp_path):
     # temporary directories a demo makes (the scaling study's outputs) land in tmp_path
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # -W error: a demo that starts to warn fails here, as a warning fails the suite
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

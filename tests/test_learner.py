@@ -522,6 +522,14 @@ def test_lockstep_input_validation():
     for bad in ((schedules[:2], procs), (schedules[0], procs), (schedules, procs[0]), ([], [])):
         with pytest.raises(ValueError, match="equal-length sequences of both"):
             run_episode(sys_, K, cert, *bad, lr, T)
+    # seeds whose schedules differ in size, random and fixed: each seed's
+    # schedule is checked against the plant before the seeds are stacked
+    fixed = constant_schedule(quadratic_cost(np.eye(1), np.eye(1)), T)
+    for mixed in ([schedules[0], adversarial_convex_schedule(101, T, 2, 1), schedules[2]],
+                  [fixed, constant_schedule(quadratic_cost(np.eye(2), np.eye(1)), T), fixed]):
+        with pytest.raises(ValueError, match=r"dimensions \(n_x, n_u\) = \(2, 1\) must match "
+                                             r"the system's \(1, 1\)"):
+            run_episode(sys_, K, cert, mixed, procs, lr, T)
 
 
 def test_x0_validation():
