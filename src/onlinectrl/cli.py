@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write per-step JSONL traces")
     p_run.add_argument("--out", default="run_out", help="output directory")
     p_run.add_argument("--workers", type=int, default=1,
-                       help="process pool size, at most one process per horizon "
-                            "(1 runs in-process)")
+                       help="processes that run episodes, this one included, "
+                            "at most one per horizon (1 runs in-process)")
 
     p_const = sub.add_parser("constants",
                              help="print regret-bound constants as JSON")

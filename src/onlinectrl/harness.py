@@ -26,14 +26,15 @@ its seeds' inputs from those two, mixing the family seed with the episode
 seed. A batch runs one learner job per horizon, which learns all seeds in
 lockstep, and one comparator replay at the largest horizon: noise and
 costs are drawn per step, so each horizon selects its best fixed gain from
-the replay's first T steps. In process the largest horizon's job replays
-on its learner's noise; in a process pool the replay is a job of its own,
-started right after that learner. Outputs are byte-identical across
-invocations and worker counts, and each report row lists its regrets in
-ascending seed order whatever the config's seed order. The jobs open no
-file: write_outputs writes every file once all jobs have finished,
-report.json last, so a failed batch writes nothing and a present
-report.json marks a complete batch.
+the replay's first T steps. At one worker the largest horizon's job
+replays on its learner's noise. With more workers the calling process
+runs that learner first, and the replay, a job of its own, and the shorter
+horizons are dealt by length among child processes and the calling one.
+Outputs are byte-identical across invocations and worker counts, and each
+report row lists its regrets in ascending seed order whatever the config's
+seed order. The jobs open no file: write_outputs writes every file once
+all jobs have finished, report.json last, so a failed batch writes nothing
+and a present report.json marks a complete batch.
 Theory constants are pure functions of the config; they are
 astronomically conservative (growing as kappa^18) and are reported for
 the shape of the bound, not tightness.
@@ -51,8 +52,9 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, replace
 from math import isfinite, log, sqrt
 from typing import Optional
@@ -503,6 +505,70 @@ def _episode_job(exp: ExperimentConfig, T: int, seeds: tuple, trace: bool,
     return learned, best, traces
 
 
+def _send_jobs(conn, jobs: list) -> None:
+    """A child process's share of a batch: run jobs in order and send their
+    results, or the exception that stopped them with its traceback, once."""
+    try:
+        result = [_episode_job(*job) for job in jobs]
+    except BaseException as exc:  # the caller raises it
+        result = (exc, traceback.format_exc())
+    with conn:
+        conn.send(result)
+
+
+def _deal(jobs: list, T_max: int, children: int) -> tuple:
+    """jobs shared among children and the calling process, whose own
+    T_max learner comes first. In order, each job goes to the process with
+    the least load so far, a child on a tie; a learner job loads its T, and
+    the replay half of its T (on the criterion-7 batch the replay takes a
+    third of the T_max learner's time, and each shorter horizon more than
+    its share of T). Returns the children's shares and the calling
+    process's."""
+    loads, shares = [0] * children + [T_max], [[] for _ in range(children + 1)]
+    for job in jobs:
+        i = loads.index(min(loads))
+        shares[i].append(job)
+        loads[i] += job[1] if job[4] else job[1] / 2
+    return shares[:-1], shares[-1]
+
+
+def _run_beside_children(own: tuple, jobs: list, children: int) -> list:
+    """The results of own and of jobs, dealt by _deal. Each child runs its
+    share and sends the results once over its own pipe, while the calling
+    process runs own and then its share. Every child is joined before this
+    returns or raises, and terminated first if anything fails."""
+    child_shares, mine = _deal(jobs, own[1], children)
+    started = []
+    try:
+        for share in child_shares:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            with send:  # the child holds the only send end, so recv sees its exit
+                child = multiprocessing.Process(target=_send_jobs, args=(send, share))
+                child.start()
+            started.append((child, recv))
+        done = [_episode_job(*job) for job in (own, *mine)]
+        for child, recv in started:
+            try:
+                result = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a batch worker exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            if isinstance(result, tuple):
+                exc, text = result
+                raise exc from RuntimeError(f"raised in a batch worker:\n{text}")
+            done += result
+    except BaseException:
+        for child, _ in started:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in started:
+            child.join()
+            recv.close()
+    return done
+
+
 def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
               trace: bool = False, workers: int = 1) -> ScalingReport:
     """Run every (T, seed) cell and aggregate regret quantiles per T.
@@ -510,32 +576,35 @@ def run_batch(exp: ExperimentConfig, out_dir: Optional[str] = None,
     One learner job per horizon runs all its seeds in lockstep, so a seed's
     numbers depend on the config's seed list but not on the worker count.
     One comparator replay per batch, at the largest horizon T_max, gives
-    every horizon's best gain from its first T steps. In process (one
-    worker, or one horizon) the T_max job learns and then replays on its
-    learner's noise. With workers > 1 the jobs go to a process pool of at
-    most one process per horizon: the T_max learner, the replay as a job of
-    its own that draws its own inputs, then the other horizons, largest
-    first. Regrets are assembled here in ascending seed order, so every row
-    lists its regrets, and the report its divergences, in that order
-    whatever the config's order or the scheduling; a cell whose learner and
-    comparator saw different noise is refused. Diverged episodes are dropped
-    from the quantiles; once more than 20% of cells diverge the whole batch
-    is marked failed. The theory constants come first, so overflowing ones
-    reject the config before any episode runs. The jobs open no file:
-    out_dir, its traces and its outputs are written only after every job
-    has finished, so a failed batch writes nothing, and an unusable out_dir
-    raises OSError only then.
+    every horizon's best gain from its first T steps. At one worker, or
+    with one horizon, every job runs in process, and the T_max job learns
+    and then replays on its learner's noise. workers counts the processes
+    that run jobs, the calling one included, at most one per horizon; a
+    workers below 1 or not an int raises ValueError. With more than one,
+    the calling process learns T_max first, and the replay, as a job of its
+    own that draws its own inputs, and the other horizons, largest first,
+    are dealt by length among workers - 1 child processes and the calling
+    one (see _deal). Regrets are assembled here in ascending seed order, so
+    every row lists its regrets, and the report its divergences, in that
+    order whatever the config's order or the scheduling; a cell whose
+    learner and comparator saw different noise is refused. Diverged episodes are dropped from the quantiles; once more
+    than 20% of cells diverge the whole batch is marked failed. The theory
+    constants come first, so overflowing ones reject the config before any
+    episode runs. The jobs open no file: out_dir, its traces and its
+    outputs are written only after every job has finished, so a failed
+    batch writes nothing, and an unusable out_dir raises OSError only then.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     constants = compute_theory_constants(exp)
     trace = trace and out_dir is not None
     T_max, seeds = exp.horizons[-1], exp.seeds
     shorter = [(exp, T, seeds, trace, True, ()) for T in reversed(exp.horizons[:-1])]
     workers = min(workers, len(exp.horizons))  # a worker past one per horizon would idle
     if workers > 1:
-        jobs = [(exp, T_max, seeds, trace, True, ()),
-                (exp, T_max, seeds, False, False, exp.horizons), *shorter]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_episode_job, *zip(*jobs)))
+        done = _run_beside_children((exp, T_max, seeds, trace, True, ()),
+                                    [(exp, T_max, seeds, False, False, exp.horizons), *shorter],
+                                    workers - 1)
     else:
         jobs = [(exp, T_max, seeds, trace, True, exp.horizons), *shorter]
         done = [_episode_job(*job) for job in jobs]

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import importlib.util
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -17,3 +18,16 @@ def perfbench_workloads() -> dict:
     sys.modules[spec.name] = mod  # its dataclasses resolve annotations through it
     spec.loader.exec_module(mod)
     return mod.WORKLOADS
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_running():
+    """Fail a test that leaves a live multiprocessing child, after
+    terminating it so the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    if left:
+        pytest.fail(f"child processes left running: {left}")

@@ -4,8 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,30 +332,43 @@ def test_run_batch_worker_count_is_invisible(tmp_path):
 
 
 def test_run_batch_pool_holds_at_most_one_worker_per_horizon(monkeypatch):
-    """Each horizon is one job, so a larger pool would start idle workers;
-    a single job runs in-process without a pool."""
-    sizes = []
+    """Each horizon is one job and the calling process runs the largest, so
+    a batch starts workers - 1 children, capped at one process per horizon;
+    a single job runs in-process without a child."""
+    starts = []
+    start = multiprocessing.Process.start
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted(process):
+        starts.append(process)
+        start(process)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(hz, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing.Process, "start", counted)
     two = build_experiment(_base_doc())
     one = build_experiment(_base_doc(horizons=[8]))
-    for exp, workers, pools in ((two, 1, []), (two, 2, [2]), (two, 3, [2]), (one, 3, [])):
-        sizes.clear()
+    for exp, workers, children in ((two, 1, 0), (two, 2, 1), (two, 3, 1), (one, 3, 0)):
+        starts.clear()
         assert run_batch(exp, workers=workers).rows == run_batch(exp).rows
-        assert sizes == pools, (exp.horizons, workers)
+        assert len(starts) == children, (exp.horizons, workers)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("horizons,workers,children,caller", [
+    ((256, 512, 1024, 2048, 4096), 2, [["replay", 2048, 1024]], [512, 256]),
+    ((256, 512, 1024, 2048, 4096), 3, [["replay", 1024], [2048, 512, 256]], []),
+    ((256, 512, 1024, 2048, 4096), 5, [["replay"], [2048], [1024], [512, 256]], []),
+    ((1024, 4096), 2, [["replay", 1024]], []),
+], ids=["c7-2", "c7-3", "c7-5", "benchmark-2"])
+def test_deal_loads_each_process_by_horizon(horizons, workers, children, caller):
+    """Each job goes to the least-loaded process, a learner loading its T
+    and the replay half of T_max, and the calling process starts with its
+    T_max learner: every child gets work, and on the criterion-7 horizons
+    at two workers the calling process also learns the two smallest."""
+    T_max = horizons[-1]
+    jobs = [(None, T_max, (0,), False, False, horizons),
+            *((None, T, (0,), False, True, ()) for T in reversed(horizons[:-1]))]
+    shares, mine = hz._deal(jobs, T_max, workers - 1)
+    named = [[job[1] if job[4] else "replay" for job in share] for share in (*shares, mine)]
+    assert named == [*children, caller]
 
 
 def test_run_batch_csv_schema(tmp_path):
@@ -646,9 +663,19 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
         assert (out / name).exists()
 
 
-def test_cli_run_rejects_zero_workers(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, _base_doc())
-    assert cli_main(["run", "--config", cfg, "--workers", "0"]) == 2
+@pytest.mark.parametrize("workers", [0, -3, 2.0, "2", True, None],
+                         ids=["zero", "negative", "float", "string", "bool", "none"])
+def test_cli_run_rejects_zero_workers(tmp_path, capsys, monkeypatch, workers):
+    """The CLI exits 2 on a --workers below 1, and run_batch raises
+    ValueError on a workers below 1 or not an int, before any episode."""
+    exp = build_experiment(_base_doc())
+    monkeypatch.setattr(hz, "_episode_job", None)  # any episode would raise TypeError
+    with pytest.raises(ValueError, match=f"workers must be an int >= 1, got {workers!r}"):
+        run_batch(exp, workers=workers)
+    if workers in (0, -3):
+        cfg = _write_cfg(tmp_path, _base_doc())
+        assert cli_main(["run", "--config", cfg, "--workers", str(workers)]) == 2
+        assert capsys.readouterr().err == "invalid arguments: --workers must be >= 1\n"
 
 
 @pytest.mark.parametrize("mutate,needle", [
@@ -730,7 +757,7 @@ def test_cli_unallocatable_grid_exits_2(tmp_path, capsys):
 def test_cli_failed_batch_leaves_no_out_dir_of_its_own(tmp_path, capsys, monkeypatch,
                                                        case, workers):
     # the step sizes of T = 10^13 ask for 72.8 TiB, refused before anything is allocated;
-    # at two workers a pool starts and the failure comes back from a worker
+    # at two workers a child starts and the failure comes back from the calling process
     doc = _base_doc(horizons=[10 ** 13] if workers == 1 else [8, 10 ** 13])
     out = tmp_path / "kept" if case == "existing" else tmp_path / "new" / "out"
     if case == "existing":
@@ -761,6 +788,86 @@ def test_cli_failed_batch_leaves_no_out_dir_of_its_own(tmp_path, capsys, monkeyp
         assert (out / "report.json").read_text() == "{}"
     else:
         assert not (tmp_path / "new").exists()
+    assert multiprocessing.active_children() == []
+
+
+_FORK = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                           reason="the children must inherit the patched _episode_job")
+
+
+@_FORK
+@pytest.mark.parametrize("exc", [MemoryError("a child ran out"), ZeroDivisionError("a child")],
+                         ids=["memory", "zero-division"])
+def test_a_failing_child_job_raises_in_the_caller(tmp_path, capsys, monkeypatch, exc):
+    """A job that raises in a child raises its type and message in the
+    calling process, whose own job completes; every child is joined, and
+    onlinectrl run exits 2 on a MemoryError."""
+    doc = _base_doc(horizons=[8, 12, 16])
+    job = hz._episode_job
+
+    def shorter_horizons_raise(exp, T, *args):
+        if T < exp.horizons[-1]:
+            raise exc
+        return job(exp, T, *args)
+
+    monkeypatch.setattr(hz, "_episode_job", shorter_horizons_raise)
+    with pytest.raises(type(exc)) as raised:
+        run_batch(build_experiment(doc), workers=3)
+    assert str(raised.value) == str(exc)
+    assert "raised in a batch worker" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+    args = ["run", "--config", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "out"),
+            "--workers", "3"]
+    if isinstance(exc, MemoryError):
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err == f"invalid config: too large to allocate: {exc}\n"
+    else:
+        with pytest.raises(ZeroDivisionError, match="a child"):
+            cli_main(args)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+@_FORK
+def test_a_child_that_exits_without_sending_raises_its_exit_code(monkeypatch):
+    job = hz._episode_job
+
+    def shorter_horizons_exit(exp, T, *args):
+        if T < exp.horizons[-1]:
+            os._exit(3)
+        return job(exp, T, *args)
+
+    monkeypatch.setattr(hz, "_episode_job", shorter_horizons_exit)
+    with pytest.raises(RuntimeError, match="a batch worker exited with code 3 before sending"):
+        run_batch(build_experiment(_base_doc()), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_spawned_children_write_the_one_worker_tree(tmp_path):
+    """Under the spawn start method the children inherit nothing, so they
+    run on what the batch pickles for them alone; `onlinectrl run --trace`
+    at two workers then writes the one-worker tree byte for byte."""
+    cfg = _write_cfg(tmp_path, _base_doc(cost={"family": "random_quadratic", "seed": 7},
+                                         seeds=[1, 0]))
+    assert cli_main(["run", "--config", cfg, "--trace", "--out", str(tmp_path / "w1")]) == 0
+    src = str(Path(hz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    code = ("import multiprocessing, sys\n"
+            "from onlinectrl import cli\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    run = subprocess.run([sys.executable, "-c", code, "run", "--config", cfg, "--trace",
+                          "--out", str(tmp_path / "w2"), "--workers", "2"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    files = sorted(p.relative_to(tmp_path / "w1") for p in (tmp_path / "w1").rglob("*")
+                   if p.is_file())
+    assert len(files) == 4 + 4  # four batch files and a trace per cell
+    assert sorted(p.relative_to(tmp_path / "w2") for p in (tmp_path / "w2").rglob("*")
+                  if p.is_file()) == files
+    for name in files:
+        assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
