@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import CostSchedule
 from .learner import EpisodeRecord, noise_fingerprint
-from .policy import comparator_params, disturbance_action
+from .policy import _einsum, comparator_params, disturbance_action
 from .surrogate import _hankel
 from .system import LinearSystem
 
@@ -47,7 +47,7 @@ def _states(A_rows: np.ndarray, W_rows: np.ndarray) -> np.ndarray:
     X = np.empty(W_rows.shape)
     X[:1] = 0.0
     for t in range(W_rows.shape[0] - 1):
-        np.einsum("cxy,cy->cx", A_rows, X[t], out=X[t + 1])
+        _einsum("cxy,cy->cx", A_rows, X[t], out=X[t + 1])
         X[t + 1] += W_rows[t]
     return X
 

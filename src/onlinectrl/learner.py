@@ -25,6 +25,7 @@ from math import inf, log, sqrt
 from typing import IO, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .costs import CostSchedule
 from .noise import NoiseProcess, sample_episode
@@ -138,15 +139,23 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     revealed cost on the surrogate window, which ends at w_{t-1} and so
     is fully known once w_t has been recovered for the next step. The
     injected disturbances are drawn before the loop, with the values
-    sample(noise_proc, t) gives. recover_noise writes w_t straight into the
-    recovered-noise buffer, and grad writes G_t, in the blocks' flattened
-    layout, straight into the first half of one (2, S, n_u H n_x) array whose
-    second half holds the live blocks M_t. One square of that array per step
-    fills a row of an (L, 2, S, n_u H n_x) scratch of L steps, summed once per
-    chunk with the bits of per-step sums; the scratch holds 2 MiB (or one
-    step, if more) at any T. The step M_t - eta_t G_t then overwrites G_t in
-    the first half, and its projection is written straight into the live
-    blocks.
+    sample(noise_proc, t) gives.
+
+    Each step writes into buffers the episode owns and indexes nothing: its
+    Hankel rows are copied into one (S, H+2, H n_x) buffer, disturbance_action
+    writes into one (S, H+2, n_u) buffer, and control_input writes u straight
+    into its record row. The rows a step reads or writes come from iterators
+    over step-major views, and the views of dap and of each window's rows
+    0..H that grad's point reads are built once; none is a copy, so the
+    divergence reset's writes reach them. recover_noise writes w_t straight
+    into the recovered-noise buffer, and grad writes G_t, in the blocks'
+    flattened layout, straight into the first half of one (2, S, n_u H n_x)
+    array whose second half holds the live blocks M_t. One square of that
+    array per step fills a row of an (L, 2, S, n_u H n_x) scratch of L steps,
+    summed once per chunk with the bits of per-step sums; the scratch holds
+    2 MiB (or one step, if more) at any T. The step M_t - eta_t G_t then
+    overwrites G_t in the first half, and its projection is written straight
+    into the live blocks.
 
     Equal-length sequences of cost schedules and noise processes run one
     episode per seed in lockstep: states, blocks and the recovered-noise
@@ -210,30 +219,46 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     # w_r and the 2H+1 rows after row T-1 stay zero, so step t's surrogate
     # window (window[m] = w_{t-1-m}) and its Hankel rows start at row T-t.
     buf = np.zeros((S, T + 2 * H + 1, sys.n_x))
-    hanks = _hankel(buf, H, H + 2)
+    # each step copies its Hankel rows into hank and disturbance_action's
+    # product into dap; grad's point reads dap's row 0 and its rows 1..H+1
+    # (one flat row per seed) through views built once here
+    hank = np.empty((S, H + 2, H * sys.n_x))
+    dap = np.empty((S, H + 2, sys.n_u))
+    dap0, dap_rest = dap[:, 0], dap[:, 1:].reshape(S, -1)
     us = np.empty((T, S, sys.n_u))
     sq = np.empty((T, 2, S))  # squared Frobenius norms of G_t and M_t, summed per chunk
     L = min(max(_NORM_CHUNK_FLOATS // flat.size, 1), T)  # steps per chunk
     chunk = np.empty((L,) + GM.shape)
     outcome: list = [None] * S
 
-    for t in range(T):
-        x = xs[t]
-        hank = np.ascontiguousarray(hanks[:, T - t])
-        dap = hank @ flatT  # disturbance_action(blocks, hank)
-        u = control_input(K, x, dap[:, 0])
-        cost = stage.reveal(t, u)
-        us[t] = u
-        Ax, Bu = x.dot(A_T), u.dot(B_T)  # shared by the step and the noise recovery
-        x_next = np.add(Ax + Bu, ws[t], out=xs[t + 1])  # not +=: slow on one element
-        recover_noise(x_next, Ax, Bu, out=buf[:, T - 1 - t])
+    # Every row a step reads or writes comes from an iterator over the first
+    # axis of a step-major view built here, none a copy, so the divergence
+    # reset's writes reach them. Step t reads row T-t of buf's strided views:
+    # its Hankel rows, its window, and the window's rows 0..H as one flat row;
+    # it writes w_t into row T-1-t.
+    def newest_first(view):
+        return view.swapaxes(0, 1)[T:0:-1]
 
-        kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap, out=G_out)
+    windows = sliding_window_view(buf, 2 * H + 1, axis=1).swapaxes(2, 3)
+    steps = zip(range(T), xs, xs[1:], xrows[1:], us, ws, step_sizes,
+                newest_first(_hankel(buf, H, H + 2)), newest_first(windows),
+                newest_first(_hankel(buf, H + 1, 1)[:, :, 0]), buf.swapaxes(0, 1)[T - 1::-1])
+    for t, x, x_out, every, u_out, w, eta, hank_rows, W, W_rows, w_out in steps:
+        np.copyto(hank, hank_rows)
+        np.matmul(hank, flatT, out=dap)  # disturbance_action(blocks, hank)
+        u = control_input(K, x, dap0, out=u_out)
+        cost = stage.reveal(t, u)
+        Ax, Bu = x.dot(A_T), u.dot(B_T)  # shared by the step and the noise recovery
+        x_next = np.add(Ax + Bu, w, out=x_out)  # not +=: slow on one element
+        recover_noise(x_next, Ax, Bu, out=w_out)
+
+        kern.grad(cost, blocks, W, hank, dap, out=G_out, rows=W_rows, dap0=dap0,
+                  dap_rest=dap_rest)
         c = t % L
         np.square(GM, out=chunk[c])
         if c == L - 1 or t == T - 1:
             np.add.reduce(chunk[:c + 1], axis=-1, out=sq[t - c:t + 1])
-        Gf *= step_sizes[t]
+        Gf *= eta
         np.subtract(flat, Gf, out=Gf)
         if scalar:
             project_scalar_stack(raw, low, high, blocks)
@@ -241,7 +266,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
             for view, live in pairs:
                 project(view, kappa, gamma, kappa_B, live)
 
-        every = xrows[t + 1]  # no seed's norm exceeds the norm of all together
+        # every holds x_{t+1} of all seeds: no seed's norm exceeds their norm together
         if not sqrt(every.dot(every)) <= divergence_limit:  # also trips on NaN
             for s, row in enumerate(x_next):
                 norm = sqrt(row.dot(row))

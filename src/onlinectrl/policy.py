@@ -28,6 +28,10 @@ except ImportError:  # a numpy without that private name: the public wrapper, sa
     # for finite input (it raises LinAlgError where the gufunc gives NaN)
     def _eigh(a: np.ndarray, signature: str) -> tuple:
         return np.linalg.eigh(a)
+try:
+    from numpy._core._multiarray_umath import c_einsum as _einsum  # np.einsum's C entry
+except ImportError:  # a numpy without that private name: the public wrapper, same bits
+    _einsum = np.einsum
 
 from .stability import closed_loop_powers
 from .system import LinearSystem
@@ -78,9 +82,10 @@ def is_admissible(M: PolicyParams, kappa: float, gamma: float, kappa_B: float) -
 
 @lru_cache(maxsize=None, typed=True)
 def _radii(H: int, kappa: float, gamma: float, kappa_B: float) -> tuple:
-    """r, r^4 and -r, r as (H, 1, 1) columns; shared by every call, so read-only."""
+    """r as an (H, 1) column, r^4, and -r, r as (H, 1, 1) columns; shared by
+    every call, so read-only."""
     radii = admissible_radii(H, kappa, gamma, kappa_B)
-    table = (radii, radii ** 4, -radii[:, None, None], radii[:, None, None])
+    table = (radii[:, None], radii ** 4, -radii[:, None, None], radii[:, None, None])
     for a in table:
         a.flags.writeable = False
     return table
@@ -107,7 +112,7 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float, kappa_B: float,
     blocks are made, and M_raw is still never written.
     """
     blocks = M_raw.blocks
-    radii, r4, low, high = _radii(blocks.shape[0], kappa, gamma, kappa_B)
+    column, r4, low, high = _radii(blocks.shape[0], kappa, gamma, kappa_B)
     if blocks.shape[1] == 1 and blocks.shape[2] == 1:  # np.clip, without its wrapper's cost
         if out is not None:
             return np.minimum(np.maximum(blocks, low, out=out), high, out=out)
@@ -115,7 +120,7 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float, kappa_B: float,
         return PolicyParams(np.minimum(clipped, high, out=clipped))
     wide = blocks if blocks.shape[1] <= blocks.shape[2] else blocks.transpose(0, 2, 1)
     gram = wide @ wide.transpose(0, 2, 1).copy()  # matmul is slower on a strided operand
-    idx = (np.einsum("hij,hij->h", gram, gram) > r4).nonzero()[0]
+    idx = (_einsum("hij,hij->h", gram, gram) > r4).nonzero()[0]
     if out is not None:
         np.copyto(out, blocks)  # the kept blocks; the clipped ones are overwritten below
     if not idx.size:
@@ -123,13 +128,15 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float, kappa_B: float,
     lam, V = _eigh(gram.take(idx, 0), signature="d->dd")
     # in place, lam becomes the shrink min(1, r / max(sqrt(max(lam, 0)), 1e-300)) - 1
     root = np.maximum(np.sqrt(np.maximum(lam, 0.0, out=lam), out=lam), 1e-300, out=lam)
-    np.minimum(1.0, np.divide(radii.take(idx)[:, None], root, out=lam), out=lam)
+    np.minimum(1.0, np.divide(column.take(idx, 0), root, out=lam), out=lam)
     lam -= 1.0
     Mb = wide.take(idx, 0)
     VtM = V.transpose(0, 2, 1) @ Mb
     V *= lam[:, None, :]
+    new = V @ VtM
+    new += Mb
     result = blocks.copy() if out is None else out
-    (result if wide is blocks else result.transpose(0, 2, 1))[idx] = Mb + V @ VtM
+    (result if wide is blocks else result.transpose(0, 2, 1))[idx] = new
     return PolicyParams(result) if out is None else out
 
 
@@ -170,10 +177,13 @@ def disturbance_action(blocks: np.ndarray, hank: np.ndarray) -> np.ndarray:
     return hank @ flat.swapaxes(-1, -2)
 
 
-def control_input(K: np.ndarray, x: np.ndarray, dap: np.ndarray) -> np.ndarray:
+def control_input(K: np.ndarray, x: np.ndarray, dap: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """u = -K x + sum_i M^[i-1] w_{t-i}, given that disturbance-action term
-    dap (row 0 of disturbance_action); x and dap may carry a leading seed axis."""
-    return dap - x.dot(K.T)
+    dap (row 0 of disturbance_action); x and dap may carry a leading seed axis.
+    Given out, which must not overlap x or dap (an episode passes its record
+    row of the step), u is written there and out is returned."""
+    return np.subtract(dap, x.dot(K.T), out=out)
 
 
 def comparator_params(sys: LinearSystem, K: np.ndarray, K_star: np.ndarray,

@@ -137,13 +137,19 @@ class SurrogateKernel:
                 f"window must have shape ({2 * self.H + 1}, {self.n_x}), got {W.shape}")
         return W, np.ascontiguousarray(_hankel(W, self.H, self.H + 2)[0])
 
-    def _point(self, W: np.ndarray, dap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y, v) as rows (S, n) from windows W (S, 2H+1, n_x) and their dap rows (S, H+2, n_u)."""
+    def _rows(self, W: np.ndarray, dap: np.ndarray) -> tuple:
+        """_point's inputs from windows W (S, 2H+1, n_x) and their dap rows
+        (S, H+2, n_u): each window's first H+1 rows as one flat row, dap's
+        row 0, and dap's rows 1..H+1 as one flat row."""
         S = len(W)
+        return W[:, :self.H + 1].reshape(S, -1), dap[:, 0], dap[:, 1:].reshape(S, -1)
+
+    def _point(self, rows: np.ndarray, dap0: np.ndarray,
+               dap_rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, v) as rows (S, n) from the flat rows that _rows gives."""
         # not y += ...: numpy takes its slow path for an in-place op on one element
-        y = (W[:, :self.H + 1].reshape(S, -1).dot(self._pows_rowT)
-             + dap[:, 1:].reshape(S, -1).dot(self._PB_rowT))
-        return y, dap[:, 0] - y.dot(self._KT)
+        y = rows.dot(self._pows_rowT) + dap_rest.dot(self._PB_rowT)
+        return y, dap0 - y.dot(self._KT)
 
     def _grad_scratch(self, S: int) -> tuple:
         """grad's coefficient rows C (S, (H+2) n_u) and the views of C it
@@ -154,7 +160,7 @@ class SurrogateKernel:
     def point(self, blocks: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, v) with the whole policy window frozen at one parameter."""
         W, hank = self._check_window(W)
-        y, v = self._point(W[None], disturbance_action(blocks, hank)[None])
+        y, v = self._point(*self._rows(W[None], disturbance_action(blocks, hank)[None]))
         return y[0], v[0]
 
     def value(self, cost: tuple, blocks: np.ndarray, W: np.ndarray) -> float:
@@ -165,7 +171,9 @@ class SurrogateKernel:
 
     def grad(self, cost: tuple, blocks: np.ndarray, W: np.ndarray,
              hank: np.ndarray | None = None, dap: np.ndarray | None = None,
-             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             out: np.ndarray | None = None, *, rows: np.ndarray | None = None,
+             dap0: np.ndarray | None = None,
+             dap_rest: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gradient, y, v): adjoint accumulation of the chain rule.
 
         Block r collects (A_K^j B)' (g_x - K' g_u) against w_{t-2-r-j} over
@@ -176,14 +184,22 @@ class SurrogateKernel:
         gradient comes back as blocks, (H, n_u, n_x) or (S, H, n_u, n_x);
         given out of shape (S, n_u, H n_x), the blocks' flattened layout, it
         is written there and out is returned in its place.
+
+        rows, dap0 and dap_rest, given together, are the views of W and dap
+        that the point reads: each window's rows 0..H as one flat row
+        (S, (H+1) n_x), dap[:, 0] and dap[:, 1:] as (S, (H+1) n_u). An episode
+        builds them once over its own buffers; without them they are sliced
+        from W and dap, and the same code runs on them.
         """
         Q, R = cost
         solo = hank is None
         if solo:
             W, hank = self._check_window(W)
             W, hank, dap = W[None], hank[None], disturbance_action(blocks, hank)[None]
-        S = len(W)
-        y, v = self._point(W, dap)
+        if rows is None:
+            rows, dap0, dap_rest = self._rows(W, dap)
+        S = len(rows)
+        y, v = self._point(rows, dap0, dap_rest)
         Rv = np.matvec(R, v)  # half the stage-cost gradient g_u = 2 R v
         # C = [g_u; (A_K^j B)' g_eff for j = 0..H], g_eff = 2 (Q y - K' R v) (doubled in _PB2_row)
         if len(self._scratch[0]) != S:

@@ -16,7 +16,8 @@ from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
                                 noise_fingerprint, run_episode)
 from onlinectrl.noise import NoiseProcess, sample, sample_episode
 from onlinectrl.policy import (PolicyParams, admissible_radii, control_input, horizon_H,
-                               is_admissible, project)
+                               is_admissible, project, project_scalar_stack,
+                               scalar_stack_bounds)
 from onlinectrl.stability import build_certificate, certify
 from onlinectrl.surrogate import SurrogateKernel, _hankel
 from onlinectrl.system import DIVERGENCE_LIMIT, initial_state, make_system, recover_noise
@@ -405,6 +406,163 @@ def _assert_bitwise_equal(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
         else:
             assert a == b, field.name
+
+
+def _reference_episode(sys_, K, cert, schedules, procs, lr, T, H=None, x0=None,
+                       divergence_limit=DIVERGENCE_LIMIT):
+    """run_episode's lockstep loop as it stood before its buffers and views
+    were built once per episode: every step copies its Hankel rows into a
+    fresh array, computes a fresh dap, copies u into us[t] and slices its
+    window and its rows of the buffers by index. The episode-owned form must
+    equal it byte for byte. Returns per seed its EpisodeRecord or
+    EpisodeDivergedError."""
+    etas = lr.etas(T)
+    Q, R = (learner._seed_axis([s.Q[:T] for s in schedules]),
+            learner._seed_axis([s.R[:T] for s in schedules]))
+    stage = CostSchedule(Q, R, schedules[0].g_c)
+    kappa, gamma, kappa_B = cert.kappa, cert.gamma, sys_.kappa_B
+    H = horizon_H(T, gamma) if H is None else H
+    K = np.asarray(K, dtype=float)
+    kern = SurrogateKernel(sys_, K, H)
+    S = len(procs)
+    step_sizes, A_T, B_T = etas.tolist(), sys_.A.T, sys_.B.T
+    GM = np.zeros((2, S, sys_.n_u * H * sys_.n_x))
+    Gf, flat = GM
+    G_out = Gf.reshape(S, sys_.n_u, -1)
+    blocks = flat.reshape(S, sys_.n_u, H, sys_.n_x).swapaxes(1, 2)
+    flatT = flat.reshape(S, sys_.n_u, -1).swapaxes(1, 2)
+    raw = Gf.reshape(S, sys_.n_u, H, sys_.n_x).swapaxes(1, 2)
+    scalar = sys_.n_x == sys_.n_u == 1
+    if scalar:
+        low, high = scalar_stack_bounds(S, H, kappa, gamma, kappa_B)
+    else:
+        pairs = [(PolicyParams(r), b) for r, b in zip(raw, blocks)]
+    xs = np.empty((T + 1, S, sys_.n_x))
+    xrows = xs.reshape(T + 1, -1)
+    xs[0] = initial_state(sys_, x0, divergence_limit)
+    noise = [sample_episode(p, T) for p in procs]
+    ws = np.stack(noise, axis=1)
+    buf = np.zeros((S, T + 2 * H + 1, sys_.n_x))
+    hanks = _hankel(buf, H, H + 2)
+    us = np.empty((T, S, sys_.n_u))
+    sq = np.empty((T, 2, S))
+    L = min(max(learner._NORM_CHUNK_FLOATS // flat.size, 1), T)
+    chunk = np.empty((L,) + GM.shape)
+    outcome = [None] * S
+
+    for t in range(T):
+        x = xs[t]
+        hank = np.ascontiguousarray(hanks[:, T - t])
+        dap = hank @ flatT
+        u = control_input(K, x, dap[:, 0])
+        cost = stage.reveal(t, u)
+        us[t] = u
+        Ax, Bu = x.dot(A_T), u.dot(B_T)
+        x_next = np.add(Ax + Bu, ws[t], out=xs[t + 1])
+        recover_noise(x_next, Ax, Bu, out=buf[:, T - 1 - t])
+
+        kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap, out=G_out)
+        c = t % L
+        np.square(GM, out=chunk[c])
+        if c == L - 1 or t == T - 1:
+            np.add.reduce(chunk[:c + 1], axis=-1, out=sq[t - c:t + 1])
+        Gf *= step_sizes[t]
+        np.subtract(flat, Gf, out=Gf)
+        if scalar:
+            project_scalar_stack(raw, low, high, blocks)
+        else:
+            for view, live in pairs:
+                project(view, kappa, gamma, kappa_B, live)
+
+        every = xrows[t + 1]
+        if not math.sqrt(every.dot(every)) <= divergence_limit:
+            for s, row in enumerate(x_next):
+                norm = math.sqrt(row.dot(row))
+                if not norm <= divergence_limit:
+                    outcome[s] = outcome[s] or EpisodeDivergedError(step=t, norm=norm)
+                    x_next[s], buf[s], blocks[s] = 0.0, 0.0, 0.0
+            if None not in outcome:
+                break
+
+    for s in [s for s, done in enumerate(outcome) if done is None]:
+        seed_xs, seed_us = np.ascontiguousarray(xs[:, s]), np.ascontiguousarray(us[:, s])
+        seed_costs = schedules[s].stage_values(seed_xs[:T], seed_us)
+        outcome[s] = EpisodeRecord(
+            T=T, H=H, xs=seed_xs, us=seed_us, ws=noise[s],
+            ws_recovered=buf[s, T - 1::-1].copy(), costs=seed_costs, etas=etas,
+            grad_frobs=np.sqrt(sq[:, 0, s]), m_frobs=np.sqrt(sq[:, 1, s]),
+            cum_cost=float(seed_costs.sum()), M_final=PolicyParams(blocks[s].copy()),
+            noise_hash=noise_fingerprint(noise[s]),
+        )
+    return outcome
+
+
+def _plant_4x4():
+    """A 4x4 plant whose closed loop A - B K = V diag(0.5, 0.3, -0.2, 0.1) V^-1
+    is not diagonal, with an upper-triangular B."""
+    V = np.eye(4) + 0.3 * np.random.default_rng(3).standard_normal((4, 4))
+    B = np.eye(4) + 0.2 * np.triu(np.ones((4, 4)), 1)
+    K = 0.3 * np.eye(4) + 0.05 * np.ones((4, 4))
+    sys_ = make_system(V @ np.diag([0.5, 0.3, -0.2, 0.1]) @ np.linalg.inv(V) + B @ K, B)
+    return sys_, K, certify(sys_, K, 2.0, 0.4)
+
+
+def _reference_case(name):
+    """(system, K, cert, schedules, noise processes, lr, T, H) of a case held
+    byte for byte to the reference episode."""
+    if name.startswith("scalar-random-costs"):
+        sys_, K, cert, schedules, procs, lr, T, H = _lockstep_case("scalar-random-costs")
+        S = int(name[-1])
+        return sys_, K, cert, schedules[:S], procs[:S], lr, T, H
+    if name == "3x2-student-t-clipping-S2":
+        return _lockstep_case("3x2-student-t-clipping")
+    sys_, K, cert = _plant_4x4()
+    T = 64
+    schedule = constant_schedule(quadratic_cost(np.diag([1.0, 2.0, 0.5, 1.5]),
+                                                np.diag([0.5, 1.0, 2.0, 0.7])), T)
+    procs = [NoiseProcess("student_t", 1.0, dim=4, seed=41, df=5.0)]
+    lr = LearningRateSchedule("strongly_convex", alpha_tilde=1.0)
+    return sys_, K, cert, [schedule], procs, lr, T, 31
+
+
+@pytest.mark.parametrize("name", ["scalar-random-costs-S1", "scalar-random-costs-S3",
+                                  "3x2-student-t-clipping-S2", "4x4-H31-S1"])
+def test_episode_equals_the_reference_loop_byte_for_byte(name):
+    """Every record field equals the reference loop's, for a solo call and a
+    lockstep one; the 3x2 and 4x4 cases clip blocks through project's eigh."""
+    sys_, K, cert, schedules, procs, lr, T, H = _reference_case(name)
+    want = _reference_episode(sys_, K, cert, schedules, procs, lr, T, H)
+    got = run_episode(sys_, K, cert, schedules, procs, lr, T, H=H)
+    for g, w in zip(got, want, strict=True):
+        _assert_bitwise_equal(g, w)
+    if len(procs) == 1:
+        _assert_bitwise_equal(run_episode(sys_, K, cert, schedules[0], procs[0], lr, T, H=H),
+                              want[0])
+    if sys_.n_x > 1:
+        radii = admissible_radii(got[0].H, cert.kappa, cert.gamma, sys_.kappa_B)
+        assert any(np.any(np.linalg.norm(rec.M_final.blocks, 2, axis=(1, 2))
+                          >= radii * (1 - 1e-9)) for rec in got)
+
+
+def test_episode_with_a_seed_diverging_equals_the_reference_loop():
+    """A seed that diverges mid-episode is reset through the buffers the
+    step's views read: the error and the siblings' records equal the
+    reference loop's, byte for byte."""
+    sys_, K, cert, schedules, procs, lr, T, _ = _lockstep_case("scalar-random-costs")
+    free = run_episode(sys_, K, cert, schedules, procs, lr, T)
+    peaks = [float(np.max(np.linalg.norm(rec.xs[1:], axis=1))) for rec in free]
+    order = np.argsort(peaks)
+    limit = 0.5 * (peaks[order[-1]] + peaks[order[-2]])
+    want = _reference_episode(sys_, K, cert, schedules, procs, lr, T,
+                              divergence_limit=limit)
+    got = run_episode(sys_, K, cert, schedules, procs, lr, T, divergence_limit=limit)
+    wild = int(order[-1])
+    assert isinstance(want[wild], EpisodeDivergedError) and 0 < want[wild].step < T - 1
+    assert isinstance(got[wild], EpisodeDivergedError)
+    assert (got[wild].step, got[wild].norm) == (want[wild].step, want[wild].norm)
+    for s in range(len(procs)):
+        if s != wild:
+            _assert_bitwise_equal(got[s], want[s])
 
 
 def _chunk_to(monkeypatch, L, S, D):

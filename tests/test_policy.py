@@ -21,6 +21,10 @@ try:
     from numpy.linalg._umath_linalg import eigh_lo
 except ImportError:  # project falls back to np.linalg.eigh
     eigh_lo = None
+try:
+    from numpy._core._multiarray_umath import c_einsum
+except ImportError:  # project and the comparator's replay fall back to np.einsum
+    c_einsum = None
 
 KAPPA, GAMMA, KAPPA_B = 1.0, 0.5, 1.0
 
@@ -307,6 +311,27 @@ def test_comparator_params_rejects_inadmissible():
                           kappa=1.0, gamma=0.5)
 
 
+@pytest.mark.parametrize("n_u,n_x", [(1, 1), (2, 3), (4, 4)])
+def test_control_input_out_equals_the_returned_input(n_u, n_x):
+    """control_input(out=) returns out holding the returned form's bits, for
+    one seed and for three: into a fresh array and into row t of a (T, S, n_u)
+    record, the other rows untouched, from dap's row 0 viewed in its buffer."""
+    rng = np.random.default_rng(59 + n_u + n_x)
+    K = rng.standard_normal((n_u, n_x))
+    for S in (1, 3):
+        x = rng.standard_normal((S, n_x))
+        dap0 = rng.standard_normal((S, 5, n_u))[:, 0]
+        want = control_input(K, x, dap0)
+        us = np.full((4, S, n_u), 7.0)
+        for out in (np.empty((S, n_u)), us[2]):
+            assert control_input(K, x, dap0, out=out) is out
+            assert out.tobytes() == want.tobytes()
+        assert np.all(us[[0, 1, 3]] == 7.0)
+        solo = np.empty(n_u)
+        assert control_input(K, x[0], dap0[0], out=solo) is solo
+        assert solo.tobytes() == control_input(K, x[0], dap0[0]).tobytes()
+
+
 def test_sample_admissible_deterministic_per_seed():
     a = sample_admissible(np.random.default_rng(99), 3, 2, 2, KAPPA, GAMMA, KAPPA_B)
     b = sample_admissible(np.random.default_rng(99), 3, 2, 2, KAPPA, GAMMA, KAPPA_B)
@@ -419,6 +444,25 @@ def test_direct_eigh_gufunc_equals_np_linalg_eigh():
             assert np.array_equal(lam, want_lam) and np.array_equal(V, want_V)
 
 
+@pytest.mark.skipif(c_einsum is None, reason="this numpy has no c_einsum")
+def test_direct_einsum_equals_np_einsum():
+    """project's Frobenius test and the comparator's replay call np.einsum's C
+    entry directly; a numpy that moves or changes it fails here instead of
+    changing results. Both subscripts, the replay's written into out."""
+    assert policy._einsum is c_einsum
+    rng = np.random.default_rng(97)
+    for c, n in ((22, 1), (4, 4), (3, 2)):
+        A, x = rng.standard_normal((c, n, n)), rng.standard_normal((c, n))
+        got, want = np.empty((c, n)), np.empty((c, n))
+        assert c_einsum("cxy,cy->cx", A, x, out=got) is got
+        np.einsum("cxy,cy->cx", A, x, out=want)
+        assert got.tobytes() == want.tobytes()
+    for k, n in ((1, 2), (18, 4), (40, 3)):
+        gram = rng.standard_normal((k, n, n))
+        assert (c_einsum("hij,hij->h", gram, gram).tobytes()
+                == np.einsum("hij,hij->h", gram, gram).tobytes())
+
+
 _CLIPPING_STACKS = textwrap.dedent("""
     import numpy as np
     from onlinectrl.policy import PolicyParams, project
@@ -450,3 +494,35 @@ def test_project_falls_back_to_np_linalg_eigh_without_the_gufunc():
     with contextlib.redirect_stdout(here):
         exec(_CLIPPING_STACKS, {})
     assert len(here.getvalue().split()) == 2 and run.stdout == here.getvalue()
+
+
+_REPLAY = textwrap.dedent("""
+    from onlinectrl.comparator import _states
+    rng = np.random.default_rng(91)
+    for c, n in ((22, 1), (4, 4)):
+        A = 0.3 * rng.standard_normal((c, n, n))
+        print(_states(A, rng.standard_normal((64, c, n))).tobytes().hex())
+""")
+
+
+@pytest.mark.skipif(c_einsum is None, reason="every test here already runs the fallback")
+def test_einsum_falls_back_to_np_einsum_without_the_c_entry():
+    """A numpy without the private c_einsum still imports the package, and
+    project on clipping stacks and the comparator's state replay give the
+    in-process bits through np.einsum."""
+    src = str(Path(policy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # np.einsum keeps its own reference; the name is gone while onlinectrl imports
+    removed = ("import numpy as np\n"
+               "import numpy._core._multiarray_umath as umath\n"
+               "del umath.c_einsum\n"
+               "import onlinectrl.comparator, onlinectrl.policy\n"
+               "assert onlinectrl.policy._einsum is np.einsum\n")
+    run = subprocess.run([sys.executable, "-c", removed + _CLIPPING_STACKS + _REPLAY],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_CLIPPING_STACKS + _REPLAY, {})
+    assert len(here.getvalue().split()) == 4 and run.stdout == here.getvalue()

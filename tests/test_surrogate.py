@@ -200,9 +200,15 @@ def test_grad_matches_finite_differences_non_square():
 
 
 def _plant(name):
-    """(system, K): a scalar loop with A - B K = 0.2, or a 3x2 plant with dense B."""
+    """(system, K): a scalar loop with A - B K = 0.2, a 3x2 plant with dense B,
+    or a 4x4 plant with an upper-triangular B and a non-diagonal closed loop."""
     if name == "scalar":
         return make_system([[0.6]], [[1.0]]), np.array([[0.4]])
+    if name == "4x4":
+        B = np.eye(4) + 0.2 * np.triu(np.ones((4, 4)), 1)
+        K = 0.3 * np.eye(4) + 0.05 * np.ones((4, 4))
+        A_K = np.diag([0.5, 0.3, -0.2, 0.1]) + 0.1 * np.tril(np.ones((4, 4)), -1)
+        return make_system(A_K + B @ K, B), K
     B = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.3]])
     K = np.array([[0.2, -0.1, 0.3], [0.1, 0.25, -0.2]])
     return make_system(np.diag([0.3, -0.2, 0.1]) + B @ K, B), K
@@ -270,3 +276,49 @@ def test_grad_out_is_the_flat_layout_of_the_blocks_return(plant, H):
         assert y_o.tobytes() == y.tobytes() and v_o.tobytes() == v.tobytes()
         for a, before in zip((W, hank, dap), inputs):
             assert a.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("plant,H", [("scalar", 1), ("scalar", 19), ("3x2", 4), ("3x2", 11),
+                                     ("4x4", 31)])
+def test_grad_on_prebuilt_rows_equals_the_window_form(plant, H):
+    """grad given the views an episode builds once -- each window's rows 0..H
+    as one flat row of a strided view of the recovered-noise buffer, and dap's
+    row 0 and rows 1..H+1 as views of one dap buffer -- returns the window
+    form's bits, with and without out, and at one seed the solo call's. One
+    kernel serves 3, 1 and 3 seeds in turn, so its scratch is rebuilt each
+    time; no call writes W, hank or dap."""
+    sys_, K = _plant(plant)
+    n_x, n_u = sys_.n_x, sys_.n_u
+    kern = SurrogateKernel(sys_, K, H)
+    rng = np.random.default_rng(11 * H + n_x)
+    T = 9
+    for S in (3, 1, 3):
+        buf = np.zeros((S, T + 2 * H + 1, n_x))
+        buf[:, :T] = rng.standard_normal((S, T, n_x))
+        blocks = rng.standard_normal((S, H, n_u, n_x))
+        flatT = blocks.swapaxes(1, 2).reshape(S, n_u, -1).swapaxes(1, 2)
+        Q, R = (np.stack(m) for m in zip(*[_random_cost(rng, n_x, n_u) for _ in range(S)]))
+        rows = _hankel(buf, H + 1, 1)[:, :, 0]
+        hank, dap = np.empty((S, H + 2, H * n_x)), np.empty((S, H + 2, n_u))
+        dap0, dap_rest = dap[:, 0], dap[:, 1:].reshape(S, -1)
+        for p in (0, T // 2, T):  # p = T: a window wholly in the zero padding
+            W = buf[:, p:p + 2 * H + 1]
+            np.copyto(hank, _hankel(buf, H, H + 2)[:, p])
+            np.matmul(hank, flatT, out=dap)
+            inputs = [a.copy() for a in (W, hank, dap)]
+            G, y, v = kern.grad((Q, R), blocks, W, hank, dap)
+            views = dict(rows=rows[:, p], dap0=dap0, dap_rest=dap_rest)
+            out = np.full((S, n_u, H * n_x), np.nan)
+            got, y_o, v_o = kern.grad((Q, R), blocks, W, hank, dap, out=out, **views)
+            assert got is out
+            assert out.tobytes() == G.swapaxes(1, 2).reshape(S, n_u, -1).tobytes()
+            G_b, y_b, v_b = kern.grad((Q, R), blocks, W, hank, dap, **views)
+            assert G_b.tobytes() == G.tobytes()
+            for a, b in ((y_o, y), (v_o, v), (y_b, y), (v_b, v)):
+                assert a.tobytes() == b.tobytes()
+            if S == 1:
+                solo = kern.grad((Q[0], R[0]), blocks[0], W[0])
+                for a, b in zip(solo, (G[0], y[0], v[0])):
+                    assert a.tobytes() == b.tobytes()
+            for a, before in zip((W, hank, dap), inputs):
+                assert a.tobytes() == before.tobytes()
