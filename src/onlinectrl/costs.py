@@ -93,7 +93,7 @@ class CostSchedule:
 
     def reveal(self, t: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Step t's cost (Q_t, R_t), given the committed input(s) u."""
-        if not 0 <= t < self.horizon:
+        if not 0 <= t < len(self.Q):  # the horizon, without a property call per step
             raise ValueError(f"step {t} outside horizon [0, {self.horizon})")
         return self.Q[t], self.R[t]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from math import inf, log, sqrt
 from typing import IO, Optional, Sequence
 
@@ -154,8 +155,8 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     array per step fills a row of an (L, 2, S, n_u H n_x) scratch of L steps,
     summed once per chunk with the bits of per-step sums; the scratch holds
     2 MiB (or one step, if more) at any T. The step M_t - eta_t G_t then
-    overwrites G_t in the first half, and its projection is written straight
-    into the live blocks.
+    overwrites G_t in the first half, with a constant eta as one 0-d array,
+    and its projection is written straight into the live blocks.
 
     Equal-length sequences of cost schedules and noise processes run one
     episode per seed in lockstep: states, blocks and the recovered-noise
@@ -191,7 +192,10 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     kern = SurrogateKernel(sys, K, H)
 
     S = len(procs)
-    step_sizes, A_T, B_T = etas.tolist(), sys.A.T, sys.B.T  # cheaper to use in the loop
+    A_T, B_T = sys.A.T, sys.B.T  # cheaper to use in the loop
+    # G_t *= eta takes about half the time with a 0-d array as with a float, so a
+    # constant step size is one 0-d array, reused; one built per step would cost more
+    step_sizes = repeat(np.asarray(etas[0]), T) if (etas == etas[0]).all() else etas.tolist()
     # G_t and the live blocks M_t side by side, each (S, n_u H n_x): the blocks'
     # flattened layout, which grad writes into. One np.square per step fills a
     # norm-scratch row of both. The blocks start at zero, as an (S, H, n_u, n_x)
@@ -243,23 +247,26 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     steps = zip(range(T), xs, xs[1:], xrows[1:], us, ws, step_sizes,
                 newest_first(_hankel(buf, H, H + 2)), newest_first(windows),
                 newest_first(_hankel(buf, H + 1, 1)[:, :, 0]), buf.swapaxes(0, 1)[T - 1::-1])
+    # looked up once per episode, after perfbench's tracer (if any) has wrapped the
+    # methods on their class, so each traced layer still sees one call per step
+    copyto, matmul, add, subtract, square = np.copyto, np.matmul, np.add, np.subtract, np.square
+    reveal, grad = stage.reveal, kern.grad
     for t, x, x_out, every, u_out, w, eta, hank_rows, W, W_rows, w_out in steps:
-        np.copyto(hank, hank_rows)
-        np.matmul(hank, flatT, out=dap)  # disturbance_action(blocks, hank)
+        copyto(hank, hank_rows)
+        matmul(hank, flatT, out=dap)  # disturbance_action(blocks, hank)
         u = control_input(K, x, dap0, out=u_out)
-        cost = stage.reveal(t, u)
+        cost = reveal(t, u)
         Ax, Bu = x.dot(A_T), u.dot(B_T)  # shared by the step and the noise recovery
-        x_next = np.add(Ax + Bu, w, out=x_out)  # not +=: slow on one element
+        x_next = add(Ax + Bu, w, out=x_out)  # not +=: slow on one element
         recover_noise(x_next, Ax, Bu, out=w_out)
 
-        kern.grad(cost, blocks, W, hank, dap, out=G_out, rows=W_rows, dap0=dap0,
-                  dap_rest=dap_rest)
+        grad(cost, blocks, W, hank, dap, out=G_out, rows=W_rows, dap0=dap0, dap_rest=dap_rest)
         c = t % L
-        np.square(GM, out=chunk[c])
+        square(GM, out=chunk[c])
         if c == L - 1 or t == T - 1:
-            np.add.reduce(chunk[:c + 1], axis=-1, out=sq[t - c:t + 1])
+            add.reduce(chunk[:c + 1], axis=-1, out=sq[t - c:t + 1])
         Gf *= eta
-        np.subtract(flat, Gf, out=Gf)
+        subtract(flat, Gf, out=Gf)
         if scalar:
             project_scalar_stack(raw, low, high, blocks)
         else:

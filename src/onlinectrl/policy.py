@@ -9,9 +9,10 @@ The admissible set M is a product of spectral-norm balls, one per block:
 ||M^[i]|| <= 2 kappa_B kappa^3 (1-gamma)^i. Projection onto it therefore
 factorizes into per-block singular-value clipping, which is exact for
 the Frobenius metric on the stacked blocks. For 1x1 blocks it is an
-elementwise clip, so project_scalar_stack clips every seed's blocks of a
-lockstep episode in one call, against bounds that scalar_stack_bounds
-builds once per episode; project serves one seed's blocks of any shape.
+elementwise clip, one call of numpy's clip ufunc, so project_scalar_stack
+clips every seed's blocks of a lockstep episode in one call, against
+bounds that scalar_stack_bounds builds once per episode; project serves
+one seed's blocks of any shape, and clips 1x1 blocks with the same ufunc.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ try:
     from numpy._core._multiarray_umath import c_einsum as _einsum  # np.einsum's C entry
 except ImportError:  # a numpy without that private name: the public wrapper, same bits
     _einsum = np.einsum
+try:
+    from numpy._core.umath import clip as _clip  # the ufunc np.clip calls after its wrapper
+except ImportError:  # a numpy without that private name: max then min, the same bits for
+    # bounds -r < r (both keep -0, ±r and a NaN's bits)
+    def _clip(a: np.ndarray, low: np.ndarray, high: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        return np.minimum(np.maximum(a, low, out=out), high, out=out)
 
 from .stability import closed_loop_powers
 from .system import LinearSystem
@@ -104,7 +112,9 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float, kappa_B: float,
     diag(lam) V', from np.linalg.eigh's LAPACK gufunc without its wrapper
     (same bits; NaN and a RuntimeWarning where the wrapper would raise). As
     lam is exact to about eps s_1^2, singular values below sqrt(eps) s_1
-    clip only to within their own size. 1x1 blocks are clipped directly.
+    clip only to within their own size. 1x1 blocks are clipped directly, in
+    one call of the ufunc np.clip calls after its wrapper, with the bits of
+    np.maximum then np.minimum.
 
     Given an (H, n_u, n_x) array out, which may be strided (one seed's
     blocks of a seed-major stack), the projection is written into it with
@@ -113,11 +123,9 @@ def project(M_raw: PolicyParams, kappa: float, gamma: float, kappa_B: float,
     """
     blocks = M_raw.blocks
     column, r4, low, high = _radii(blocks.shape[0], kappa, gamma, kappa_B)
-    if blocks.shape[1] == 1 and blocks.shape[2] == 1:  # np.clip, without its wrapper's cost
-        if out is not None:
-            return np.minimum(np.maximum(blocks, low, out=out), high, out=out)
-        clipped = np.maximum(blocks, low)
-        return PolicyParams(np.minimum(clipped, high, out=clipped))
+    if blocks.shape[1] == 1 and blocks.shape[2] == 1:
+        clipped = _clip(blocks, low, high, out=out)
+        return clipped if out is not None else PolicyParams(clipped)
     wide = blocks if blocks.shape[1] <= blocks.shape[2] else blocks.transpose(0, 2, 1)
     gram = wide @ wide.transpose(0, 2, 1).copy()  # matmul is slower on a strided operand
     idx = (_einsum("hij,hij->h", gram, gram) > r4).nonzero()[0]
@@ -152,10 +160,10 @@ def project_scalar_stack(raw: np.ndarray, low: np.ndarray, high: np.ndarray,
     """project of every seed's 1x1 blocks at once: raw, low, high and out are
     (S, H, 1, 1), low and high from scalar_stack_bounds. Each entry gets the
     bits of project(PolicyParams(raw[s]), ..., out=out[s]), since the same
-    ufuncs clip it in the same order; only out is written, and returned.
-    Operands of one shape, all contiguous, keep numpy on its elementwise
-    fast path: bounds broadcast over the seed axis are slower even at S = 1."""
-    return np.minimum(np.maximum(raw, low, out=out), high, out=out)
+    clip ufunc clips it; only out is written, and returned. Operands of one
+    shape, all contiguous, keep numpy on its elementwise fast path: bounds
+    broadcast over the seed axis are slower even at S = 1."""
+    return _clip(raw, low, high, out=out)
 
 
 def sample_admissible(rng: np.random.Generator, H: int, n_u: int, n_x: int,

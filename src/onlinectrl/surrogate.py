@@ -110,9 +110,13 @@ class SurrogateKernel:
     one whose product fills a slice of grad's coefficient rows C is
     np.matmul(out=), since ndarray.dot writes only into a contiguous out.
     The seeds' own cost matrices meet their rows through np.matvec, which
-    needs no column axis and is cheaper than `@` on one. C is a scratch the
-    kernel owns, made again when the number of seeds changes, so one kernel
-    serves one thread.
+    needs no column axis and is cheaper than `@` on one; on a scalar plant,
+    as the kernel decides when built, R v and Q y are elementwise products
+    of the costs' (S, 1) views and the rows, at half a matvec's cost. Such a
+    product keeps a -0 (R = 0, or v = 0) that np.matvec, summing from +0,
+    turns into +0; the gradient's matmul sums from +0 too, so G has the
+    same bits either way. C is a scratch the kernel owns, made again when
+    the number of seeds changes, so one kernel serves one thread.
     """
 
     def __init__(self, sys: LinearSystem, K: np.ndarray, H: int):
@@ -122,6 +126,7 @@ class SurrogateKernel:
         self.H = H
         self.K = np.asarray(K, dtype=float)
         self.n_x, self.n_u = B.shape
+        self._scalar = self.n_x == self.n_u == 1
         pows = closed_loop_powers(sys.A, B, self.K, H + 1)
         # row a, column j*n + b holds A_K^j[a, b] and (A_K^j B)[a, b]; kept transposed
         self._pows_rowT = pows.transpose(1, 0, 2).reshape(self.n_x, -1).T
@@ -200,13 +205,17 @@ class SurrogateKernel:
             rows, dap0, dap_rest = self._rows(W, dap)
         S = len(rows)
         y, v = self._point(rows, dap0, dap_rest)
-        Rv = np.matvec(R, v)  # half the stage-cost gradient g_u = 2 R v
+        # R v is half the stage-cost gradient g_u = 2 R v
+        if self._scalar:  # 1x1 costs: their (S, 1) views times the rows
+            Rv, Qy = R[..., 0] * v, Q[..., 0] * y
+        else:
+            Rv, Qy = np.matvec(R, v), np.matvec(Q, y)
         # C = [g_u; (A_K^j B)' g_eff for j = 0..H], g_eff = 2 (Q y - K' R v) (doubled in _PB2_row)
         if len(self._scratch[0]) != S:
             self._scratch = self._grad_scratch(S)
         C3, C_u, C_x = self._scratch
         np.add(Rv, Rv, out=C_u)
-        np.matmul(np.matvec(Q, y) - Rv.dot(self.K), self._PB2_row, out=C_x)
+        np.matmul(Qy - Rv.dot(self.K), self._PB2_row, out=C_x)
         if out is not None:
             return np.matmul(C3, hank, out=out), y, v
         G = np.matmul(C3, hank).reshape(S, self.n_u, self.H, self.n_x).swapaxes(1, 2)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from onlinectrl import costs, learner
+from onlinectrl.cli import main as cli_main
 from onlinectrl.costs import (CostSchedule, adversarial_convex_schedule,
                               constant_schedule, quadratic_cost)
 from onlinectrl.learner import (EpisodeDivergedError, EpisodeRecord,
@@ -817,3 +818,85 @@ def test_trace_jsonl_equals_per_step_dumps(plant):
         assert buf.getvalue() == _jsonl_per_step(record)
     assert "NaN" in _jsonl_per_step(odd) and "-Infinity" in _jsonl_per_step(odd)
 
+
+
+@pytest.mark.parametrize("plant,S", [("scalar", 1), ("scalar", 3), ("3x2", 1), ("3x2", 2)])
+def test_only_matrix_costs_call_np_matvec(plant, S, monkeypatch):
+    """A scalar episode forms its cost products R v and Q y without the
+    np.matvec gufunc; a 3x2 plant calls it twice per step for all its seeds."""
+    case = "scalar-random-costs" if plant == "scalar" else "3x2-student-t-clipping"
+    sys_, K, cert, schedules, procs, lr, T, H = _lockstep_case(case)
+    calls = []
+
+    def counted(*args, matvec=np.matvec, **kwargs):
+        calls.append(None)
+        return matvec(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matvec", counted)
+    if S == 1:
+        run_episode(sys_, K, cert, schedules[0], procs[0], lr, T, H=H)
+    else:
+        run_episode(sys_, K, cert, schedules[:S], procs[:S], lr, T, H=H)
+    assert len(calls) == (0 if plant == "scalar" else 2 * T)
+
+
+def _negative_zeros(a):
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
+class _MatvecKernel(SurrogateKernel):
+    """The surrogate kernel held to its np.matvec branch on every plant."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._scalar = False
+
+
+@pytest.mark.parametrize("Q,R", [(1.0, 0.0), (0.0, 1.0)], ids=["R=0", "Q=0"])
+def test_zero_costs_keep_the_matvec_forms_records_and_outputs(Q, R, monkeypatch, tmp_path):
+    """With R = 0 (or Q = 0) the scalar products R v (Q y) are -0 wherever
+    v (y) is negative, where np.matvec gives +0. That sign never reaches an
+    output: lockstep and solo records, and the files of a traced
+    `onlinectrl run`, equal the matvec form's byte for byte."""
+    sys_, K, cert = _scalar_setup()
+    T = 60
+    schedule = constant_schedule(quadratic_cost([[Q]], [[R]]), T)
+    procs = [NoiseProcess("gaussian", 1.0, dim=1, seed=s) for s in range(3)]
+    lr = LearningRateSchedule("constant_sqrtT")
+    signed_zeros = []
+
+    class Spy(SurrogateKernel):
+        def grad(self, cost, *args, **kwargs):
+            G, y, v = super().grad(cost, *args, **kwargs)
+            signed_zeros.append(_negative_zeros(cost[1][..., 0] * v)
+                                + _negative_zeros(cost[0][..., 0] * y))
+            return G, y, v
+
+    doc = {"system": {"A": [[0.5]], "B": [[1.0]]},
+           "gain": {"K": [[0.5]], "kappa": 1.0, "gamma": 0.9},
+           "cost": {"family": "quadratic", "Q": [[Q]], "R": [[R]]},
+           "noise": {"family": "gaussian", "scale": 1.0, "seed": 42},
+           "schedule": {"kind": "constant_sqrtT"}, "horizons": [16, 32], "seeds": [0, 1],
+           "comparator": {"grid": {"min": 0.4, "max": 0.6, "count": 3}}, "delta": 0.1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    runs = []
+    for kernel in (Spy, _MatvecKernel):
+        monkeypatch.setattr(learner, "SurrogateKernel", kernel)
+        records = run_episode(sys_, K, cert, [schedule] * 3, procs, lr, T)
+        records.append(run_episode(sys_, K, cert, schedule, procs[0], lr, T))
+        out = tmp_path / kernel.__name__
+        assert cli_main(["run", "--config", str(cfg), "--trace", "--out", str(out),
+                         "--workers", "1"]) == 0
+        files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*"))
+                 if f.is_file()}
+        runs.append((records, files))
+    assert sum(signed_zeros) > 0
+    (got, got_files), (want, want_files) = runs
+    for g, w in zip(got, want, strict=True):
+        _assert_bitwise_equal(g, w)
+        texts = [io.StringIO(), io.StringIO()]
+        g.write_jsonl(texts[0])
+        w.write_jsonl(texts[1])
+        assert texts[0].getvalue() == texts[1].getvalue()
+    assert got_files == want_files and len(got_files) > 2

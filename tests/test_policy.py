@@ -25,6 +25,10 @@ try:
     from numpy._core._multiarray_umath import c_einsum
 except ImportError:  # project and the comparator's replay fall back to np.einsum
     c_einsum = None
+try:
+    from numpy._core.umath import clip as clip_ufunc
+except ImportError:  # both scalar clips fall back to max then min
+    clip_ufunc = None
 
 KAPPA, GAMMA, KAPPA_B = 1.0, 0.5, 1.0
 
@@ -142,6 +146,54 @@ def test_project_scalar_stack_equals_per_seed_project(S, layout):
     if layout == "strided":
         assert np.all(around[:, [0, -1]] == 7.0)
     assert np.isnan(out).any() and np.signbit(out[out == 0.0]).any()
+
+
+# Scalar blocks at the clip's edge cases, one kind per seed row at every block of
+# radius r: ±0, ±inf, NaN of either sign with a payload, subnormals, ±r exactly,
+# one ulp beyond and one ulp inside.
+_EDGE_BLOCKS = textwrap.dedent("""
+    import numpy as np
+    from onlinectrl.policy import admissible_radii
+    H, radius = 8, (1.0, 0.5, 1.0)
+    r = admissible_radii(H, *radius)
+    nans = np.array([0x7ff8000000000123, 0xfff8000000000456], dtype=np.uint64).view(float)
+    kinds = [0.0, -0.0, np.inf, -np.inf, *nans, 5e-324, -5e-324, 1e-310, -1e-310,
+             r, -r, np.nextafter(r, np.inf), np.nextafter(-r, -np.inf),
+             np.nextafter(r, 0.0), np.nextafter(-r, 0.0)]
+    raw = np.stack([np.broadcast_to(k, (H,)) for k in kinds])[:, :, None, None]
+""")
+_EDGE_CLIPS = textwrap.dedent("""
+    from onlinectrl.policy import PolicyParams, project, project_scalar_stack, scalar_stack_bounds
+    low, high = scalar_stack_bounds(len(raw), H, *radius)
+    print(project_scalar_stack(raw, low, high, np.empty_like(raw)).tobytes().hex())
+    for row in raw:
+        print(project(PolicyParams(row), *radius).blocks.tobytes().hex(),
+              project(PolicyParams(row), *radius, out=np.empty_like(row)).tobytes().hex())
+""")
+
+
+def test_both_scalar_clips_equal_max_then_min_bitwise():
+    """project's 1x1 branch, with and without out, and project_scalar_stack
+    give the bits of np.minimum(np.maximum(raw, -r), r) on every edge case,
+    and keep a NaN's sign and payload."""
+    ns = {}
+    exec(_EDGE_BLOCKS, ns)
+    raw, H, radius = ns["raw"], ns["H"], ns["radius"]
+    if clip_ufunc is not None:
+        assert policy._clip is clip_ufunc
+    r = admissible_radii(H, *radius)[:, None, None]
+    want = np.minimum(np.maximum(raw, -r), r)
+    low, high = scalar_stack_bounds(len(raw), H, *radius)
+    out = np.empty_like(raw)
+    assert project_scalar_stack(raw, low, high, out) is out
+    assert out.tobytes() == want.tobytes()
+    for row, want_row in zip(raw, want):
+        assert project(PolicyParams(row), *radius).blocks.tobytes() == want_row.tobytes()
+        into = np.empty_like(row)
+        assert project(PolicyParams(row), *radius, out=into) is into
+        assert into.tobytes() == want_row.tobytes()
+    assert want[4:6].tobytes() == raw[4:6].tobytes()  # the NaN rows pass through
+    assert np.signbit(want[1]).all() and (want[1] == 0.0).all()
 
 
 def test_project_is_closest_point():
@@ -526,3 +578,44 @@ def test_einsum_falls_back_to_np_einsum_without_the_c_entry():
     with contextlib.redirect_stdout(here):
         exec(_CLIPPING_STACKS + _REPLAY, {})
     assert len(here.getvalue().split()) == 4 and run.stdout == here.getvalue()
+
+
+_SCALAR_EPISODE = textwrap.dedent("""
+    from onlinectrl.costs import adversarial_convex_schedule
+    from onlinectrl.learner import LearningRateSchedule, run_episode
+    from onlinectrl.noise import NoiseProcess
+    from onlinectrl.stability import certify
+    from onlinectrl.system import make_system
+    sys_, K = make_system([[0.6]], [[1.0]]), np.array([[0.4]])
+    lr = LearningRateSchedule("strongly_convex", alpha_tilde=0.37)
+    for rec in run_episode(sys_, K, certify(sys_, K, 1.0, 0.8),
+                           [adversarial_convex_schedule(7 + s, 30, 1, 1) for s in range(3)],
+                           [NoiseProcess("laplace", 2.0, dim=1, seed=s) for s in range(3)],
+                           lr, 30, H=5):
+        print(rec.M_final.blocks.tobytes().hex(), rec.us.tobytes().hex())
+""")
+
+
+@pytest.mark.skipif(clip_ufunc is None, reason="every test here already runs the fallback")
+def test_clip_falls_back_to_max_then_min_without_the_ufunc():
+    """A numpy without the private clip ufunc still imports the package, and
+    both scalar clips on every edge case, and a clipping scalar lockstep
+    episode, give the in-process bits through np.maximum and np.minimum."""
+    src = str(Path(policy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # the name is gone while onlinectrl imports, and back for np.clip
+    removed = ("import numpy._core.umath as umath\n"
+               "clip = umath.clip\n"
+               "del umath.clip\n"
+               "import onlinectrl.policy\n"
+               "umath.clip = clip\n"
+               "assert onlinectrl.policy._clip is not clip\n")
+    script = _EDGE_BLOCKS + _EDGE_CLIPS + _SCALAR_EPISODE
+    run = subprocess.run([sys.executable, "-c", removed + script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(script, {})
+    assert len(here.getvalue().splitlines()) == 1 + 16 + 3 and run.stdout == here.getvalue()

@@ -322,3 +322,47 @@ def test_grad_on_prebuilt_rows_equals_the_window_form(plant, H):
                     assert a.tobytes() == b.tobytes()
             for a, before in zip((W, hank, dap), inputs):
                 assert a.tobytes() == before.tobytes()
+
+
+def _negative_zeros(a):
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
+@pytest.mark.parametrize("S", [1, 2, 5])
+def test_scalar_grad_products_equal_the_matvec_form(S):
+    """On a scalar plant grad forms R v and Q y as products of (S, 1) rows;
+    its y, v and G equal, bit for bit, those of a kernel held to its np.matvec
+    branch, with and without out, and at one seed in the solo form too. The
+    costs include R = 0 and Q = 0, both PSD, so some products are -0 where
+    np.matvec, which sums from +0, gives +0: the gradient matmul sums them from
+    +0 as well, so G keeps the matvec form's bits."""
+    sys_, K = _plant("scalar")
+    rng = np.random.default_rng(61 + S)
+    signed_zeros = np.zeros(2, dtype=int)
+    for H in (1, 19):
+        kern, matvec = SurrogateKernel(sys_, K, H), SurrogateKernel(sys_, K, H)
+        matvec._scalar = False
+        for trial in range(8):
+            W = rng.standard_normal((S, 2 * H + 1, 1))
+            blocks = rng.standard_normal((S, H, 1, 1))
+            Q, R = rng.uniform(0.1, 1.0, (2, S, 1, 1))
+            R[rng.random(S) < 0.5] = 0.0
+            if trial % 2:
+                Q[rng.random(S) < 0.5] = 0.0
+            hank = np.ascontiguousarray(_hankel(W, H, H + 2)[:, 0])
+            dap = disturbance_action(blocks, hank)
+            G, y, v = kern.grad((Q, R), blocks, W, hank, dap)
+            want = matvec.grad((Q, R), blocks, W, hank, dap)
+            for got, w in zip((G, y, v), want):
+                assert got.tobytes() == w.tobytes()
+            out, want_out = np.full((2, S, 1, H), np.nan)
+            kern.grad((Q, R), blocks, W, hank, dap, out=out)
+            matvec.grad((Q, R), blocks, W, hank, dap, out=want_out)
+            assert out.tobytes() == want_out.tobytes()
+            if S == 1:
+                solo = kern.grad((Q[0], R[0]), blocks[0], W[0])
+                for got, w in zip(solo, matvec.grad((Q[0], R[0]), blocks[0], W[0])):
+                    assert got.tobytes() == w.tobytes()
+            signed_zeros += [_negative_zeros(R[..., 0] * v), _negative_zeros(Q[..., 0] * y)]
+            assert not any(_negative_zeros(np.matvec(M, x)) for M, x in ((R, v), (Q, y)))
+    assert signed_zeros.all()  # R v and Q y both met -0
