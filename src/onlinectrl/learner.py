@@ -26,7 +26,6 @@ from math import inf, log, sqrt
 from typing import IO, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .costs import CostSchedule
 from .noise import NoiseProcess, sample_episode
@@ -146,12 +145,13 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     Hankel rows are copied into one (S, H+2, H n_x) buffer, disturbance_action
     writes into one (S, H+2, n_u) buffer, and control_input writes u straight
     into its record row. The rows a step reads or writes come from iterators
-    over step-major views, and the views of dap and of each window's rows
-    0..H that grad's point reads are built once; none is a copy, so the
-    divergence reset's writes reach them. recover_noise writes w_t straight
-    into the recovered-noise buffer, and grad writes G_t, in the blocks'
-    flattened layout, straight into the first half of one (2, S, n_u H n_x)
-    array whose second half holds the live blocks M_t. One square of that
+    over step-major views, and grad is passed only what it reads: hank, the
+    window's rows 0..H as one flat row per seed, and views of dap's row 0
+    and rows 1..H+1, built once. None is a copy, so the divergence reset's
+    writes reach them. recover_noise writes w_t straight into the
+    recovered-noise buffer, and grad writes G_t, in the blocks' flattened
+    layout, straight into the first half of one (2, S, n_u H n_x) array
+    whose second half holds the live blocks M_t. One square of that
     array per step fills a row of an (L, 2, S, n_u H n_x) scratch of L steps,
     summed once per chunk with the bits of per-step sums; the scratch holds
     2 MiB (or one step, if more) at any T. The step M_t - eta_t G_t then
@@ -224,8 +224,8 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     # window (window[m] = w_{t-1-m}) and its Hankel rows start at row T-t.
     buf = np.zeros((S, T + 2 * H + 1, sys.n_x))
     # each step copies its Hankel rows into hank and disturbance_action's
-    # product into dap; grad's point reads dap's row 0 and its rows 1..H+1
-    # (one flat row per seed) through views built once here
+    # product into dap; grad reads dap's row 0 and its rows 1..H+1 (one flat
+    # row per seed) through views built once here
     hank = np.empty((S, H + 2, H * sys.n_x))
     dap = np.empty((S, H + 2, sys.n_u))
     dap0, dap_rest = dap[:, 0], dap[:, 1:].reshape(S, -1)
@@ -238,20 +238,19 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
     # Every row a step reads or writes comes from an iterator over the first
     # axis of a step-major view built here, none a copy, so the divergence
     # reset's writes reach them. Step t reads row T-t of buf's strided views:
-    # its Hankel rows, its window, and the window's rows 0..H as one flat row;
-    # it writes w_t into row T-1-t.
+    # its Hankel rows and its window's rows 0..H as one flat row; it writes
+    # w_t into row T-1-t.
     def newest_first(view):
         return view.swapaxes(0, 1)[T:0:-1]
 
-    windows = sliding_window_view(buf, 2 * H + 1, axis=1).swapaxes(2, 3)
     steps = zip(range(T), xs, xs[1:], xrows[1:], us, ws, step_sizes,
-                newest_first(_hankel(buf, H, H + 2)), newest_first(windows),
+                newest_first(_hankel(buf, H, H + 2)),
                 newest_first(_hankel(buf, H + 1, 1)[:, :, 0]), buf.swapaxes(0, 1)[T - 1::-1])
     # looked up once per episode, after perfbench's tracer (if any) has wrapped the
     # methods on their class, so each traced layer still sees one call per step
     copyto, matmul, add, subtract, square = np.copyto, np.matmul, np.add, np.subtract, np.square
     reveal, grad = stage.reveal, kern.grad
-    for t, x, x_out, every, u_out, w, eta, hank_rows, W, W_rows, w_out in steps:
+    for t, x, x_out, every, u_out, w, eta, hank_rows, W_rows, w_out in steps:
         copyto(hank, hank_rows)
         matmul(hank, flatT, out=dap)  # disturbance_action(blocks, hank)
         u = control_input(K, x, dap0, out=u_out)
@@ -260,7 +259,7 @@ def run_episode(sys: LinearSystem, K: np.ndarray, cert: StabilityCertificate,
         x_next = add(Ax + Bu, w, out=x_out)  # not +=: slow on one element
         recover_noise(x_next, Ax, Bu, out=w_out)
 
-        grad(cost, blocks, W, hank, dap, out=G_out, rows=W_rows, dap0=dap0, dap_rest=dap_rest)
+        grad(cost, hank, W_rows, dap0, dap_rest, G_out)
         c = t % L
         square(GM, out=chunk[c])
         if c == L - 1 or t == T - 1:

@@ -105,10 +105,15 @@ class SurrogateKernel:
     side by side as (n_x, (H+1) n_x) and (n_x, (H+1) n_u) matrices, so a
     point or a gradient is a few matrix products with the contiguous Hankel
     rows 0..H+1 of the disturbance window and the blocks flattened to
-    (n_u, H n_x). Products with fixed matrices are 2-D ndarray.dot calls over
-    the seeds' rows, which at these sizes cost about half a matmul call; the
-    one whose product fills a slice of grad's coefficient rows C is
-    np.matmul(out=), since ndarray.dot writes only into a contiguous out.
+    (n_u, H n_x). The gradient has two forms: grad, the lockstep episode's
+    step, takes S seeds' Hankel rows and the views of their windows and of
+    disturbance_action's product that the point reads, and writes G into an
+    out in the blocks' flattened layout; window_grad takes blocks and one
+    window W, as point and value do, and returns G as blocks. Products with
+    fixed matrices are 2-D ndarray.dot calls over the seeds' rows, which at
+    these sizes cost about half a matmul call; the one whose product fills
+    a slice of grad's coefficient rows C is np.matmul(out=), since
+    ndarray.dot writes only into a contiguous out.
     The seeds' own cost matrices meet their rows through np.matvec, which
     needs no column axis and is cheaper than `@` on one; on a scalar plant,
     as the kernel decides when built, R v and Q y are elementwise products
@@ -134,24 +139,22 @@ class SurrogateKernel:
         self._PB2_row, self._KT = 2.0 * self._PB_rowT.T, self.K.T  # doubling is exact
         self._scratch = self._grad_scratch(0)
 
-    def _check_window(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One window W, checked, and its contiguous Hankel rows (H+2, H n_x)."""
+    def _window(self, blocks: np.ndarray, W: np.ndarray) -> tuple:
+        """One window W (2H+1, n_x), checked, as grad's inputs for a stack of
+        one seed: its contiguous Hankel rows (1, H+2, H n_x), then rows, dap0
+        and dap_rest, sliced from W and dap = disturbance_action(blocks, hank)."""
         W = np.ascontiguousarray(W, dtype=float)
         if W.shape != (2 * self.H + 1, self.n_x):
             raise ValueError(
                 f"window must have shape ({2 * self.H + 1}, {self.n_x}), got {W.shape}")
-        return W, np.ascontiguousarray(_hankel(W, self.H, self.H + 2)[0])
-
-    def _rows(self, W: np.ndarray, dap: np.ndarray) -> tuple:
-        """_point's inputs from windows W (S, 2H+1, n_x) and their dap rows
-        (S, H+2, n_u): each window's first H+1 rows as one flat row, dap's
-        row 0, and dap's rows 1..H+1 as one flat row."""
-        S = len(W)
-        return W[:, :self.H + 1].reshape(S, -1), dap[:, 0], dap[:, 1:].reshape(S, -1)
+        hank = np.ascontiguousarray(_hankel(W, self.H, self.H + 2)[0])
+        dap = disturbance_action(blocks, hank)
+        return (hank[None], W[None, :self.H + 1].reshape(1, -1), dap[None, 0],
+                dap[None, 1:].reshape(1, -1))
 
     def _point(self, rows: np.ndarray, dap0: np.ndarray,
                dap_rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y, v) as rows (S, n) from the flat rows that _rows gives."""
+        """(y, v) as rows (S, n) from the flat rows that grad reads."""
         # not y += ...: numpy takes its slow path for an in-place op on one element
         y = rows.dot(self._pows_rowT) + dap_rest.dot(self._PB_rowT)
         return y, dap0 - y.dot(self._KT)
@@ -164,8 +167,7 @@ class SurrogateKernel:
 
     def point(self, blocks: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, v) with the whole policy window frozen at one parameter."""
-        W, hank = self._check_window(W)
-        y, v = self._point(*self._rows(W[None], disturbance_action(blocks, hank)[None]))
+        y, v = self._point(*self._window(blocks, W)[1:])
         return y[0], v[0]
 
     def value(self, cost: tuple, blocks: np.ndarray, W: np.ndarray) -> float:
@@ -174,35 +176,28 @@ class SurrogateKernel:
         y, v = self.point(blocks, W)
         return float(y @ Q @ y + v @ R @ v)
 
-    def grad(self, cost: tuple, blocks: np.ndarray, W: np.ndarray,
-             hank: np.ndarray | None = None, dap: np.ndarray | None = None,
-             out: np.ndarray | None = None, *, rows: np.ndarray | None = None,
-             dap0: np.ndarray | None = None,
-             dap_rest: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gradient, y, v): adjoint accumulation of the chain rule.
+    def window_grad(self, cost: tuple, blocks: np.ndarray,
+                    W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gradient, y, v) at blocks (H, n_u, n_x) on one window W: grad on
+        a stack of one seed, its gradient returned as blocks."""
+        G, y, v = self.grad(cost, *self._window(blocks, W),
+                            np.empty((1, self.n_u, self.H * self.n_x)))
+        return G[0].reshape(self.n_u, self.H, self.n_x).swapaxes(0, 1), y[0], v[0]
+
+    def grad(self, cost: tuple, hank: np.ndarray, rows: np.ndarray, dap0: np.ndarray,
+             dap_rest: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(out, y, v) for S seeds in lockstep: adjoint accumulation of the chain rule.
 
         Block r collects (A_K^j B)' (g_x - K' g_u) against w_{t-2-r-j} over
-        j = 0..H, plus the direct input sensitivity g_u w_{t-1-r}'. A lockstep
-        episode passes windows (S, 2H+1, n_x) with their contiguous Hankel rows
-        hank, dap = disturbance_action(blocks, hank), shared with its control
-        input, and S costs (Q, R); one window W runs as a stack of one. The
-        gradient comes back as blocks, (H, n_u, n_x) or (S, H, n_u, n_x);
-        given out of shape (S, n_u, H n_x), the blocks' flattened layout, it
-        is written there and out is returned in its place.
-
-        rows, dap0 and dap_rest, given together, are the views of W and dap
-        that the point reads: each window's rows 0..H as one flat row
-        (S, (H+1) n_x), dap[:, 0] and dap[:, 1:] as (S, (H+1) n_u). An episode
-        builds them once over its own buffers; without them they are sliced
-        from W and dap, and the same code runs on them.
+        j = 0..H, plus the direct input sensitivity g_u w_{t-1-r}'. The step
+        reads, per seed, its contiguous Hankel rows hank (S, H+2, H n_x), its
+        window's rows 0..H as one flat row, rows (S, (H+1) n_x), and of
+        dap = disturbance_action(blocks, hank) row 0, dap0 (S, n_u), and rows
+        1..H+1 as one flat row, dap_rest (S, (H+1) n_u); costs (Q, R) are
+        stacks of S. The gradient is written into out (S, n_u, H n_x), the
+        blocks' flattened layout, and y, v come back as rows (S, n).
         """
         Q, R = cost
-        solo = hank is None
-        if solo:
-            W, hank = self._check_window(W)
-            W, hank, dap = W[None], hank[None], disturbance_action(blocks, hank)[None]
-        if rows is None:
-            rows, dap0, dap_rest = self._rows(W, dap)
         S = len(rows)
         y, v = self._point(rows, dap0, dap_rest)
         # R v is half the stage-cost gradient g_u = 2 R v
@@ -216,7 +211,4 @@ class SurrogateKernel:
         C3, C_u, C_x = self._scratch
         np.add(Rv, Rv, out=C_u)
         np.matmul(Qy - Rv.dot(self.K), self._PB2_row, out=C_x)
-        if out is not None:
-            return np.matmul(C3, hank, out=out), y, v
-        G = np.matmul(C3, hank).reshape(S, self.n_u, self.H, self.n_x).swapaxes(1, 2)
-        return (G[0], y[0], v[0]) if solo else (G, y, v)
+        return np.matmul(C3, hank, out=out), y, v

@@ -84,7 +84,7 @@ def test_criterion_02_gradient_oracle():
         M = sample_admissible(rng, H, n, n, 1.0, 0.5, 1.0)
         W = rng.standard_normal((2 * H + 1, n))
 
-        G, _, _ = kern.grad(cost, M.blocks, W)
+        G, _, _ = kern.window_grad(cost, M.blocks, W)
         G_fd = np.zeros_like(G)
         for idx in np.ndindex(G.shape):
             d = np.zeros_like(G)

@@ -282,6 +282,10 @@ def test_project_is_traced_per_seed_in_lockstep(monkeypatch):
         alone = learner.run_episode(sys_, K, cert, schedule, proc, lr, T, H=H)
         assert np.array_equal(rec.M_final.blocks, alone.M_final.blocks)
     assert lockstep.totals("policy.project")[0] == T * 3
+    # the other per-step layers run once per lockstep step for all seeds, not T * S times
+    for name in ("surrogate.grad", "policy.control_input", "costs.reveal",
+                 "system.recover_noise"):
+        assert lockstep.totals(name)[0] == T, name
     assert lockstep.counts["policy.project.blocks"] == T * 3 * H
     clipped = before.counts["policy.project.clipped_blocks"]
     assert lockstep.counts["policy.project.clipped_blocks"] == clipped > 0

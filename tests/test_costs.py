@@ -31,6 +31,13 @@ def test_quadratic_rejects_non_psd():
         quadratic_cost(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(1))
     with pytest.raises(ValueError):
         quadratic_cost(np.array([[-0.5]]), np.eye(1))
+    with pytest.raises(ValueError, match=r"Q must be square, got shape \(1, 2\)"):
+        quadratic_cost(np.ones((1, 2)), np.eye(1))
+    with pytest.raises(ValueError, match=r"R must be square, got shape \(2,\)"):
+        quadratic_cost(np.eye(1), np.ones(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="R must be finite"):
+            quadratic_cost(np.eye(1), np.array([[bad]]))
 
 
 def test_stage_values_match_loop():
@@ -156,6 +163,13 @@ def test_schedule_rejects_one_bad_step():
         CostSchedule(Q=sched.Q, R=asymmetric, g_c=2.0)
     with pytest.raises(ValueError, match="steps"):
         CostSchedule(Q=sched.Q, R=sched.R[:19], g_c=2.0)
+    for wrong in (sched.Q[..., :1], sched.Q[0], sched.Q[None, None]):
+        with pytest.raises(ValueError, match="Q must be a stack of square matrices"):
+            CostSchedule(Q=wrong, R=sched.R, g_c=2.0)
+    nonfinite = sched.R.copy()
+    nonfinite[4, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="R must be finite"):
+        CostSchedule(Q=sched.Q, R=nonfinite, g_c=2.0)
 
 
 @pytest.mark.parametrize("defect,message", [

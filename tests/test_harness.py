@@ -51,6 +51,8 @@ def test_build_experiment_accepts_base_config():
     assert exp.seeds == (0, 1, 2)
     assert len(exp.candidates) == 5
     assert exp.delta == 0.1
+    # integral floats are integers
+    assert build_experiment(_base_doc(horizons=[8.0, 16])).horizons == (8, 16)
 
 
 @pytest.mark.parametrize("mutate,needle", [
@@ -85,6 +87,15 @@ def test_build_experiment_accepts_base_config():
     (lambda d: d.update(comparator={"candidates": [[[" 0.5 "]]]}),
      "comparator candidate must hold only JSON numbers"),
     (lambda d: d.update(x0=[1e300]), "x0 must lie within the divergence guard"),
+    (lambda d: d.update(delta=10 ** 400), "config delta is out of range"),
+    (lambda d: d["comparator"]["grid"].update(count=0), "grid must have count >= 1"),
+    (lambda d: d["comparator"]["grid"].update(min=0.6, max=0.4), "and max >= min"),
+    (lambda d: d.update(schedule={"kind": "strongly_convex"},
+                        cost={"family": "quadratic", "Q": [[0.0]], "R": [[1.0]]}),
+     "needs strongly convex costs"),
+    (lambda d: d.update(schedule={"kind": "strongly_convex"},
+                        noise={"family": "gaussian", "scale": 0.0, "seed": 42}),
+     "needs non-degenerate noise"),
 ])
 def test_build_experiment_rejects_bad_configs(mutate, needle):
     doc = _base_doc()
@@ -166,6 +177,8 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1,2]")
     with pytest.raises(ValueError, match="JSON object"):
         load_config(str(arr))
+    with pytest.raises(ValueError, match="config root must be a JSON object"):
+        build_experiment([])
 
 
 def _constants_doc():
@@ -397,7 +410,7 @@ def test_zero_noise_batch_reports_zero_regret(tmp_path):
     assert all(line.split(",")[3] == "0" for line in body)
 
 
-def test_divergent_batch_is_flagged(monkeypatch):
+def test_divergent_batch_is_flagged(monkeypatch, tmp_path, capsys):
     def explode(sys_, K, cert, schedules, procs, *a, **k):
         return [EpisodeDivergedError(step=0, norm=float("inf")) for _ in procs]
 
@@ -408,6 +421,12 @@ def test_divergent_batch_is_flagged(monkeypatch):
     assert all(r["seed_count"] == 0 for r in report.rows)
     assert report.slope is None
     assert all(math.isnan(r["regret_median"]) for r in report.rows)
+    # `onlinectrl run` still writes the outputs, marks the report failed and exits 3
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, _base_doc()),
+                     "--out", str(out)]) == 3
+    assert "batch failed: more than 20% of episodes diverged\n" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["failed"] is True
 
 
 @pytest.mark.parametrize("workers,diverge", [(1, True), (2, False)],

@@ -104,7 +104,7 @@ def _naive_replay(sys_, K, cert, proc, cost, lr, T, H):
         u = -K @ x + sum(M[i] @ W[i] for i in range(H))
         w = sample(proc, t)
         Q, R = cost.reveal(0, u)  # a one-step schedule: the same cost every step
-        g = kern.grad((Q, R), M, W)[0]
+        g = kern.window_grad((Q, R), M, W)[0]
         step = _eta(lr, t, T)
         U, sv, Vt = np.linalg.svd(M - step * g, full_matrices=False)
         steps.append({"x": x, "u": u, "w": w, "cost": float(x @ Q @ x + u @ R @ u),
@@ -344,7 +344,9 @@ def _run_episode_per_step(sys_, K, cert, schedules, procs, lr, T, H=None,
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
     buf = np.zeros((S, T + 2 * H + 1, sys_.n_x))
-    hanks = _hankel(buf, H, H + 2)
+    hanks, rows = _hankel(buf, H, H + 2), _hankel(buf, H + 1, 1)[:, :, 0]
+    G_out = np.empty((S, sys_.n_u, H * sys_.n_x))
+    G = G_out.reshape(S, sys_.n_u, H, sys_.n_x).swapaxes(1, 2)
     xs = np.empty((T + 1, S, sys_.n_x))
     us = np.empty((T, S, sys_.n_u))
     grad_sq, m_sq = np.empty((2, T, S))
@@ -362,8 +364,8 @@ def _run_episode_per_step(sys_, K, cert, schedules, procs, lr, T, H=None,
         x_next += ws[t]
         buf[:, T - 1 - t] = recover_noise(x_next, Ax, Bu)
 
-        G, _, _ = kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap)
-        np.add.reduce(np.square(G.swapaxes(1, 2).reshape(S, -1)), axis=1, out=grad_sq[t])
+        kern.grad(cost, hank, rows[:, T - t], dap[:, 0], dap[:, 1:].reshape(S, -1), G_out)
+        np.add.reduce(np.square(G_out.reshape(S, -1)), axis=1, out=grad_sq[t])
         np.add.reduce(np.square(flat), axis=1, out=m_sq[t])
         G *= step_sizes[t]
         blocks -= G
@@ -414,9 +416,8 @@ def _reference_episode(sys_, K, cert, schedules, procs, lr, T, H=None, x0=None,
     """run_episode's lockstep loop as it stood before its buffers and views
     were built once per episode: every step copies its Hankel rows into a
     fresh array, computes a fresh dap, copies u into us[t] and slices its
-    window and its rows of the buffers by index. The episode-owned form must
-    equal it byte for byte. Returns per seed its EpisodeRecord or
-    EpisodeDivergedError."""
+    rows of the buffers by index. The episode-owned form must equal it byte
+    for byte. Returns per seed its EpisodeRecord or EpisodeDivergedError."""
     etas = lr.etas(T)
     Q, R = (learner._seed_axis([s.Q[:T] for s in schedules]),
             learner._seed_axis([s.R[:T] for s in schedules]))
@@ -444,7 +445,7 @@ def _reference_episode(sys_, K, cert, schedules, procs, lr, T, H=None, x0=None,
     noise = [sample_episode(p, T) for p in procs]
     ws = np.stack(noise, axis=1)
     buf = np.zeros((S, T + 2 * H + 1, sys_.n_x))
-    hanks = _hankel(buf, H, H + 2)
+    hanks, rows = _hankel(buf, H, H + 2), _hankel(buf, H + 1, 1)[:, :, 0]
     us = np.empty((T, S, sys_.n_u))
     sq = np.empty((T, 2, S))
     L = min(max(learner._NORM_CHUNK_FLOATS // flat.size, 1), T)
@@ -462,7 +463,7 @@ def _reference_episode(sys_, K, cert, schedules, procs, lr, T, H=None, x0=None,
         x_next = np.add(Ax + Bu, ws[t], out=xs[t + 1])
         recover_noise(x_next, Ax, Bu, out=buf[:, T - 1 - t])
 
-        kern.grad(cost, blocks, buf[:, T - t:T - t + 2 * H + 1], hank, dap, out=G_out)
+        kern.grad(cost, hank, rows[:, T - t], dap[:, 0], dap[:, 1:].reshape(S, -1), G_out)
         c = t % L
         np.square(GM, out=chunk[c])
         if c == L - 1 or t == T - 1:
@@ -689,6 +690,9 @@ def test_lockstep_input_validation():
         with pytest.raises(ValueError, match=r"dimensions \(n_x, n_u\) = \(2, 1\) must match "
                                              r"the system's \(1, 1\)"):
             run_episode(sys_, K, cert, mixed, procs, lr, T)
+    wide = [NoiseProcess("gaussian", 1.0, dim=2, seed=s) for s in range(len(procs))]
+    with pytest.raises(ValueError, match="noise dimension must match the state dimension"):
+        run_episode(sys_, K, cert, schedules, wide, lr, T)
 
 
 def test_x0_validation():

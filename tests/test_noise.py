@@ -174,6 +174,8 @@ def test_family_validation():
         NoiseProcess(family="student_t", scale=1.0, dim=1, seed=0, df=4.0)
     with pytest.raises(ValueError):
         NoiseProcess(family="gaussian", scale=-1.0, dim=1, seed=0)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        NoiseProcess(family="gaussian", scale=1.0, dim=0, seed=0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="scale"):
             NoiseProcess(family="gaussian", scale=bad, dim=1, seed=0)

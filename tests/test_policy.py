@@ -66,6 +66,9 @@ def test_block_norms_and_admissibility():
             assert np.isclose(norms[i], np.linalg.norm(blocks[i], 2))
     M0 = PolicyParams(np.zeros((4, 2, 3)))
     assert is_admissible(M0, KAPPA, GAMMA, KAPPA_B)
+    for shape in ((2, 3), (1, 4, 2, 3)):
+        with pytest.raises(ValueError, match=r"blocks must be \(H, n_u, n_x\)"):
+            PolicyParams(np.zeros(shape))
 
 
 @pytest.mark.parametrize("scale,admissible", [(1.0, True), (1.0 + 1e-12, True),

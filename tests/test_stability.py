@@ -36,6 +36,12 @@ def test_certify_rejects_bad_gamma():
     for gamma in (0.0, 1.5, -0.1):
         with pytest.raises((CertificationError, ValueError)):
             certify(sys_, np.array([[0.5]]), kappa=1.0, gamma=gamma)
+    for kappa in (0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
+            certify(sys_, np.array([[0.5]]), kappa=kappa, gamma=0.5)
+    for K in (np.array([0.5]), np.array([[0.5, 0.1]])):
+        with pytest.raises(ValueError, match=r"K must have shape \(1, 1\)"):
+            certify(sys_, K, kappa=1.0, gamma=0.5)
 
 
 def test_certify_defective_closed_loop_fails():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,21 @@ def test_psi_validations():
     with pytest.raises(ValueError):
         # M_seq shorter than t leaves the outer window one policy short
         state_expansion(sys_, K, M[:2], np.zeros((3, n)), t=3, h=1, H=H)
+    with pytest.raises(ValueError, match="t >= 1"):
+        state_expansion(sys_, K, M[:1], np.zeros((1, n)), t=0, h=0, H=H)
+    for h in (-1, 3):
+        with pytest.raises(ValueError, match=r"need 0 <= h <= t-1"):
+            state_expansion(sys_, K, M[:3], np.zeros((3, n)), t=3, h=h, H=H)
+    with pytest.raises(ValueError, match="memory H must be >= 1"):
+        SurrogateKernel(sys_, K, 0)
+    kern = SurrogateKernel(sys_, K, H)
+    cost = (np.eye(n), np.eye(n))
+    for W in (np.zeros((2 * H, n)), np.zeros((2 * H + 1, n + 1)), np.zeros(2 * H + 1)):
+        msg = re.escape(f"window must have shape ({2 * H + 1}, {n}), got {W.shape}")
+        for call in (lambda: kern.point(M[0].blocks, W), lambda: kern.value(cost, M[0].blocks, W),
+                     lambda: kern.window_grad(cost, M[0].blocks, W)):
+            with pytest.raises(ValueError, match=msg):
+                call()
 
 
 def _frozen_replay(sys_, K, M, ws, t, H):
@@ -155,8 +172,8 @@ def test_truncation_error_bounded_by_decay():
 
 
 def _grad_fd_error(kern, cost, blocks, W, eps=1e-6):
-    """Relative error of kern.grad against central finite differences."""
-    G, y, v = kern.grad(cost, blocks, W)
+    """Relative error of kern.window_grad against central finite differences."""
+    G, y, v = kern.window_grad(cost, blocks, W)
     assert G.shape == blocks.shape
     Q, R = cost
     assert np.isfinite(y @ Q @ y + v @ R @ v)
@@ -218,14 +235,29 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
 
+def _step_grad(kern, cost, blocks, W):
+    """grad on windows W (S, 2H+1, n_x), its inputs built as run_episode
+    builds them: contiguous Hankel rows, each window's rows 0..H as a flat
+    row of a strided view, and views of dap's row 0 and rows 1..H+1. Returns
+    (out, y, v, G), G being out viewed as blocks (S, H, n_u, n_x)."""
+    S, H, n_x, n_u = len(W), kern.H, kern.n_x, kern.n_u
+    hank = np.ascontiguousarray(_hankel(W, H, H + 2)[:, 0])
+    dap = disturbance_action(blocks, hank)
+    out = np.full((S, n_u, H * n_x), np.nan)
+    got, y, v = kern.grad(cost, hank, _hankel(W, H + 1, 1)[:, 0, 0], dap[:, 0],
+                          dap[:, 1:].reshape(S, -1), out)
+    assert got is out
+    return out, y, v, out.reshape(S, n_u, H, n_x).swapaxes(1, 2)
+
+
 @pytest.mark.parametrize("plant,H,S", [
     ("scalar", 1, 1), ("scalar", 11, 1), ("3x2", 4, 1),
     ("scalar", 1, 3), ("scalar", 4, 3), ("scalar", 11, 3), ("scalar", 19, 3), ("3x2", 4, 3),
     ("3x2", 11, 3)])
 def test_lockstep_grad_equals_single_window_calls(plant, H, S):
     """grad on a stack of S windows, as run_episode calls it, returns per seed
-    what a single-window call returns: bit for bit as a stack of one, to
-    rounding otherwise. point and value agree with its (y, v) bit for bit."""
+    what window_grad returns: bit for bit as a stack of one, to rounding
+    otherwise. point and value agree with its (y, v) bit for bit."""
     sys_, K = _plant(plant)
     n_x, n_u = sys_.n_x, sys_.n_u
     kern = SurrogateKernel(sys_, K, H)
@@ -233,12 +265,11 @@ def test_lockstep_grad_equals_single_window_calls(plant, H, S):
     W = rng.standard_normal((S, 2 * H + 1, n_x))
     blocks = rng.standard_normal((S, H, n_u, n_x))
     Q, R = (np.stack(m) for m in zip(*[_random_cost(rng, n_x, n_u) for _ in range(S)]))
-    hank = np.ascontiguousarray(_hankel(W, H, H + 2)[:, 0])
-    G, y, v = kern.grad((Q, R), blocks, W, hank, disturbance_action(blocks, hank))
+    _, y, v, G = _step_grad(kern, (Q, R), blocks, W)
     assert (G.shape, y.shape, v.shape) == (blocks.shape, (S, n_x), (S, n_u))
     for s in range(S):
         cost = (Q[s], R[s])
-        solo = kern.grad(cost, blocks[s], W[s])
+        solo = kern.window_grad(cost, blocks[s], W[s])
         for got, want in zip((G[s], y[s], v[s]), solo):
             assert got.shape == want.shape
             if S == 1:
@@ -253,10 +284,11 @@ def test_lockstep_grad_equals_single_window_calls(plant, H, S):
 
 @pytest.mark.parametrize("plant,H", [("scalar", 1), ("scalar", 19), ("3x2", 4), ("3x2", 11)])
 def test_grad_out_is_the_flat_layout_of_the_blocks_return(plant, H):
-    """grad(..., out=) writes the gradient in the blocks' flattened layout
-    (S, n_u, H n_x) and returns out with the (y, v) of a call without it, bit
-    for bit; one kernel serves stacks of 3, 1 and 3 seeds in turn, and no
-    call writes W, hank or dap."""
+    """grad writes every entry of out, the blocks' flattened layout
+    (S, n_u, H n_x), and returns out itself: viewed as blocks, each seed's
+    gradient is window_grad's, bit for bit at one seed and to rounding
+    otherwise, with its (y, v). One kernel serves stacks of 3, 1 and 3 seeds
+    in turn, and no call writes W, hank or dap."""
     sys_, K = _plant(plant)
     n_x, n_u = sys_.n_x, sys_.n_u
     kern = SurrogateKernel(sys_, K, H)
@@ -269,11 +301,17 @@ def test_grad_out_is_the_flat_layout_of_the_blocks_return(plant, H):
         dap = disturbance_action(blocks, hank)
         inputs = [a.copy() for a in (W, hank, dap)]
         out = np.full((S, n_u, H * n_x), np.nan)
-        got, y_o, v_o = kern.grad((Q, R), blocks, W, hank, dap, out=out)
-        G, y, v = kern.grad((Q, R), blocks, W, hank, dap)
-        assert got is out
-        assert out.tobytes() == G.swapaxes(1, 2).reshape(S, n_u, -1).tobytes()
-        assert y_o.tobytes() == y.tobytes() and v_o.tobytes() == v.tobytes()
+        got, y, v = kern.grad((Q, R), hank, _hankel(W, H + 1, 1)[:, 0, 0], dap[:, 0],
+                              dap[:, 1:].reshape(S, -1), out)
+        assert got is out and not np.isnan(out).any()
+        G = out.reshape(S, n_u, H, n_x).swapaxes(1, 2)
+        for s in range(S):
+            solo = kern.window_grad((Q[s], R[s]), blocks[s], W[s])
+            for a, b in zip((G[s], y[s], v[s]), solo):
+                if S == 1:
+                    assert a.tobytes() == b.tobytes()
+                else:
+                    assert _rel(a, b) <= 1e-12
         for a, before in zip((W, hank, dap), inputs):
             assert a.tobytes() == before.tobytes()
 
@@ -283,10 +321,11 @@ def test_grad_out_is_the_flat_layout_of_the_blocks_return(plant, H):
 def test_grad_on_prebuilt_rows_equals_the_window_form(plant, H):
     """grad given the views an episode builds once -- each window's rows 0..H
     as one flat row of a strided view of the recovered-noise buffer, and dap's
-    row 0 and rows 1..H+1 as views of one dap buffer -- returns the window
-    form's bits, with and without out, and at one seed the solo call's. One
-    kernel serves 3, 1 and 3 seeds in turn, so its scratch is rebuilt each
-    time; no call writes W, hank or dap."""
+    row 0 and rows 1..H+1 as views of one dap buffer -- returns the bits of
+    the same call on contiguous copies of those rows sliced from the window
+    and dap, and at one seed window_grad's. One kernel serves 3, 1 and 3
+    seeds in turn, so its scratch is rebuilt each time; no call writes W,
+    hank or dap."""
     sys_, K = _plant(plant)
     n_x, n_u = sys_.n_x, sys_.n_u
     kern = SurrogateKernel(sys_, K, H)
@@ -306,18 +345,19 @@ def test_grad_on_prebuilt_rows_equals_the_window_form(plant, H):
             np.copyto(hank, _hankel(buf, H, H + 2)[:, p])
             np.matmul(hank, flatT, out=dap)
             inputs = [a.copy() for a in (W, hank, dap)]
-            G, y, v = kern.grad((Q, R), blocks, W, hank, dap)
-            views = dict(rows=rows[:, p], dap0=dap0, dap_rest=dap_rest)
+            sliced = [np.ascontiguousarray(a) for a in (
+                W[:, :H + 1].reshape(S, -1), dap[:, 0], dap[:, 1:].reshape(S, -1))]
+            want = np.full((S, n_u, H * n_x), np.nan)
+            _, y, v = kern.grad((Q, R), hank, *sliced, want)
             out = np.full((S, n_u, H * n_x), np.nan)
-            got, y_o, v_o = kern.grad((Q, R), blocks, W, hank, dap, out=out, **views)
+            got, y_o, v_o = kern.grad((Q, R), hank, rows[:, p], dap0, dap_rest, out)
             assert got is out
-            assert out.tobytes() == G.swapaxes(1, 2).reshape(S, n_u, -1).tobytes()
-            G_b, y_b, v_b = kern.grad((Q, R), blocks, W, hank, dap, **views)
-            assert G_b.tobytes() == G.tobytes()
-            for a, b in ((y_o, y), (v_o, v), (y_b, y), (v_b, v)):
+            assert out.tobytes() == want.tobytes()
+            for a, b in ((y_o, y), (v_o, v)):
                 assert a.tobytes() == b.tobytes()
             if S == 1:
-                solo = kern.grad((Q[0], R[0]), blocks[0], W[0])
+                G = out.reshape(S, n_u, H, n_x).swapaxes(1, 2)
+                solo = kern.window_grad((Q[0], R[0]), blocks[0], W[0])
                 for a, b in zip(solo, (G[0], y[0], v[0])):
                     assert a.tobytes() == b.tobytes()
             for a, before in zip((W, hank, dap), inputs):
@@ -332,7 +372,7 @@ def _negative_zeros(a):
 def test_scalar_grad_products_equal_the_matvec_form(S):
     """On a scalar plant grad forms R v and Q y as products of (S, 1) rows;
     its y, v and G equal, bit for bit, those of a kernel held to its np.matvec
-    branch, with and without out, and at one seed in the solo form too. The
+    branch, and at one seed in window_grad too. The
     costs include R = 0 and Q = 0, both PSD, so some products are -0 where
     np.matvec, which sums from +0, gives +0: the gradient matmul sums them from
     +0 as well, so G keeps the matvec form's bits."""
@@ -349,19 +389,13 @@ def test_scalar_grad_products_equal_the_matvec_form(S):
             R[rng.random(S) < 0.5] = 0.0
             if trial % 2:
                 Q[rng.random(S) < 0.5] = 0.0
-            hank = np.ascontiguousarray(_hankel(W, H, H + 2)[:, 0])
-            dap = disturbance_action(blocks, hank)
-            G, y, v = kern.grad((Q, R), blocks, W, hank, dap)
-            want = matvec.grad((Q, R), blocks, W, hank, dap)
-            for got, w in zip((G, y, v), want):
+            out, y, v, _ = _step_grad(kern, (Q, R), blocks, W)
+            want = _step_grad(matvec, (Q, R), blocks, W)
+            for got, w in zip((out, y, v), want):
                 assert got.tobytes() == w.tobytes()
-            out, want_out = np.full((2, S, 1, H), np.nan)
-            kern.grad((Q, R), blocks, W, hank, dap, out=out)
-            matvec.grad((Q, R), blocks, W, hank, dap, out=want_out)
-            assert out.tobytes() == want_out.tobytes()
             if S == 1:
-                solo = kern.grad((Q[0], R[0]), blocks[0], W[0])
-                for got, w in zip(solo, matvec.grad((Q[0], R[0]), blocks[0], W[0])):
+                solo = kern.window_grad((Q[0], R[0]), blocks[0], W[0])
+                for got, w in zip(solo, matvec.window_grad((Q[0], R[0]), blocks[0], W[0])):
                     assert got.tobytes() == w.tobytes()
             signed_zeros += [_negative_zeros(R[..., 0] * v), _negative_zeros(Q[..., 0] * y)]
             assert not any(_negative_zeros(np.matvec(M, x)) for M, x in ((R, v), (Q, y)))
